@@ -177,26 +177,34 @@ class EliminationOracle:
         if subset in self._memo:
             return self._memo[subset]
         if self.cache_dir is not None:
-            path = self._cache_path(subset)
             try:
-                with open(path, encoding="utf-8") as fh:
+                with open(self._cache_path(subset), encoding="utf-8") as fh:
                     texts = json.load(fh)["generators"]
+                if not isinstance(texts, list):
+                    raise TypeError("cached generators are not a list")
                 gens = tuple(
                     parse_polynomial(t, self.ideal.vars, self.ideal.field.p)
                     for t in texts
                 )
+            except (FileNotFoundError, KeyError, TypeError, ValueError):
+                # a missing or corrupt entry is a miss and gets rewritten;
+                # ValueError covers undecodable JSON or text and ParseError
+                pass
+            else:
                 self._memo[subset] = gens
                 return gens
-            except FileNotFoundError:
-                pass
         gens = tuple(eliminate(self.ideal, subset))
         self._memo[subset] = gens
         if self.cache_dir is not None:
             payload = json.dumps({"generators": [str(g) for g in gens]})
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._cache_path(subset))
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+                os.replace(tmp, self._cache_path(subset))
+            except BaseException:
+                os.unlink(tmp)
+                raise
         return gens
 
     def independent(self, subset) -> bool:

@@ -93,11 +93,12 @@ def load_problem(path) -> ProblemInput:
         return ProblemInput("ideal", p, tuple(variables), tuple(generators))
     rows, cols = raw.get("rows"), raw.get("cols")
     entries = raw.get("entries")
-    if not isinstance(rows, int) or not isinstance(cols, int):
-        raise CliInputError('"rows" and "cols" must be integers')
+    # exact type checks, since JSON true and false load as bool, an int
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+        raise CliInputError('"rows" and "cols" must be positive integers')
     if (not isinstance(entries, list) or len(entries) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in entries)
-            or any(not isinstance(e, int) for r in entries for e in r)):
+            or any(type(e) is not int for r in entries for e in r)):
         raise CliInputError('"entries" must be a rows x cols integer array')
     return ProblemInput("matrix", p, matrix=IntMatrix(tuple(map(tuple, entries))))
 

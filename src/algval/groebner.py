@@ -10,6 +10,8 @@ matter how the input generators are listed.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from algval.ffpoly import Polynomial, PrimeField
 
 
@@ -136,47 +138,82 @@ def _coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
+class _Terms(dict):
+    """Memo of one Groebner computation: exponent vector -> (negated
+    order key, support bitmask, exponent vector, order key).  A total
+    order gives each monomial its own key, and negated keys make a heapq
+    min-heap pop the leading monomial first."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        self.order = order
+
+    def __missing__(self, expo):
+        key = self.order.key(expo)
+        mask = sum(1 << i for i, e in enumerate(expo) if e)
+        entry = self[expo] = (tuple(-k for k in key), mask, expo, key)
+        return entry
+
+
+def _reducer(g: Polynomial, terms: _Terms):
+    """(leading monomial, its support mask, inverse lead coefficient,
+    remaining terms) of g, the form in which `normal_form` divides by g."""
+    _, mask, lm, _ = min(map(terms.__getitem__, g.terms))
+    tail = [(m, c) for m, c in g.terms.items() if m != lm]
+    return lm, mask, g.field.inv(g.terms[lm]), tail
+
+
+def _monic(f: Polynomial, terms: _Terms):
+    """f scaled to lead coefficient 1, and its reducer."""
+    red = _reducer(f, terms)
+    if red[2] != 1:
+        f = f * red[2]
+        red = _reducer(f, terms)
+    return f, red
+
+
 def leading_monomial(f: Polynomial, order: MonomialOrder):
     return max(f.terms, key=order.key)
 
 
-def leading_term(f: Polynomial, order: MonomialOrder):
-    m = leading_monomial(f, order)
-    return m, f.terms[m]
-
-
-def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, c = leading_term(f, order)
-    return f if c == 1 else f * f.field.inv(c)
-
-
-def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
+def normal_form(f: Polynomial, basis, order: MonomialOrder, *,
+                terms=None, reducers=None) -> Polynomial:
     """Remainder of f on division by the listed polynomials: no term of
     the result is divisible by any of their leading monomials.  Unique
-    when the list is a Groebner basis for the order."""
-    reducers = []
-    for g in basis:
-        m, c = leading_term(g, order)
-        reducers.append((m, f.field.inv(c), g.terms))
+    when the list is a Groebner basis for the order.  `buchberger`
+    passes its memo as `terms` and its basis, already in `_reducer`
+    form, as `reducers`."""
+    if terms is None:
+        terms = _Terms(order)
+    if reducers is None:
+        reducers = [_reducer(g, terms) for g in basis]
     p = f.field.p
     work = dict(f.terms)
+    heap = [terms[m] for m in work]
+    heapify(heap)
     remainder = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        for lm, lc_inv, terms in reducers:
+    while heap:
+        _, mask, m, _ = heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue  # cancelled, or already taken from a duplicate entry
+        for lm, lmask, lc_inv, tail in reducers:
+            if lmask & ~mask:
+                continue
             q = _quot(m, lm)
             if q is None:
                 continue
             factor = c * lc_inv % p
-            for mono, coeff in terms.items():
-                if mono == lm:
-                    continue
+            for mono, coeff in tail:
                 key = tuple(a + b for a, b in zip(mono, q))
-                nc = (work.get(key, 0) - factor * coeff) % p
+                old = work.get(key, 0)
+                nc = (old - factor * coeff) % p
                 if nc:
+                    if not old:
+                        heappush(heap, terms[key])
                     work[key] = nc
-                elif key in work:
+                elif old:
                     del work[key]
             break
         else:
@@ -184,17 +221,14 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     return Polynomial(f.field, f.vars, remainder)
 
 
-def _s_polynomial(f, g, order):
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
-    lcm = _lcm(mf, mg)
+def _s_polynomial(f, red_f, red_g, lcm):
+    # f and g by their reducers; the leading terms cancel, so only the
+    # remaining terms are shifted
     p = f.field.p
+    (mf, _, inv_f, tail_f), (mg, _, inv_g, tail_g) = red_f, red_g
     qf, qg = _quot(lcm, mf), _quot(lcm, mg)
-    left = {tuple(a + b for a, b in zip(e, qf)): c * f.field.inv(cf)
-            for e, c in f.terms.items()}
-    out = dict(left)
-    inv_g = f.field.inv(cg)
-    for e, c in g.terms.items():
+    out = {tuple(a + b for a, b in zip(e, qf)): c * inv_f for e, c in tail_f}
+    for e, c in tail_g:
         key = tuple(a + b for a, b in zip(e, qg))
         out[key] = (out.get(key, 0) - c * inv_g) % p
     return Polynomial(f.field, f.vars, out)
@@ -211,85 +245,93 @@ def buchberger(gens, order: MonomialOrder):
     for g in work[1:]:
         if g.field != field or g.vars != vars:
             raise ValueError("generator context mismatch")
+    terms = _Terms(order)
 
     # pre-reduce the input list against itself until stable
     while True:
-        reduced = []
-        for i, g in enumerate(work):
-            r = normal_form(g, reduced, order)
+        reduced, reducers = [], []
+        for g in work:
+            r = normal_form(g, reduced, order, terms=terms, reducers=reducers)
             if not r.is_zero():
-                reduced.append(monic(r, order))
+                r, red = _monic(r, terms)
+                reduced.append(r)
+                reducers.append(red)
         if reduced == work:
             break
         work = reduced
 
     basis = list(work)
-    lead = [leading_monomial(g, order) for g in basis]
+    lead = [red[0] for red in reducers]
 
     def update(G, pairs, h):
-        # Gebauer-Moller criteria for discarding unneeded critical pairs
+        # Gebauer-Moller criteria for discarding unneeded critical pairs;
+        # a pair is stored as (order key of its lcm, i, j, lcm)
         mh = lead[h]
+        lcm_h = {g: _lcm(mh, lead[g]) for g in G}
         C, D = set(G), set()
         while C:
             g = C.pop()
-            lcm_hg = _lcm(mh, lead[g])
+            lcm_hg = lcm_h[g]
 
             def lcm_divides(k):
-                return _quot(lcm_hg, _lcm(mh, lead[k])) is not None
+                return _quot(lcm_hg, lcm_h[k]) is not None
 
             if _coprime(mh, lead[g]) or (
                 not any(lcm_divides(k) for k in C)
                 and not any(lcm_divides(k) for _, k in D)
             ):
                 D.add((h, g))
-        E = {(h, g) for h, g in D if not _coprime(mh, lead[g])}
-        kept = set()
-        for i, j in pairs:
-            lcm_ij = _lcm(lead[i], lead[j])
-            if (
-                _quot(lcm_ij, mh) is None
-                or _lcm(lead[i], mh) == lcm_ij
-                or _lcm(lead[j], mh) == lcm_ij
-            ):
-                kept.add((i, j))
+        E = {(terms[lcm_h[g]][3], h, g, lcm_h[g])
+             for h, g in D if not _coprime(mh, lead[g])}
+        kept = {
+            (key, i, j, lcm) for key, i, j, lcm in pairs
+            if _quot(lcm, mh) is None
+            or _lcm(lead[i], mh) == lcm
+            or _lcm(lead[j], mh) == lcm
+        }
         kept |= E
         newG = {g for g in G if _quot(lead[g], mh) is None}
         newG.add(h)
         return newG, kept
 
+    def by_lead(k):
+        return terms[lead[k]][3], k
+
     G, pairs = set(), set()
     todo = set(range(len(basis)))
     while todo:
-        h = min(todo, key=lambda i: (order.key(lead[i]), i))
+        h = min(todo, key=by_lead)
         todo.remove(h)
         G, pairs = update(G, pairs, h)
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (order.key(_lcm(lead[ij[0]], lead[ij[1]])),) + ij)
-        pairs.remove((i, j))
-        s = _s_polynomial(basis[i], basis[j], order)
-        current = sorted(G, key=lambda k: (order.key(lead[k]), k))
-        r = normal_form(s, [basis[k] for k in current], order)
+        pair = min(pairs)
+        pairs.remove(pair)
+        _, i, j, lcm = pair
+        s = _s_polynomial(basis[i], reducers[i], reducers[j], lcm)
+        current = [reducers[k] for k in sorted(G, key=by_lead)]
+        r = normal_form(s, None, order, terms=terms, reducers=current)
         if r.is_zero():
             continue
-        r = monic(r, order)
+        r, red = _monic(r, terms)
         basis.append(r)
-        lead.append(leading_monomial(r, order))
+        reducers.append(red)
+        lead.append(red[0])
         G, pairs = update(G, pairs, len(basis) - 1)
 
     # minimalize: drop members whose lead is divisible by another lead
-    chosen = sorted(G, key=lambda k: (order.key(lead[k]), k))
+    chosen = sorted(G, key=by_lead)
     minimal = [
         k for k in chosen
         if not any(m != k and _quot(lead[k], lead[m]) is not None for m in chosen)
     ]
-    # tail-reduce each member against the others
-    final = [basis[k] for k in minimal]
-    for idx in range(len(final)):
-        others = final[:idx] + final[idx + 1:]
-        final[idx] = monic(normal_form(final[idx], others, order), order)
-    final.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return final
+    # tail-reduce each member against the others; leads are pairwise
+    # indivisible, so each keeps its monic lead and the list stays sorted
+    for k in minimal:
+        others = [reducers[m] for m in minimal if m != k]
+        basis[k] = normal_form(basis[k], None, order, terms=terms, reducers=others)
+        reducers[k] = _reducer(basis[k], terms)
+    return [basis[k] for k in minimal]
 
 
 def eliminate(ideal: Ideal, keep):

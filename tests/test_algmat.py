@@ -249,3 +249,15 @@ class TestDiskCache:
         m2 = bases(idl, oracle=second)
         assert m1 == m2
         assert list(tmp_path.iterdir()) == files
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        idl = I(["x4 - x1*x2"], ("x1", "x2", "x3", "x4"))
+        oracle = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("algval.algmat.os.replace", broken_replace)
+        with pytest.raises(OSError):
+            oracle.elimination({0, 1})
+        assert list(tmp_path.iterdir()) == []

@@ -272,7 +272,41 @@ class TestExitCodes:
         assert run(["valuation", str(path)]) == 1
 
 
+    @pytest.mark.parametrize("shape", [
+        '"rows":0,"cols":7,"entries":[]',
+        '"rows":1,"cols":0,"entries":[[]]',
+    ])
+    def test_empty_matrix(self, capsys, tmp_path, shape):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind":"matrix","p":2,' + shape + '}')
+        assert run(["valuation", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_boolean_entries(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"kind":"matrix","p":2,"rows":1,"cols":2,"entries":[[true,false]]}'
+        )
+        assert run(["valuation", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCache:
+    def test_corrupt_entry_is_recomputed(self, capsys, ideal_file, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["bases", ideal_file, "--format", "json", "--cache", str(cache)]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        entry = sorted(cache.iterdir())[-1]
+        intact = entry.read_text()
+        entry.write_text(intact[: len(intact) // 2])
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert json.loads(entry.read_text()) == json.loads(intact)
+        assert not list(cache.glob("*.tmp"))
+
     def test_ideal_route_cache_reuse(self, capsys, ideal_file, tmp_path):
         cache = tmp_path / "cache"
         run(["valuation", ideal_file, "--format", "json", "--cache", str(cache)])

@@ -155,6 +155,93 @@ class TestNormalForm:
         )
 
 
+def _naive_remainder(f, divisors, order):
+    """Division written apart from the library: the largest remaining
+    term, by order.key over a plain dict, is cancelled by the first
+    divisor whose leading monomial divides it, or else kept."""
+    p = f.field.p
+    leads = [(max(g.terms, key=order.key), g) for g in divisors]
+    work, remainder = dict(f.terms), {}
+    while work:
+        m = max(work, key=order.key)
+        for lm, g in leads:
+            q = tuple(a - b for a, b in zip(m, lm))
+            if all(e >= 0 for e in q):
+                factor = work[m] * pow(g.terms[lm], -1, p)
+                for e, c in g.terms.items():
+                    t = tuple(a + b for a, b in zip(e, q))
+                    value = (work.get(t, 0) - factor * c) % p
+                    if value:
+                        work[t] = value
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[m] = work.pop(m)
+    return remainder
+
+
+def _naive_s_polynomial(f, g, lf, lg):
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    p = f.field.p
+    out = {}
+    for h, lh, sign in ((f, lf, 1), (g, lg, -1)):
+        q = tuple(a - b for a, b in zip(lcm, lh))
+        scale = sign * pow(h.terms[lh], -1, p)
+        for e, c in h.terms.items():
+            t = tuple(a + b for a, b in zip(e, q))
+            out[t] = (out.get(t, 0) + scale * c) % p
+    return Polynomial(f.field, f.vars, out)
+
+
+def _random_ideal(seed):
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+    field, names = PrimeField(p), tuple(f"x{i}" for i in range(n))
+    gens = [
+        Polynomial(field, names, {
+            tuple(rng.randint(0, 2) for _ in range(n)): rng.randrange(1, p)
+            for _ in range(rng.randint(1, 3))
+        })
+        for _ in range(rng.randint(1, 3))
+    ]
+    block = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+    return rng, field, names, gens, (Lex(n), GradedLex(n), BlockElimination(block, n))
+
+
+class TestBuchbergerIndependently:
+    """Checks the reduced basis against criteria that share no code with
+    the library's division: membership of the input, Buchberger's
+    S-pair criterion, monic leads and full inter-reduction."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_ideal(self, seed):
+        rng, field, names, gens, orders = _random_ideal(seed)
+        for order in orders:
+            gb = buchberger(gens, order)
+            assert gb
+            leads = [max(g.terms, key=order.key) for g in gb]
+            assert [order.key(m) for m in leads] == sorted(map(order.key, leads))
+            for g in gens:
+                assert _naive_remainder(g, gb, order) == {}
+            for a in range(len(gb)):
+                assert gb[a].terms[leads[a]] == 1
+                for b in range(a + 1, len(gb)):
+                    s = _naive_s_polynomial(gb[a], gb[b], leads[a], leads[b])
+                    assert _naive_remainder(s, gb, order) == {}
+                for m in gb[a].terms:
+                    assert not any(
+                        b != a and all(x >= y for x, y in zip(m, leads[b]))
+                        for b in range(len(gb))
+                    )
+            probe = gens[0] * Polynomial(field, names, {
+                tuple(rng.randint(0, 1) for _ in names): 1,
+                (0,) * len(names): rng.randrange(1, field.p),
+            })
+            for f in (*gens, probe):
+                assert normal_form(f, gb, order).terms == _naive_remainder(f, gb, order)
+
+
 class TestEliminate:
     def test_transcendental_projection_is_zero(self):
         assert eliminate(I(["x1 - x2^2"]), {0}) == []
