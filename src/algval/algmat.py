@@ -20,6 +20,24 @@ from algval.ffpoly import Polynomial, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
 
 
+def minimal_dependent_sets(n, dependent, max_size):
+    """Yield the minimal dependent subsets of {0..n-1} with at most
+    max_size elements, ascending by size then lexicographically.
+
+    dependent is asked only about sets that contain no set already
+    yielded; since every smaller set was asked first, each set it
+    flags is minimal."""
+    found = []
+    for size in range(1, max_size + 1):
+        for combo in combinations(range(n), size):
+            s = frozenset(combo)
+            if any(c <= s for c in found):
+                continue
+            if dependent(s):
+                found.append(s)
+                yield s
+
+
 class Matroid:
     """Matroid on ground set {0..n-1} given by its bases.
 
@@ -71,15 +89,9 @@ class Matroid:
 
     def circuits(self):
         """Minimal dependent sets, ascending by size then lexicographically."""
-        found = []
-        for size in range(1, self.rank + 2):
-            for combo in combinations(range(self.n), size):
-                s = frozenset(combo)
-                if any(c <= s for c in found):
-                    continue
-                if not self.is_independent(s):
-                    found.append(s)
-        return found
+        return list(minimal_dependent_sets(
+            self.n, lambda s: not self.is_independent(s), self.rank + 1
+        ))
 
     def fundamental_circuit(self, basis, v) -> frozenset:
         """The unique circuit inside basis + {v}; always contains v."""
@@ -230,21 +242,23 @@ def rank(ideal: Ideal, subset, oracle=None) -> int:
 
 def circuits(ideal: Ideal, oracle=None):
     """All minimal dependent sets with their circuit polynomials,
-    ascending by size then lexicographically."""
+    ascending by size then lexicographically.  A circuit polynomial with
+    every exponent divisible by p is a p-th power, so the ideal is not
+    radical (NotPrincipalError); primality is not otherwise decided."""
     oracle = oracle or EliminationOracle(ideal)
     n = ideal.n
     if not oracle.independent(frozenset()):
         raise NotPrincipalError("the unit ideal carries no matroid")
     r = rank(ideal, range(n), oracle)
+    p = ideal.field.p
     found = []
-    for size in range(1, min(r + 1, n) + 1):
-        for combo in combinations(range(n), size):
-            s = frozenset(combo)
-            if any(rec.support <= s for rec in found):
-                continue
-            if not oracle.independent(s):
-                f = principal_generator(oracle.elimination(s))
-                found.append(CircuitRecord(s, f))
+    for s in minimal_dependent_sets(n, lambda s: not oracle.independent(s), r + 1):
+        f = principal_generator(oracle.elimination(s))
+        if all(e % p == 0 for expo in f.terms for e in expo):
+            raise NotPrincipalError(
+                f"circuit polynomial {f} is a {p}-th power: the ideal is not prime"
+            )
+        found.append(CircuitRecord(s, f))
     return found
 
 

@@ -39,10 +39,11 @@ from algval.valmat import (
     cocircuits,
     dual,
     minor,
+    valuated_circuit_family,
     valuated_circuits,
     valuation_from_circuits,
 )
-from algval.flock import check_flock_axioms, flock_slice, g
+from algval.flock import check_flock_axioms, flock_slice
 
 
 class CliInputError(Exception):
@@ -56,10 +57,6 @@ class ProblemInput:
     variables: tuple = ()
     generators: tuple = ()
     matrix: IntMatrix = None
-
-    @property
-    def n(self):
-        return self.matrix.n if self.kind == "matrix" else len(self.variables)
 
 
 def load_problem(path) -> ProblemInput:
@@ -131,30 +128,33 @@ class Pipeline:
     vcircuits: list
 
 
-def _ideal_route(ideal, p, seed, cache_dir, fingerprint):
+def _matrix_route(matrix, p):
+    valuation = linear_valuated_matroid(matrix, p)
+    vcircs = sorted(
+        (toric_valuated_circuit(c, p) for c in integer_kernel_circuits(matrix)),
+        key=lambda c: c.sort_key(),
+    )
+    return valuation, vcircs
+
+
+def _ideal_route(ideal, p, cache_dir, fingerprint):
     oracle = EliminationOracle(
         ideal,
         cache_dir=cache_dir,
         fingerprint=fingerprint[:16] if cache_dir else None,
     )
+    if not oracle.independent(frozenset()):
+        raise CliInputError("the unit ideal carries no matroid")
     records = circuits(ideal, oracle=oracle)
     matroid = bases(ideal, oracle=oracle)
     vcircs = valuated_circuits(records, p)
-    valuation = valuation_from_circuits(matroid, vcircs, seed=seed)
-    return valuation, vcircs
+    return valuation_from_circuits(matroid, vcircs), vcircs
 
 
-def build_pipeline(problem, seed="lex", cache_dir=None) -> Pipeline:
+def build_pipeline(problem, cache_dir=None) -> Pipeline:
     fingerprint = problem_fingerprint(problem)
     if problem.kind == "matrix":
-        valuation = linear_valuated_matroid(problem.matrix, problem.p)
-        vcircs = sorted(
-            (
-                toric_valuated_circuit(c, problem.p)
-                for c in integer_kernel_circuits(problem.matrix)
-            ),
-            key=lambda c: c.sort_key(),
-        )
+        valuation, vcircs = _matrix_route(problem.matrix, problem.p)
     else:
         try:
             ideal = Ideal.from_strings(
@@ -162,9 +162,7 @@ def build_pipeline(problem, seed="lex", cache_dir=None) -> Pipeline:
             )
         except ValueError as exc:
             raise CliInputError(f"bad generator: {exc}")
-        valuation, vcircs = _ideal_route(
-            ideal, problem.p, seed, cache_dir, fingerprint
-        )
+        valuation, vcircs = _ideal_route(ideal, problem.p, cache_dir, fingerprint)
     return Pipeline(problem, fingerprint, valuation, vcircs)
 
 
@@ -189,34 +187,40 @@ def _bases_doc(valuation):
     ]
 
 
-def valuation_document(pipe: Pipeline) -> dict:
+# the keys each subcommand prints, in order
+DOCUMENT_KEYS = {
+    "valuation": ("input_sha256", "n", "rank", "p", "bases", "circuits",
+                  "cocircuits"),
+    "minor": ("input_sha256", "n", "rank", "p", "elements", "bases",
+              "circuits", "cocircuits"),
+    "bases": ("input_sha256", "n", "rank", "p", "bases"),
+    "circuits": ("input_sha256", "n", "p", "circuits"),
+    "cocircuits": ("input_sha256", "n", "p", "cocircuits"),
+}
+
+
+def valuation_document(pipe: Pipeline, keys=DOCUMENT_KEYS["valuation"]) -> dict:
+    """The requested keys of the valuation document; sections that are
+    not asked for are not computed."""
     valuation = pipe.valuation
-    return {
-        "input_sha256": pipe.fingerprint,
-        "n": valuation.n,
-        "rank": valuation.matroid.rank,
-        "p": pipe.problem.p,
-        "bases": _bases_doc(valuation),
-        "circuits": [_vector_doc(c) for c in pipe.vcircuits],
-        "cocircuits": [_vector_doc(c) for c in cocircuits(valuation)],
+    build = {
+        "input_sha256": lambda: pipe.fingerprint,
+        "n": lambda: valuation.n,
+        "rank": lambda: valuation.matroid.rank,
+        "p": lambda: pipe.problem.p,
+        "elements": lambda: [e + 1 for e in valuation.labels],
+        "bases": lambda: _bases_doc(valuation),
+        "circuits": lambda: [_vector_doc(c) for c in pipe.vcircuits],
+        "cocircuits": lambda: [_vector_doc(c) for c in cocircuits(valuation)],
     }
+    return {key: build[key]() for key in keys}
 
 
 def minor_document(pipe: Pipeline, delete, contract) -> dict:
-    from algval.valmat import valuated_circuit_family
-
     sub = minor(pipe.valuation, delete=delete, contract=contract)
-    subcircs = valuated_circuit_family(sub)
-    return {
-        "input_sha256": pipe.fingerprint,
-        "n": sub.n,
-        "rank": sub.matroid.rank,
-        "p": pipe.problem.p,
-        "elements": [e + 1 for e in sub.labels],
-        "bases": _bases_doc(sub),
-        "circuits": [_vector_doc(c) for c in subcircs],
-        "cocircuits": [_vector_doc(c) for c in cocircuits(sub)],
-    }
+    subpipe = Pipeline(pipe.problem, pipe.fingerprint, sub,
+                       valuated_circuit_family(sub))
+    return valuation_document(subpipe, DOCUMENT_KEYS["minor"])
 
 
 def flock_document(pipe: Pipeline, alpha) -> dict:
@@ -280,18 +284,9 @@ def cross_check(problem: ProblemInput, cache_dir=None) -> dict:
         raise CliInputError("cross-check needs a matrix input")
     fingerprint = problem_fingerprint(problem)
     p = problem.p
-    direct = linear_valuated_matroid(problem.matrix, p)
-    direct_circuits = sorted(
-        (
-            toric_valuated_circuit(c, p)
-            for c in integer_kernel_circuits(problem.matrix)
-        ),
-        key=lambda c: c.sort_key(),
-    )
+    direct, direct_circuits = _matrix_route(problem.matrix, p)
     ideal = toric_ideal(problem.matrix, p)
-    derived, derived_circuits = _ideal_route(
-        ideal, p, "lex", cache_dir, fingerprint
-    )
+    derived, derived_circuits = _ideal_route(ideal, p, cache_dir, fingerprint)
     details = []
     valuations_match = True
     if set(direct.values) != set(derived.values):
@@ -428,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="problem file (JSON)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--cache", metavar="DIR", default=None)
-        p.add_argument("--seed-basis", choices=("lex", "given"), default="lex")
         if "delete" in extra:
             p.add_argument("--delete", default="", metavar="i,j,...")
             p.add_argument("--contract", default="", metavar="i,j,...")
@@ -469,7 +463,7 @@ def run(argv=None) -> int:
             doc = cross_check(problem, cache_dir=args.cache)
             emit(doc, args.format, sys.stdout)
             return 0 if doc["agree"] else 2
-        pipe = build_pipeline(problem, seed=args.seed_basis, cache_dir=args.cache)
+        pipe = build_pipeline(problem, cache_dir=args.cache)
         if args.command == "verify":
             doc = verify_document(pipe, box_radius=args.box)
             emit(doc, args.format, sys.stdout)
@@ -488,20 +482,7 @@ def run(argv=None) -> int:
                 )
             doc = flock_document(pipe, alpha)
         else:
-            full = valuation_document(pipe)
-            if args.command == "circuits":
-                doc = {k: full[k] for k in ("input_sha256", "n", "p", "circuits")}
-            elif args.command == "bases":
-                doc = {
-                    k: full[k]
-                    for k in ("input_sha256", "n", "rank", "p", "bases")
-                }
-            elif args.command == "cocircuits":
-                doc = {
-                    k: full[k] for k in ("input_sha256", "n", "p", "cocircuits")
-                }
-            else:
-                doc = full
+            doc = valuation_document(pipe, DOCUMENT_KEYS[args.command])
         emit(doc, args.format, sys.stdout)
         return 0
     except CliInputError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from algval.algmat import Matroid
+from algval.algmat import Matroid, minimal_dependent_sets
 from algval.ffpoly import INF, CircuitVector, Polynomial, PrimeField, p_adic_valuation
 from algval.groebner import Ideal, saturate
 from algval.valmat import Valuation
@@ -194,36 +194,29 @@ def integer_kernel_circuits(matrix: IntMatrix):
     the maximal minor obtained by deleting column j.
     """
     n = matrix.n
+    rows = range(matrix.d)
+
+    def dependent(s):
+        return integer_rank(matrix.submatrix(rows, sorted(s))) < len(s)
+
     found = []
-    ranks = {frozenset(): 0}
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            s = frozenset(combo)
-            if any(c.support <= s for c in found):
-                continue
-            r = integer_rank(matrix.submatrix(range(matrix.d), combo))
-            ranks[s] = r
-            if r == size:
-                continue
-            # minimality is guaranteed: proper subsets were all independent
-            cols = list(combo)
-            sub = IntMatrix(tuple(
-                tuple(matrix.rows[i][j] for j in cols) for i in range(matrix.d)
-            ))
-            rsel = row_basis(sub)
-            vector = [0] * n
-            for k, j in enumerate(cols):
-                others = cols[:k] + cols[k + 1:]
-                minor_val = bareiss_determinant(matrix.submatrix(rsel, others))
-                vector[j] = (-1) ** k * minor_val
-            vec = _primitive(vector)
-            circuit = KernelCircuit(vec, s)
-            if any(
-                sum(matrix.rows[i][j] * vec[j] for j in range(n)) != 0
-                for i in range(matrix.d)
-            ):
-                raise AssertionError(f"cofactor construction failed on {sorted(s)}")
-            found.append(circuit)
+    circuit_bound = integer_rank(matrix.rows) + 1
+    for s in minimal_dependent_sets(n, dependent, circuit_bound):
+        cols = sorted(s)
+        rsel = row_basis(IntMatrix(matrix.submatrix(rows, cols)))
+        vector = [0] * n
+        for k, j in enumerate(cols):
+            others = cols[:k] + cols[k + 1:]
+            minor_val = bareiss_determinant(matrix.submatrix(rsel, others))
+            vector[j] = (-1) ** k * minor_val
+        vec = _primitive(vector)
+        circuit = KernelCircuit(vec, s)
+        if any(
+            sum(matrix.rows[i][j] * vec[j] for j in range(n)) != 0
+            for i in rows
+        ):
+            raise AssertionError(f"cofactor construction failed on {sorted(s)}")
+        found.append(circuit)
     return found
 
 
@@ -258,29 +251,33 @@ def toric_ideal(matrix: IntMatrix, p: int) -> Ideal:
     return saturate(lattice, (1,) * matrix.n)
 
 
-def determinant_valuation(matrix: IntMatrix, column_subset, p: int):
-    """val_p of the maximal minor on a fixed row basis and the given
-    columns; infinite when the columns are dependent.  The row-basis
-    choice shifts all values by one constant, which the distinguished
-    (min-0) normalization later removes."""
-    r = integer_rank(matrix.rows)
-    cols = sorted(column_subset)
-    if len(cols) != r:
-        raise ValueError(f"need exactly rank={r} columns, got {len(cols)}")
-    rows = row_basis(matrix)
+def _minor_valuation(matrix: IntMatrix, rows, cols, p: int):
     det = bareiss_determinant(matrix.submatrix(rows, cols))
     if det == 0:
         return INF
     return p_adic_valuation(abs(det), p)
 
 
+def determinant_valuation(matrix: IntMatrix, column_subset, p: int):
+    """val_p of the maximal minor on a fixed row basis and the given
+    columns; infinite when the columns are dependent.  The row-basis
+    choice shifts all values by one constant, which the distinguished
+    (min-0) normalization later removes."""
+    rows = row_basis(matrix)
+    cols = sorted(column_subset)
+    if len(cols) != len(rows):
+        raise ValueError(f"need exactly rank={len(rows)} columns, got {len(cols)}")
+    return _minor_valuation(matrix, rows, cols, p)
+
+
 def linear_valuated_matroid(matrix: IntMatrix, p: int) -> Valuation:
     """Column bases valued by the p-adic valuation of their maximal
-    minors, shifted to distinguished form."""
-    r = integer_rank(matrix.rows)
+    minors, shifted to distinguished form.  The row basis is chosen once;
+    its size is the rank."""
+    rows = row_basis(matrix)
     values = {}
-    for combo in combinations(range(matrix.n), r):
-        v = determinant_valuation(matrix, combo, p)
+    for combo in combinations(range(matrix.n), len(rows)):
+        v = _minor_valuation(matrix, rows, combo, p)
         if v != INF:
             values[frozenset(combo)] = v
     matroid = Matroid(matrix.n, values.keys())

@@ -74,9 +74,9 @@ def valuated_circuits(circuit_records, p):
     return sorted(out, key=lambda c: c.sort_key())
 
 
-def valuation_from_circuits(matroid: Matroid, vcircuits, seed="lex") -> Valuation:
-    """Propagate basis values across the exchange graph from a seed basis,
-    then shift so the minimum is 0.
+def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
+    """Propagate basis values across the exchange graph from the first
+    basis, then shift so the minimum is 0.
 
     Every exchange edge is verified afterwards; inconsistency means the
     circuit family was corrupted (it cannot arise from an actual ideal
@@ -91,9 +91,7 @@ def valuation_from_circuits(matroid: Matroid, vcircuits, seed="lex") -> Valuatio
             f"circuit covers do not match the matroid (missing {missing}, "
             f"unexpected {extra})"
         )
-    if seed not in ("lex", "given"):
-        raise ValueError(f"unknown seed rule {seed!r}")
-    # bases are stored sorted, so both rules pick the first entry
+    # every start basis gives the same values after the shift to minimum 0
     start = matroid.bases[0]
     values = {start: 0}
     queue = deque([start])
@@ -111,35 +109,11 @@ def valuation_from_circuits(matroid: Matroid, vcircuits, seed="lex") -> Valuatio
                     queue.append(neighbor)
     if len(values) != len(matroid.bases):
         raise InconsistentValuationError("exchange graph left bases unreached")
-    _verify_exchange_identity(matroid, values, by_support)
-    return Valuation(matroid, values)
-
-
-def _verify_exchange_identity(matroid, values, by_support):
-    ground = set(range(matroid.n))
-    for b in matroid.bases:
-        for v in ground - b:
-            circ = by_support[matroid.fundamental_circuit(b, v)]
-            cv = circ[v]
-            for u in b:
-                neighbor = b - {u} | {v}
-                if circ[u] == INF:
-                    if matroid.is_basis(neighbor):
-                        raise InconsistentValuationError(
-                            f"{sorted(neighbor)} is a basis but the circuit in "
-                            f"{sorted(b)}+{{{v}}} skips {u}"
-                        )
-                    continue
-                if not matroid.is_basis(neighbor):
-                    raise InconsistentValuationError(
-                        f"{sorted(neighbor)} should be a basis: the circuit in "
-                        f"{sorted(b)}+{{{v}}} has finite entry at {u}"
-                    )
-                if values[b] + circ[u] != values[neighbor] + cv:
-                    raise InconsistentValuationError(
-                        f"exchange identity fails for basis {sorted(b)}, "
-                        f"u={u}, v={v}"
-                    )
+    valuation = Valuation(matroid, values)
+    report = check_exchange_consistency(valuation, vcircuits)
+    if report.violations:
+        raise InconsistentValuationError(report.violations[0])
+    return valuation
 
 
 def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVector:

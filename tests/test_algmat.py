@@ -11,6 +11,7 @@ from algval.algmat import (
     fundamental_circuit,
     hyperplanes,
     independent,
+    minimal_dependent_sets,
     rank,
 )
 from algval.ffpoly import PrimeField, parse_polynomial
@@ -131,6 +132,34 @@ class TestCircuits:
     def test_unit_ideal_rejected(self):
         with pytest.raises(NotPrincipalError):
             circuits(I(["1"]))
+
+    @pytest.mark.parametrize("texts,p", [(["x1^2"], 2), (["x1^3 + x2^3"], 3)])
+    def test_pth_power_circuit_rejected(self, texts, p):
+        with pytest.raises(NotPrincipalError, match="th power"):
+            circuits(I(texts, p=p))
+
+
+class TestMinimalDependentSets:
+    def test_minimal_members_of_an_up_closure(self):
+        # a set is dependent when it holds one of these sets
+        family = [frozenset(s) for s in ({1, 3}, {0, 1, 2}, {2, 3, 4}, {3})]
+        asked = []
+
+        def dependent(s):
+            asked.append(s)
+            return any(f <= s for f in family)
+
+        got = list(minimal_dependent_sets(5, dependent, 3))
+        expected = [frozenset({3}), frozenset({0, 1, 2})]
+        assert got == expected
+        # never asked about a superset of a set it already yielded
+        for s in asked:
+            assert not any(g < s for g in got)
+
+    def test_order_and_bound(self):
+        got = list(minimal_dependent_sets(4, lambda s: len(s) == 2, 3))
+        assert got == [frozenset(c) for c in combinations(range(4), 2)]
+        assert list(minimal_dependent_sets(4, lambda s: len(s) == 3, 2)) == []
 
 
 class TestBases:

@@ -114,11 +114,6 @@ class TestValuationCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_seed_flag_immaterial(self, capsys, ideal_file):
-        _, lex = run_json(capsys, "valuation", ideal_file, "--seed-basis", "lex")
-        _, given = run_json(capsys, "valuation", ideal_file, "--seed-basis", "given")
-        assert lex == given
-
     def test_text_format_mentions_special_basis(self, capsys, matrix_file):
         assert run(["valuation", matrix_file]) == 0
         out = capsys.readouterr().out
@@ -145,6 +140,17 @@ class TestSectionCommands:
             for c in doc["cocircuits"]
         }
         assert (1, 2, 5, 6) in supports  # complement of the plane {3,4,7}
+
+    @pytest.mark.parametrize("command", ["bases", "circuits"])
+    def test_no_cocircuits_computed(self, capsys, matrix_file, monkeypatch,
+                                    command):
+        import algval.cli as cli_module
+
+        def refuse(valuation):
+            raise AssertionError(f"{command} computed cocircuits")
+
+        monkeypatch.setattr(cli_module, "cocircuits", refuse)
+        assert run([command, matrix_file]) == 0
 
 
 class TestMinorCommand:
@@ -250,12 +256,35 @@ class TestExitCodes:
     def test_input_error(self, capsys):
         assert run(["valuation", "/does/not/exist.json"]) == 1
 
-    def test_unit_ideal_is_internal_inconsistency(self, capsys, tmp_path):
+    def test_unit_ideal_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "unit.json"
         path.write_text(
             '{"kind":"ideal","p":2,"vars":["x1","x2"],"generators":["1"]}'
         )
+        assert run(["valuation", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_principal_elimination_is_inconsistency(self, capsys, tmp_path):
+        # (x1^2*x2, x1*x2^2) meets neither F_3[x1] nor F_3[x2], and its
+        # elimination ideal on {x1, x2} needs both generators
+        path = tmp_path / "nonprincipal.json"
+        path.write_text('{"kind":"ideal","p":3,"vars":["x1","x2"],'
+                        '"generators":["x1^2*x2","x1*x2^2"]}')
         assert run(["valuation", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("inconsistency: ")
+
+    @pytest.mark.parametrize("command", ["valuation", "verify"])
+    @pytest.mark.parametrize("p,generator", [(2, "x1^2"), (3, "x1^3 + x2^3")])
+    def test_pth_power_circuit_is_inconsistency(self, capsys, tmp_path,
+                                                command, p, generator):
+        # x1^2 and (x1 + x2)^3 are p-th powers: the ideal is not radical
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"kind": "ideal", "p": p, "vars": ["x1", "x2"],
+                                    "generators": [generator]}))
+        assert run([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconsistency: ") and "th power" in err
 
     def test_bad_generator_text(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

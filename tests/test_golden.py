@@ -1,0 +1,106 @@
+"""Byte-for-byte CLI outputs on four fixed inputs.
+
+Each case runs one subcommand in one format and compares its stdout
+bytes and exit code against a file recorded under ``golden/``.  The
+outputs were recorded before the pipeline was simplified, so a change
+that alters any printed byte fails here.  To re-record after an
+intended change of output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of ``tests/golden/``.
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from algval.cli import run
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+INPUTS = ("nonfano-matrix", "nonfano-ideal", "p3-matrix", "p3-ideal")
+ALPHA = {"nonfano-matrix": "-1,-1,-1,0,0,0,-1", "nonfano-ideal": "-1,-1,-1,0,0,0,-1",
+         "p3-matrix": "-1,0,1,0,-1,0", "p3-ideal": "-1,0,1,0,-1,0"}
+
+
+def _commands(name):
+    yield "circuits", ()
+    yield "bases", ()
+    yield "valuation", ()
+    yield "cocircuits", ()
+    yield "minor", ("--delete", "2", "--contract", "5")
+    yield "flock", ("--alpha", ALPHA[name])
+    yield "verify", ("--box", "1")
+    if name.endswith("matrix"):
+        yield "cross-check", ()
+
+
+CASES = [
+    (name, command, extra, fmt)
+    for name in INPUTS
+    for command, extra in _commands(name)
+    for fmt in ("json", "text")
+]
+
+
+def _case_id(name, command, fmt):
+    return f"{name}.{command}.{fmt}"
+
+
+def capture(name, command, extra, fmt, cache=None):
+    """Exit code and UTF-8 stdout bytes of one CLI run."""
+    argv = [command, os.path.join(GOLDEN, "inputs", f"{name}.json"), *extra,
+            "--format", fmt]
+    if cache is not None:
+        argv += ["--cache", cache]
+    buffer = io.BytesIO()
+    stream = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
+    with redirect_stdout(stream):
+        code = run(argv)
+    stream.flush()
+    return code, buffer.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cache_dirs(tmp_path_factory):
+    # one elimination cache per input keeps the ideal cases fast; a cache
+    # hit must print the same bytes as a cold run
+    return {name: str(tmp_path_factory.mktemp(name)) for name in INPUTS}
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "name,command,extra,fmt", CASES,
+    ids=[_case_id(n, c, f) for n, c, _, f in CASES],
+)
+def test_output_matches_golden(name, command, extra, fmt, cache_dirs, exit_codes):
+    case = _case_id(name, command, fmt)
+    code, out = capture(name, command, extra, fmt, cache=cache_dirs[name])
+    with open(os.path.join(GOLDEN, "out", case), "rb") as fh:
+        assert out == fh.read()
+    assert code == exit_codes[case]
+
+
+def record():
+    os.makedirs(os.path.join(GOLDEN, "out"), exist_ok=True)
+    codes = {}
+    for name, command, extra, fmt in CASES:
+        case = _case_id(name, command, fmt)
+        codes[case], out = capture(name, command, extra, fmt)
+        with open(os.path.join(GOLDEN, "out", case), "wb") as fh:
+            fh.write(out)
+    with open(os.path.join(GOLDEN, "exit_codes.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(codes, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(record())

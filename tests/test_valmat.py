@@ -86,10 +86,6 @@ class TestValuationFromCircuits:
         v = valuation_from_circuits(m, [])
         assert v.items() == [(frozenset({0, 1, 2}), 0)]
 
-    def test_seed_rule_is_immaterial(self, nonfano):
-        matroid, _, vcircs, valuation = nonfano
-        assert valuation_from_circuits(matroid, vcircs, seed="given") == valuation
-
     def test_missing_cover_rejected(self, nonfano):
         matroid, _, vcircs, _ = nonfano
         with pytest.raises(ValueError):
