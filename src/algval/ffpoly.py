@@ -229,7 +229,7 @@ class CircuitVector:
     the all-ones vector.  The canonical representative of a shift class
     has minimum finite entry 0."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "support")
 
     def __init__(self, entries):
         clean = []
@@ -243,10 +243,7 @@ class CircuitVector:
         if not any(e != INF for e in clean):
             raise ValueError("all-infinite vector is not a circuit vector")
         self.entries = tuple(clean)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(i for i, e in enumerate(self.entries) if e != INF)
+        self.support = frozenset(i for i, e in enumerate(clean) if e != INF)
 
     def __len__(self):
         return len(self.entries)

@@ -10,22 +10,83 @@ axioms are verified exhaustively over finite boxes of directions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from algval.algmat import Matroid
 from algval.valmat import Valuation
 
 
-def g(valuation: Valuation, alpha) -> int:
-    """max over bases of e_B . alpha - value(B)."""
-    alpha = tuple(alpha)
+class _Scores:
+    """Packed score vectors.  Bit field k of a score int holds
+    offset + e_B . alpha - value(B) for the k-th basis B; fields are
+    1, 2, 4 or 8 bytes (wider only for huge directions), sized so that
+    every direction with entries in [min(entries), max(entries)], and its
+    bumps by e_i and by the all-ones vector, leaves each field's top
+    (guard) bit clear.  An indicator int has bit 0 of field k set for
+    each basis k of a family."""
+
+    def __init__(self, valuation: Valuation, entries):
+        entries = list(entries)
+        low, high = min(entries, default=0), max(entries, default=0)
+        self.bases = valuation.matroid.bases
+        values = [valuation.values[b] for b in self.bases]
+        rank = valuation.matroid.rank
+        self.offset = max(values) - rank * low
+        spread = max(values) + rank * (high + 1 - low)
+        width = 1
+        while spread >= 1 << (8 * width - 1):
+            width *= 2
+        self.width, self.size = width, width * len(self.bases)
+        self.format = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
+        self.bits = bits = 8 * width
+        self.ones = sum(1 << (k * bits) for k in range(len(self.bases)))
+        self.guard = self.ones << (bits - 1)
+        self.fill = self.guard - self.ones
+        self.base = self.offset * self.ones - sum(
+            v << (k * bits) for k, v in enumerate(values))
+        self.indicators = [
+            sum(1 << (k * bits) for k, b in enumerate(self.bases) if i in b)
+            for i in range(valuation.n)
+        ]
+        self.shift = rank * self.ones
+
+    def score(self, alpha) -> int:
+        s = self.base
+        for a, inside in zip(alpha, self.indicators):
+            s += a * inside
+        return s
+
+    def argmax(self, s):
+        """The largest field of s, and the indicator of the fields equal
+        to it: top - field plus guard - 1 carries into the guard bit
+        exactly when the field is below the top."""
+        raw = s.to_bytes(self.size, sys.byteorder)
+        if self.format:
+            top = max(memoryview(raw).cast(self.format))
+        else:
+            top = max(int.from_bytes(raw[k:k + self.width], sys.byteorder)
+                      for k in range(0, self.size, self.width))
+        below = top * self.ones - s + self.fill
+        return top, (self.guard & ~below) >> (self.bits - 1)
+
+    def family(self, indicator):
+        return [b for k, b in enumerate(self.bases) if indicator >> (k * self.bits) & 1]
+
+
+def _slice(valuation: Valuation, alpha):
+    """The scorer for alpha, the indicator of its argmax family, and g."""
     if len(alpha) != valuation.n:
         raise ValueError(f"alpha must have length {valuation.n}")
-    return max(
-        sum(alpha[i] for i in basis) - value
-        for basis, value in valuation.values.items()
-    )
+    scores = _Scores(valuation, alpha)
+    top, here = scores.argmax(scores.score(alpha))
+    return scores, here, top - scores.offset
+
+
+def g(valuation: Valuation, alpha) -> int:
+    """max over bases of e_B . alpha - value(B)."""
+    return _slice(valuation, tuple(alpha))[2]
 
 
 @dataclass(frozen=True)
@@ -37,38 +98,11 @@ class FlockSlice:
     g_value: int
 
 
-def _slice_bases(valuation, alpha):
-    best = None
-    bases = []
-    for basis, value in valuation.values.items():
-        score = sum(alpha[i] for i in basis) - value
-        if best is None or score > best:
-            best = score
-            bases = [basis]
-        elif score == best:
-            bases.append(basis)
-    return frozenset(bases), best
-
-
 def flock_slice(valuation: Valuation, alpha) -> FlockSlice:
     """Slice at one direction; the basis family is exchange-verified."""
     alpha = tuple(alpha)
-    if len(alpha) != valuation.n:
-        raise ValueError(f"alpha must have length {valuation.n}")
-    bases, best = _slice_bases(valuation, alpha)
-    return FlockSlice(alpha, Matroid(valuation.n, bases, check=True), best)
-
-
-def _contract_element(bases, i):
-    if any(i in b for b in bases):
-        return frozenset(b - {i} for b in bases if i in b)
-    return bases
-
-
-def _delete_element(bases, i):
-    if all(i in b for b in bases):
-        return frozenset(b - {i} for b in bases)
-    return frozenset(b for b in bases if i not in b)
+    scores, here, value = _slice(valuation, alpha)
+    return FlockSlice(alpha, Matroid(valuation.n, scores.family(here), check=True), value)
 
 
 @dataclass
@@ -106,8 +140,9 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
 
     Directions come from an explicit iterable or from the full box
     [-radius, radius]^n (default radius bounded by the evaluation
-    budget).  Exchange verification is memoized per distinct family, so
-    large sweeps stay cheap.
+    budget).  Every slice is the argmax of its own direction's packed
+    score vector; exchange verification is memoized per distinct
+    family, so large sweeps stay cheap.
     """
     n = valuation.n
     report = FlockReport()
@@ -115,45 +150,48 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
         if radius is None:
             radius = default_box_radius(valuation)
         alphas = product(range(-radius, radius + 1), repeat=n)
-    cache = {}
+        scores = _Scores(valuation, (-radius, radius))
+    else:
+        alphas = [tuple(alpha) for alpha in alphas]
+        for alpha in alphas:
+            if len(alpha) != n:
+                raise ValueError(f"direction {alpha} must have length {n}")
+        scores = _Scores(valuation, chain.from_iterable(alphas))
+    elements = [(inside, scores.ones ^ inside) for inside in scores.indicators]
     exchange_ok = {}
 
-    def sliced(alpha):
-        if alpha not in cache:
-            cache[alpha] = _slice_bases(valuation, alpha)[0]
-        return cache[alpha]
-
-    def is_matroid(family):
-        if family not in exchange_ok:
+    def is_matroid(indicator):
+        if indicator not in exchange_ok:
             try:
-                Matroid(n, family, check=True)
-                exchange_ok[family] = True
+                Matroid(n, scores.family(indicator), check=True)
+                exchange_ok[indicator] = True
             except ValueError:
-                exchange_ok[family] = False
-        return exchange_ok[family]
+                exchange_ok[indicator] = False
+        return exchange_ok[indicator]
 
     for alpha in alphas:
-        alpha = tuple(alpha)
-        if len(alpha) != n:
-            raise ValueError(f"direction {alpha} must have length {n}")
         report.directions += 1
-        here = sliced(alpha)
+        s = scores.score(alpha)
+        here = scores.argmax(s)[1]
         report.checked += 1
         if not is_matroid(here):
             report.violations.append(
                 f"slice at alpha={alpha} is not a matroid (exchange fails)"
             )
-        for i in range(n):
+        for i, (inside, outside) in enumerate(elements):
             report.checked += 1
-            bumped = tuple(a + (1 if j == i else 0) for j, a in enumerate(alpha))
-            left = _contract_element(here, i)
-            right = _delete_element(sliced(bumped), i)
-            if left != right:
+            bumped = scores.argmax(s + inside)[1]
+            # removing i is injective on the bases holding it and leaves
+            # them one element short of the bases lacking it, so
+            # slice(alpha)/i = slice(alpha+e_i)\i exactly when the slice's
+            # bases holding i are all of the bumped slice, or, if none
+            # holds i, the slice is the bumped slice's bases lacking i
+            contracted = here & inside
+            if contracted != bumped if contracted else here != bumped & outside:
                 report.violations.append(
                     f"contraction/deletion mismatch at alpha={alpha}, i={i}"
                 )
         report.checked += 1
-        shifted = tuple(a + 1 for a in alpha)
-        if here != sliced(shifted):
+        if here != scores.argmax(s + scores.shift)[1]:
             report.violations.append(f"all-ones shift changes the slice at {alpha}")
     return report

@@ -78,16 +78,17 @@ def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
     """Propagate basis values across the exchange graph from the first
     basis, then shift so the minimum is 0.
 
-    Every exchange edge is verified afterwards; inconsistency means the
-    circuit family was corrupted (it cannot arise from an actual ideal
-    or matrix input).
+    Circuit supports that differ from the matroid's circuits, or an
+    exchange edge that fails verification afterwards, mean the circuit
+    family does not come from a valuated matroid: a corrupted family,
+    or an ideal that is not prime.
     """
     by_support = {c.support: c.canonical() for c in vcircuits}
     matroid_circuits = set(matroid.circuits())
     if set(by_support) != matroid_circuits:
         missing = sorted(map(sorted, matroid_circuits - set(by_support)))
         extra = sorted(map(sorted, set(by_support) - matroid_circuits))
-        raise ValueError(
+        raise InconsistentValuationError(
             f"circuit covers do not match the matroid (missing {missing}, "
             f"unexpected {extra})"
         )

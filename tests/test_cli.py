@@ -274,6 +274,16 @@ class TestExitCodes:
         assert run(["valuation", str(path)]) == 3
         assert capsys.readouterr().err.startswith("inconsistency: ")
 
+    def test_reducible_ideal_is_inconsistency(self, capsys, tmp_path):
+        # (x1*x3, x2*x3) is not prime: its only basis {x1, x2} makes x3 a
+        # loop, but elimination finds the circuits {x1, x3} and {x2, x3}
+        path = tmp_path / "reducible.json"
+        path.write_text('{"kind":"ideal","p":3,"vars":["x1","x2","x3"],'
+                        '"generators":["x1*x3","x2*x3"]}')
+        assert run(["valuation", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconsistency: circuit covers") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["valuation", "verify"])
     @pytest.mark.parametrize("p,generator", [(2, "x1^2"), (3, "x1^3 + x2^3")])
     def test_pth_power_circuit_is_inconsistency(self, capsys, tmp_path,

@@ -1,12 +1,14 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from algval.algmat import EliminationOracle, Matroid, bases, circuits
 from algval.toric import IntMatrix, linear_valuated_matroid
 from algval.valmat import Valuation
+from algval import flock
 from algval.flock import (
+    FlockReport,
     FlockSlice,
     check_flock_axioms,
     default_box_radius,
@@ -122,3 +124,191 @@ class TestFlockAxioms:
         assert flock_slice(derived, ALPHA_MINUS).matroid == flock_slice(
             nonfano_valuation, ALPHA_MINUS
         ).matroid
+
+
+def _reference_slice(valuation, alpha):
+    """Per-basis scan: the argmax family at alpha and its maximum."""
+    best = None
+    bases = []
+    for basis, value in valuation.values.items():
+        score = sum(alpha[i] for i in basis) - value
+        if best is None or score > best:
+            best = score
+            bases = [basis]
+        elif score == best:
+            bases.append(basis)
+    return frozenset(bases), best
+
+
+def _reference_sweep(valuation, alphas):
+    """The flock-axiom sweep written over per-basis scans."""
+    n = valuation.n
+    report = FlockReport()
+    cache = {}
+    exchange_ok = {}
+
+    def sliced(alpha):
+        if alpha not in cache:
+            cache[alpha] = _reference_slice(valuation, alpha)[0]
+        return cache[alpha]
+
+    def is_matroid(family):
+        if family not in exchange_ok:
+            try:
+                Matroid(n, family, check=True)
+                exchange_ok[family] = True
+            except ValueError:
+                exchange_ok[family] = False
+        return exchange_ok[family]
+
+    def contract(bases, i):
+        if any(i in b for b in bases):
+            return frozenset(b - {i} for b in bases if i in b)
+        return bases
+
+    def delete(bases, i):
+        if all(i in b for b in bases):
+            return frozenset(b - {i} for b in bases)
+        return frozenset(b for b in bases if i not in b)
+
+    for alpha in alphas:
+        alpha = tuple(alpha)
+        report.directions += 1
+        here = sliced(alpha)
+        report.checked += 1
+        if not is_matroid(here):
+            report.violations.append(
+                f"slice at alpha={alpha} is not a matroid (exchange fails)"
+            )
+        for i in range(n):
+            report.checked += 1
+            bumped = tuple(a + (1 if j == i else 0) for j, a in enumerate(alpha))
+            if contract(here, i) != delete(sliced(bumped), i):
+                report.violations.append(
+                    f"contraction/deletion mismatch at alpha={alpha}, i={i}"
+                )
+        report.checked += 1
+        if here != sliced(tuple(a + 1 for a in alpha)):
+            report.violations.append(f"all-ones shift changes the slice at {alpha}")
+    return report
+
+
+def _random_matrix_valuation(rng, d, n, p):
+    while True:
+        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(d)]
+        valuation = linear_valuated_matroid(IntMatrix(rows), p)
+        if valuation.matroid.rank == d:
+            return valuation
+
+
+def _reweighted(valuation, rng, top):
+    """The same bases with seeded values in [0, top]: mostly not a
+    valuated matroid, so the sweep reports violations."""
+    return Valuation(valuation.matroid, {
+        b: rng.randint(0, top) for b in valuation.values
+    })
+
+
+class TestPackedScoresMatchScan:
+    """check_flock_axioms, flock_slice and g against the per-basis scan."""
+
+    def assert_sweeps_agree(self, valuation, radius=None, alphas=None):
+        if alphas is None:
+            expected = _reference_sweep(
+                valuation, product(range(-radius, radius + 1), repeat=valuation.n))
+            got = check_flock_axioms(valuation, radius=radius)
+        else:
+            alphas = list(alphas)
+            expected = _reference_sweep(valuation, alphas)
+            got = check_flock_axioms(valuation, alphas=iter(alphas))
+        assert got.directions == expected.directions
+        assert got.checked == expected.checked
+        assert got.violations == expected.violations
+        return got
+
+    def assert_slices_agree(self, valuation, alphas):
+        for alpha in alphas:
+            family, best = _reference_slice(valuation, alpha)
+            assert g(valuation, alpha) == best
+            try:
+                expected = Matroid(valuation.n, family, check=True)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    flock_slice(valuation, alpha)
+                continue
+            got = flock_slice(valuation, alpha)
+            assert got.matroid == expected
+            assert got.g_value == best
+            assert got.alpha == tuple(alpha)
+
+    def test_matrix_valuations(self):
+        rng = random.Random(401)
+        for d, n, p in [(2, 5, 2), (3, 6, 3), (3, 6, 5), (2, 6, 2), (3, 7, 2)]:
+            valuation = _random_matrix_valuation(rng, d, n, p)
+            report = self.assert_sweeps_agree(valuation, radius=1)
+            assert report.ok
+            alphas = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(30)]
+            self.assert_slices_agree(valuation, alphas)
+
+    def test_tampered_values_violate_identically(self):
+        rng = random.Random(402)
+        for d, n, top in [(2, 5, 3), (3, 6, 2), (2, 4, 5)]:
+            valuation = _reweighted(_random_matrix_valuation(rng, d, n, 2), rng, top)
+            report = self.assert_sweeps_agree(valuation, radius=1)
+            assert not report.ok
+            alphas = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(30)]
+            self.assert_slices_agree(valuation, alphas)
+
+    def test_wide_values_force_wide_fields(self):
+        rng = random.Random(403)
+        base = _random_matrix_valuation(rng, 2, 5, 3)
+        for top, width in [(200, 2), (40_000, 4), (2**40, 8), (2**70, 16)]:
+            # one basis pinned at the top and one at 0 fix the value range
+            values = {b: rng.randint(0, top) for b in base.values}
+            first, second = base.matroid.bases[:2]
+            values[first], values[second] = top, 0
+            valuation = Valuation(base.matroid, values)
+            assert flock._Scores(valuation, (-1, 1)).width == width
+            self.assert_sweeps_agree(valuation, radius=1)
+            # scaled matrix values keep the flock axioms and stay exact
+            scaled = Valuation(base.matroid, {
+                b: v * top for b, v in base.values.items()})
+            assert self.assert_sweeps_agree(scaled, radius=1).ok
+            self.assert_slices_agree(valuation, [
+                tuple(rng.randint(-top, top) for _ in range(5)) for _ in range(10)])
+
+    def test_explicit_and_generated_directions(self):
+        rng = random.Random(404)
+        valuation = _random_matrix_valuation(rng, 3, 6, 2)
+        tampered = _reweighted(valuation, rng, 4)
+        listed = [(0,) * 6, (1, -1, 0, 2, -2, 1), (-5, 7, 0, 0, 3, -1)]
+        for v in (valuation, tampered):
+            self.assert_sweeps_agree(v, alphas=listed)
+            generated = [tuple(rng.randint(-10**6, 10**6) for _ in range(6))
+                         for _ in range(40)]
+            generated += [tuple(rng.randint(-1, 1) for _ in range(6))
+                          for _ in range(40)]
+            self.assert_sweeps_agree(v, alphas=generated)
+            self.assert_slices_agree(v, generated)
+        assert flock._Scores(valuation, (-10**6, 10**6)).width == 4
+        huge = [tuple(rng.randint(-10**20, 10**20) for _ in range(6)) for _ in range(5)]
+        self.assert_sweeps_agree(tampered, alphas=huge)
+        self.assert_slices_agree(tampered, huge)
+
+    def test_radius_zero_and_two(self):
+        rng = random.Random(405)
+        for d, n in [(2, 4), (2, 5)]:
+            valuation = _random_matrix_valuation(rng, d, n, 3)
+            for v in (valuation, _reweighted(valuation, rng, 3)):
+                self.assert_sweeps_agree(v, radius=0)
+                self.assert_sweeps_agree(v, radius=2)
+
+    def test_single_element(self):
+        rng = random.Random(406)
+        for bases in ([{0}], [set()]):
+            valuation = Valuation(Matroid(1, bases), {frozenset(bases[0]): 0})
+            for radius in (0, 1, 2):
+                assert self.assert_sweeps_agree(valuation, radius=radius).ok
+            alphas = [(rng.randint(-10**6, 10**6),) for _ in range(10)]
+            self.assert_sweeps_agree(valuation, alphas=alphas)
+            self.assert_slices_agree(valuation, alphas)

@@ -88,7 +88,7 @@ class TestValuationFromCircuits:
 
     def test_missing_cover_rejected(self, nonfano):
         matroid, _, vcircs, _ = nonfano
-        with pytest.raises(ValueError):
+        with pytest.raises(InconsistentValuationError):
             valuation_from_circuits(matroid, vcircs[:-1])
 
     def test_corrupted_circuit_detected(self, parabola):
