@@ -1,42 +1,16 @@
 """Valuated matroids of algebraic extensions of a prime field in
 characteristic p, computed either from a prime ideal (elimination route)
-or from an integer exponent matrix (determinant route)."""
+or from an integer exponent matrix (determinant route).
 
-from algval.ffpoly import (
-    INF,
-    CircuitVector,
-    ParseError,
-    Polynomial,
-    PrimeField,
-    circuit_vector,
-    p_adic_valuation,
-    parse_polynomial,
-)
-from algval.groebner import (
-    BlockElimination,
-    GradedLex,
-    Ideal,
-    Lex,
-    NotPrincipalError,
-    buchberger,
-    eliminate,
-    normal_form,
-    principal_generator,
-    saturate,
-)
-from algval.algmat import (
-    CircuitRecord,
-    EliminationOracle,
-    Matroid,
-    bases,
-    circuits,
-    fundamental_circuit,
-    hyperplanes,
-    independent,
-    rank,
-)
+The package namespace holds the public API: the two inputs, both
+routes, the valuation and its operations, the axiom checks and the
+errors the routes raise.  Everything else stays importable from its
+module."""
+
+from algval.ffpoly import INF, CircuitVector
+from algval.groebner import Ideal, NotPrincipalError, buchberger, normal_form
+from algval.algmat import EliminationOracle, Matroid, bases, circuits
 from algval.valmat import (
-    AxiomReport,
     InconsistentValuationError,
     Valuation,
     check_circuit_axioms,
@@ -44,59 +18,24 @@ from algval.valmat import (
     check_orthogonality,
     cocircuits,
     dual,
-    fundamental_valuated_circuit,
     minor,
-    valuated_circuit_family,
     valuated_circuits,
     valuation_from_circuits,
 )
-from algval.flock import (
-    FlockReport,
-    FlockSlice,
-    check_flock_axioms,
-    default_box_radius,
-    flock_slice,
-    g,
-)
-from algval.toric import (
-    IntMatrix,
-    KernelCircuit,
-    determinant_valuation,
-    integer_kernel_circuits,
-    linear_valuated_matroid,
-    toric_ideal,
-    toric_valuated_circuit,
-)
+from algval.flock import check_flock_axioms, flock_slice
+from algval.toric import IntMatrix, linear_valuated_matroid, toric_ideal
 
 __all__ = [
     "INF",
     "CircuitVector",
-    "ParseError",
-    "Polynomial",
-    "PrimeField",
-    "circuit_vector",
-    "p_adic_valuation",
-    "parse_polynomial",
-    "BlockElimination",
-    "GradedLex",
     "Ideal",
-    "Lex",
     "NotPrincipalError",
     "buchberger",
-    "eliminate",
     "normal_form",
-    "principal_generator",
-    "saturate",
-    "CircuitRecord",
     "EliminationOracle",
     "Matroid",
     "bases",
     "circuits",
-    "fundamental_circuit",
-    "hyperplanes",
-    "independent",
-    "rank",
-    "AxiomReport",
     "InconsistentValuationError",
     "Valuation",
     "check_circuit_axioms",
@@ -104,22 +43,12 @@ __all__ = [
     "check_orthogonality",
     "cocircuits",
     "dual",
-    "fundamental_valuated_circuit",
     "minor",
-    "valuated_circuit_family",
     "valuated_circuits",
     "valuation_from_circuits",
-    "FlockReport",
-    "FlockSlice",
     "check_flock_axioms",
-    "default_box_radius",
     "flock_slice",
-    "g",
     "IntMatrix",
-    "KernelCircuit",
-    "determinant_valuation",
-    "integer_kernel_circuits",
     "linear_valuated_matroid",
     "toric_ideal",
-    "toric_valuated_circuit",
 ]

@@ -3,9 +3,12 @@
 A subset S of the ground set is independent exactly when the ideal
 meets the subring on the variables indexed by S in zero.  Circuits are
 the minimal dependent sets; each carries the monic generator of its
-(principal) elimination ideal, the circuit polynomial.  Elimination is
-by far the dominant cost, so independence queries are memoized and can
-optionally persist to an on-disk cache shared between runs.
+(principal) elimination ideal, the circuit polynomial.  Only bases()
+asks the oracle about subsets; circuits() reads the circuits off the
+basis family and takes each polynomial from that circuit's own
+elimination.  Elimination is by far the dominant cost, so elimination
+queries are memoized and can optionally persist to an on-disk cache
+shared between runs.
 """
 
 from __future__ import annotations
@@ -167,12 +170,15 @@ class EliminationOracle:
     With a cache directory, each elimination result is persisted as a
     JSON file keyed by (ideal fingerprint, subset); files are written to
     a temporary name and renamed into place, so concurrent runs that
-    compute identical content can share a directory safely.
+    compute identical content can share a directory safely.  The oracle
+    also keeps the matroid that bases() builds, so the callers sharing
+    an oracle build and exchange-check the basis family once.
     """
 
     def __init__(self, ideal: Ideal, cache_dir=None, fingerprint=None):
         self.ideal = ideal
         self._memo = {}
+        self._matroid = None
         self.cache_dir = cache_dir
         self.fingerprint = fingerprint
         if cache_dir is not None:
@@ -241,19 +247,24 @@ def rank(ideal: Ideal, subset, oracle=None) -> int:
 
 
 def circuits(ideal: Ideal, oracle=None):
-    """All minimal dependent sets with their circuit polynomials,
-    ascending by size then lexicographically.  A circuit polynomial with
-    every exponent divisible by p is a p-th power, so the ideal is not
-    radical (NotPrincipalError); primality is not otherwise decided."""
+    """The circuits of the basis family, ascending by size then
+    lexicographically, each with its circuit polynomial: the generator
+    of its own elimination ideal.  A circuit whose elimination ideal is
+    zero or not principal, or whose polynomial is a p-th power (every
+    exponent divisible by p), means the ideal is not prime
+    (NotPrincipalError); primality is not otherwise decided."""
     oracle = oracle or EliminationOracle(ideal)
-    n = ideal.n
-    if not oracle.independent(frozenset()):
-        raise NotPrincipalError("the unit ideal carries no matroid")
-    r = rank(ideal, range(n), oracle)
     p = ideal.field.p
     found = []
-    for s in minimal_dependent_sets(n, lambda s: not oracle.independent(s), r + 1):
-        f = principal_generator(oracle.elimination(s))
+    for s in bases(ideal, oracle).circuits():
+        gens = oracle.elimination(s)
+        if not gens:
+            names = ", ".join(ideal.vars[i] for i in sorted(s))
+            raise NotPrincipalError(
+                f"circuit {{{names}}} of the basis family has a zero "
+                f"elimination ideal: the ideal is not prime"
+            )
+        f = principal_generator(gens)
         if all(e % p == 0 for expo in f.terms for e in expo):
             raise NotPrincipalError(
                 f"circuit polynomial {f} is a {p}-th power: the ideal is not prime"
@@ -262,9 +273,14 @@ def circuits(ideal: Ideal, oracle=None):
     return found
 
 
-def bases(ideal: Ideal, oracle=None, check=None) -> Matroid:
-    """The matroid of all maximal independent sets."""
+def bases(ideal: Ideal, oracle=None) -> Matroid:
+    """The matroid whose bases are the independent subsets of full rank,
+    with basis exchange checked; the oracle keeps it for later calls.
+    Independent sets that fail exchange mean the ideal is not prime
+    (NotPrincipalError)."""
     oracle = oracle or EliminationOracle(ideal)
+    if oracle._matroid is not None:
+        return oracle._matroid
     n = ideal.n
     if not oracle.independent(frozenset()):
         raise NotPrincipalError("the unit ideal carries no matroid")
@@ -274,7 +290,14 @@ def bases(ideal: Ideal, oracle=None, check=None) -> Matroid:
         for combo in combinations(range(n), r)
         if oracle.independent(frozenset(combo))
     ]
-    return Matroid(n, family, check=check)
+    try:
+        oracle._matroid = Matroid(n, family, check=True)
+    except ValueError as exc:
+        raise NotPrincipalError(
+            f"the independent sets are not a matroid ({exc}): "
+            f"the ideal is not prime"
+        )
+    return oracle._matroid
 
 
 def fundamental_circuit(matroid: Matroid, circuit_records, basis, v) -> CircuitRecord:

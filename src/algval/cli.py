@@ -8,8 +8,9 @@ route; ideal inputs run the elimination route; cross-check runs both on
 the same matrix and compares.
 
 Exit codes: 0 success, 1 input error, 2 verification failure or
-cross-check mismatch, 3 internal inconsistency (a non-principal
-elimination ideal or inconsistent circuit data).
+cross-check mismatch, 3 internal inconsistency (independent sets that
+are not a matroid, a zero or non-principal elimination ideal of a
+circuit, or inconsistent circuit data).
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ def _ideal_route(ideal, p, cache_dir, fingerprint):
     )
     if not oracle.independent(frozenset()):
         raise CliInputError("the unit ideal carries no matroid")
-    records = circuits(ideal, oracle=oracle)
+    # the oracle keeps the matroid, so circuits() reuses this one
     matroid = bases(ideal, oracle=oracle)
-    vcircs = valuated_circuits(records, p)
+    vcircs = valuated_circuits(circuits(ideal, oracle=oracle), p)
     return valuation_from_circuits(matroid, vcircs), vcircs
 
 

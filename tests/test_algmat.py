@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,8 @@ from algval.algmat import (
     rank,
 )
 from algval.ffpoly import PrimeField, parse_polynomial
-from algval.groebner import Ideal, NotPrincipalError
+from algval.groebner import Ideal, NotPrincipalError, principal_generator
+from algval.toric import IntMatrix, toric_ideal
 
 from conftest import NONFANO_A, NONFANO_VARS, S, column_rank
 
@@ -139,6 +141,61 @@ class TestCircuits:
             circuits(I(texts, p=p))
 
 
+def reference_circuits(ideal):
+    """Every subset up to rank + 1 asked of its own oracle, skipping
+    supersets of circuits already found: the enumeration circuits() ran
+    before it read the circuits off the basis family."""
+    oracle = EliminationOracle(ideal)
+    r = rank(ideal, range(ideal.n), oracle)
+    return [
+        CircuitRecord(s, principal_generator(oracle.elimination(s)))
+        for s in minimal_dependent_sets(
+            ideal.n, lambda s: not oracle.independent(s), r + 1
+        )
+    ]
+
+
+def _seeded_toric_ideals():
+    rng = random.Random(20240917)
+    for k in range(12):
+        d, n = rng.randint(1, 3), rng.randint(2, 6)
+        rows = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(d))
+        p = (2, 3)[k % 2]
+        yield pytest.param(lambda rows=rows, p=p: toric_ideal(IntMatrix(rows), p),
+                           id=f"toric{k}-p{p}")
+
+
+def _seeded_graph_ideals():
+    # x_{d+j} - x^{a_j} for each column a_j of a random d x m matrix A
+    rng = random.Random(1704)
+    for k in range(8):
+        d, m = rng.randint(1, 3), rng.randint(2, 4)
+        a = [[rng.randint(0, 2) for _ in range(m)] for _ in range(d)]
+        names = tuple(f"x{i}" for i in range(1, d + m + 1))
+        texts = [
+            f"x{d + j + 1} - " + "*".join(
+                [f"x{i + 1}^{a[i][j]}" for i in range(d) if a[i][j]] or ["1"]
+            )
+            for j in range(m)
+        ]
+        p = (2, 3)[k % 2]
+        yield pytest.param(lambda names=names, texts=texts, p=p:
+                           Ideal.from_strings(p, names, texts),
+                           id=f"graph{k}-p{p}")
+
+
+class TestCircuitsMatchReference:
+    @pytest.mark.parametrize(
+        "make_ideal", [*_seeded_toric_ideals(), *_seeded_graph_ideals()]
+    )
+    def test_same_supports_polynomials_and_order(self, make_ideal):
+        ideal = make_ideal()
+        assert circuits(ideal) == reference_circuits(ideal)
+
+    def test_nonfano(self, nonfano_ideal, nonfano_circuits):
+        assert nonfano_circuits == reference_circuits(nonfano_ideal)
+
+
 class TestMinimalDependentSets:
     def test_minimal_members_of_an_up_closure(self):
         # a set is dependent when it holds one of these sets
@@ -181,6 +238,27 @@ class TestBases:
     def test_rank_one_relation(self):
         m = bases(I(["x1 - x2"]))
         assert set(m.bases) == {frozenset({0}), frozenset({1})}
+
+    def test_oracle_keeps_the_matroid(self, nonfano_ideal, nonfano_oracle,
+                                      nonfano_matroid):
+        assert bases(nonfano_ideal, oracle=nonfano_oracle) is nonfano_matroid
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_non_matroid_independent_sets_rejected(self, n):
+        # the zero set is the planes x1 = x2 = 0 and x3 = x4 = 0, so
+        # {x1, x2} and {x3, x4} are the only independent pairs, and they
+        # fail basis exchange; x5..xn are free and keep n past any cutoff
+        names = tuple(f"x{i}" for i in range(1, n + 1))
+        idl = I(["x1*x3", "x1*x4", "x2*x3", "x2*x4"], names, p=3)
+        with pytest.raises(NotPrincipalError, match="not a matroid"):
+            bases(idl)
+
+    def test_zero_elimination_circuit_rejected(self):
+        # (x1*x3, x2*x3): the only basis {x1, x2} makes x3 a loop, but x3
+        # is free on the line x1 = x2 = 0
+        idl = I(["x1*x3", "x2*x3"], ("x1", "x2", "x3"), p=3)
+        with pytest.raises(NotPrincipalError, match=r"circuit \{x3\}.*zero"):
+            circuits(idl)
 
 
 class TestFundamentalCircuit:

@@ -276,13 +276,27 @@ class TestExitCodes:
 
     def test_reducible_ideal_is_inconsistency(self, capsys, tmp_path):
         # (x1*x3, x2*x3) is not prime: its only basis {x1, x2} makes x3 a
-        # loop, but elimination finds the circuits {x1, x3} and {x2, x3}
+        # loop, but x3 alone has a zero elimination ideal
         path = tmp_path / "reducible.json"
         path.write_text('{"kind":"ideal","p":3,"vars":["x1","x2","x3"],'
                         '"generators":["x1*x3","x2*x3"]}')
         assert run(["valuation", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("inconsistency: circuit covers") and err.count("\n") == 1
+        assert err.startswith("inconsistency: circuit {x3} of the basis family")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_non_matroid_ideal_is_inconsistency(self, capsys, tmp_path, n):
+        # two planes meeting in a point: {x1, x2} and {x3, x4} are the only
+        # independent pairs, and they fail basis exchange at any n
+        path = tmp_path / "planes.json"
+        path.write_text(json.dumps({
+            "kind": "ideal", "p": 3, "vars": [f"x{i}" for i in range(1, n + 1)],
+            "generators": ["x1*x3", "x1*x4", "x2*x3", "x2*x4"]}))
+        assert run(["valuation", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconsistency: the independent sets are not a matroid")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["valuation", "verify"])
     @pytest.mark.parametrize("p,generator", [(2, "x1^2"), (3, "x1^3 + x2^3")])
