@@ -42,16 +42,12 @@ def minimal_dependent_sets(n, dependent, max_size):
 
 
 class Matroid:
-    """Matroid on ground set {0..n-1} given by its bases.
-
-    The basis-exchange axiom is verified on construction by default for
-    small ground sets; pass check=False to skip (for families already
-    known to be matroids, such as duals).
-    """
+    """Matroid on ground set {0..n-1} given by its bases; the
+    basis-exchange axiom is verified on construction."""
 
     __slots__ = ("n", "bases", "rank", "_baseset")
 
-    def __init__(self, n, bases, check=None):
+    def __init__(self, n, bases):
         self.n = n
         cleaned = sorted({frozenset(b) for b in bases}, key=sorted)
         if not cleaned:
@@ -59,25 +55,44 @@ class Matroid:
         sizes = {len(b) for b in cleaned}
         if len(sizes) != 1:
             raise ValueError(f"bases of unequal size: {sorted(sizes)}")
+        ground = frozenset(range(n))
         for b in cleaned:
-            if not b <= set(range(n)):
+            if not b <= ground:
                 raise ValueError(f"basis {sorted(b)} outside ground set of size {n}")
         self.bases = tuple(cleaned)
         self._baseset = frozenset(cleaned)
         self.rank = sizes.pop()
-        if check is None:
-            check = n < 9
-        if check:
-            self._verify_exchange()
+        self._check_exchange()
 
-    def _verify_exchange(self):
-        for b1 in self.bases:
-            for b2 in self.bases:
-                for u in b1 - b2:
-                    if not any(b1 - {u} | {v} in self._baseset for v in b2 - b1):
-                        raise ValueError(
-                            f"basis exchange fails for {sorted(b1)}, {sorted(b2)} at {u}"
-                        )
+    def _check_exchange(self):
+        """Bases b2 satisfy exchange with b1 at u in b1 exactly when they
+        hold u or some v outside b1 with b1 - u + v a basis.  holding[e]
+        has bit k set when the k-th basis holds e, so one pass over each
+        (b1, u, v) finds every b2 that fails, and the first one is named
+        by 1-based elements."""
+        holding = [0] * self.n
+        masks = []
+        for k, b in enumerate(self.bases):
+            for e in b:
+                holding[e] |= 1 << k
+            masks.append(sum(1 << e for e in b))
+        known = set(masks)
+        everyone = (1 << len(self.bases)) - 1
+        for b1, m1 in zip(self.bases, masks):
+            outside = [v for v in range(self.n) if v not in b1]
+            for u in sorted(b1):
+                rest = m1 ^ 1 << u
+                ok = holding[u]
+                for v in outside:
+                    if holding[v] & ~ok and (rest | 1 << v) in known:
+                        ok |= holding[v]
+                if ok != everyone:
+                    failing = everyone & ~ok
+                    b2 = self.bases[(failing & -failing).bit_length() - 1]
+                    raise ValueError(
+                        f"basis exchange fails for {[e + 1 for e in sorted(b1)]}, "
+                        f"{[e + 1 for e in sorted(b2)]} at {u + 1}"
+                    )
 
     def is_basis(self, subset) -> bool:
         return frozenset(subset) in self._baseset
@@ -86,15 +101,15 @@ class Matroid:
         subset = frozenset(subset)
         return max(len(b & subset) for b in self.bases)
 
-    def is_independent(self, subset) -> bool:
-        subset = frozenset(subset)
-        return self.rank_of(subset) == len(subset)
-
     def circuits(self):
-        """Minimal dependent sets, ascending by size then lexicographically."""
-        return list(minimal_dependent_sets(
-            self.n, lambda s: not self.is_independent(s), self.rank + 1
-        ))
+        """Minimal dependent sets, ascending by size then
+        lexicographically: each is the fundamental circuit of some basis
+        and outside element."""
+        found = {
+            self.fundamental_circuit(b, v)
+            for b in self.bases for v in range(self.n) if v not in b
+        }
+        return sorted(found, key=lambda c: (len(c), sorted(c)))
 
     def fundamental_circuit(self, basis, v) -> frozenset:
         """The unique circuit inside basis + {v}; always contains v."""
@@ -124,18 +139,7 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         ground = frozenset(range(self.n))
-        return Matroid(self.n, [ground - b for b in self.bases], check=False)
-
-    def loops(self) -> frozenset:
-        ground = frozenset(range(self.n))
-        covered = frozenset().union(*self.bases) if self.rank else frozenset()
-        return ground - covered
-
-    def coloops(self) -> frozenset:
-        out = self.bases[0]
-        for b in self.bases[1:]:
-            out = out & b
-        return frozenset(out)
+        return Matroid(self.n, [ground - b for b in self.bases])
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)
@@ -291,7 +295,7 @@ def bases(ideal: Ideal, oracle=None) -> Matroid:
         if oracle.independent(frozenset(combo))
     ]
     try:
-        oracle._matroid = Matroid(n, family, check=True)
+        oracle._matroid = Matroid(n, family)
     except ValueError as exc:
         raise NotPrincipalError(
             f"the independent sets are not a matroid ({exc}): "

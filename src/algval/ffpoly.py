@@ -177,18 +177,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def frobenius_power(self, m: int) -> "Polynomial":
-        """The p**m-th power, computed term-wise (coefficients are fixed
-        by x -> x**p over F_p, so only exponents scale)."""
-        if m < 0:
-            raise ValueError("frobenius power wants m >= 0")
-        if m == 0:
-            return self
-        q = self.field.p ** m
-        return Polynomial(self.field, self.vars,
-                          {tuple(e * q for e in expo): c
-                           for expo, c in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.field == other.field

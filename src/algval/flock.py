@@ -102,7 +102,7 @@ def flock_slice(valuation: Valuation, alpha) -> FlockSlice:
     """Slice at one direction; the basis family is exchange-verified."""
     alpha = tuple(alpha)
     scores, here, value = _slice(valuation, alpha)
-    return FlockSlice(alpha, Matroid(valuation.n, scores.family(here), check=True), value)
+    return FlockSlice(alpha, Matroid(valuation.n, scores.family(here)), value)
 
 
 @dataclass
@@ -163,7 +163,7 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     def is_matroid(indicator):
         if indicator not in exchange_ok:
             try:
-                Matroid(n, scores.family(indicator), check=True)
+                Matroid(n, scores.family(indicator))
                 exchange_ok[indicator] = True
             except ValueError:
                 exchange_ok[indicator] = False

@@ -173,10 +173,6 @@ def _monic(f: Polynomial, terms: _Terms):
     return f, red
 
 
-def leading_monomial(f: Polynomial, order: MonomialOrder):
-    return max(f.terms, key=order.key)
-
-
 def normal_form(f: Polynomial, basis, order: MonomialOrder, *,
                 terms=None, reducers=None) -> Polynomial:
     """Remainder of f on division by the listed polynomials: no term of

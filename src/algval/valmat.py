@@ -132,13 +132,15 @@ def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVecto
 
 def valuated_circuit_family(valuation: Valuation):
     """All canonical valuated circuits, recovered from the valuation by
-    sweeping fundamental circuits over every (basis, outside element)."""
+    sweeping fundamental circuits over every (basis, outside element);
+    each support is built once, from the first pair that spans it."""
     seen = {}
-    ground = set(range(valuation.n))
-    for b in valuation.matroid.bases:
-        for v in ground - b:
-            c = fundamental_valuated_circuit(valuation, b, v)
-            seen[c.support] = c
+    m = valuation.matroid
+    for b in m.bases:
+        for v in range(m.n):
+            if v not in b and m.fundamental_circuit(b, v) not in seen:
+                c = fundamental_valuated_circuit(valuation, b, v)
+                seen[c.support] = c
     return sorted(seen.values(), key=lambda c: c.sort_key())
 
 
@@ -269,8 +271,10 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
             )
         seen[c.support] = c
 
-    # (4) elimination with controlled entries
+    # (4) elimination with controlled entries; the candidates for (u, v)
+    # are the members with v in their support and u outside it
     n = matroid.n
+    candidates = {}
     for c in vectors:
         for cp in vectors:
             if c is cp:
@@ -284,8 +288,11 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
                 for v in sorted(c.support - cp.support):
                     report.checked += 1
                     floor = [min(c[i], aligned[i]) for i in range(n)]
+                    if (u, v) not in candidates:
+                        candidates[u, v] = [d for d in vectors
+                                            if v in d.support and u not in d.support]
                     if not any(
-                        _eliminates(d, u, v, c[v], floor) for d in vectors
+                        _eliminates(d, v, c[v], floor) for d in candidates[u, v]
                     ):
                         report.violations.append(
                             f"axiom 4: no eliminating circuit for supports "
@@ -295,9 +302,7 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
     return report
 
 
-def _eliminates(d, u, v, target_v, floor):
-    if u in d.support or v not in d.support:
-        return False
+def _eliminates(d, v, target_v, floor):
     mu = target_v - d[v]
     return all(d[i] == INF or d[i] + mu >= floor[i] for i in range(len(floor)))
 

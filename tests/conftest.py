@@ -74,6 +74,16 @@ def column_rank(matrix, subset):
     return 0
 
 
+def exchange_holds(bases):
+    """The basis-exchange axiom by the pair scan: for every two bases b1,
+    b2 and u in b1 - b2, some v in b2 - b1 makes b1 - u + v a basis."""
+    bases = {frozenset(b) for b in bases}
+    return all(
+        any(b1 - {u} | {v} in bases for v in b2 - b1)
+        for b1 in bases for b2 in bases for u in b1 - b2
+    )
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion."""
     rows = {}

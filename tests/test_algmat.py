@@ -19,7 +19,7 @@ from algval.ffpoly import PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, principal_generator
 from algval.toric import IntMatrix, toric_ideal
 
-from conftest import NONFANO_A, NONFANO_VARS, S, column_rank
+from conftest import NONFANO_A, NONFANO_VARS, S, column_rank, exchange_holds
 
 
 def P(text, variables=("x1", "x2"), p=2):
@@ -62,23 +62,70 @@ class TestMatroidType:
     def test_rank_of_and_independence(self):
         m = Matroid(3, [{0, 1}, {0, 2}])
         assert m.rank_of({1, 2}) == 1
-        assert m.is_independent({0, 1})
-        assert not m.is_independent({1, 2})
+        assert m.rank_of({0, 1}) == 2
 
     def test_dual_involution(self):
         m = Matroid(4, [{0, 1}, {0, 2}, {1, 2}])
         assert m.dual().dual() == m
 
-    def test_loops_coloops(self):
-        m = Matroid(3, [{0}, {1}])
-        assert m.loops() == {2}
-        assert m.coloops() == frozenset()
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_exchange_failure_named_by_elements(self, n):
+        # checked at every n, and named by 1-based elements
+        with pytest.raises(ValueError, match=(
+                r"^basis exchange fails for \[1, 2\], \[3, 4\] at 1$")):
+            Matroid(n, [{0, 1}, {2, 3}])
 
     def test_fundamental_circuit_formula(self):
         m = Matroid(3, [{0}, {1}])
         assert m.fundamental_circuit({0}, 1) == {0, 1}
         with pytest.raises(ValueError):
             m.fundamental_circuit({2}, 0)
+
+
+def _random_families(seed, count):
+    """Seeded families of equal-size subsets: every r-subset of
+    {0..n-1} kept with one of a few probabilities, so that both
+    matroids and non-matroids occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        r = rng.randint(0, n)
+        keep = rng.choice((1.0, 0.9, 0.7, 0.4))
+        family = [frozenset(c) for c in combinations(range(n), r)
+                  if rng.random() < keep]
+        if family:
+            yield n, family
+
+
+def subset_scan_circuits(n, family):
+    """Every subset that lies in no basis while each of its one-smaller
+    subsets does, ascending by size then lexicographically."""
+    def independent(s):
+        return any(s <= b for b in family)
+    return [
+        frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)
+        if not independent(frozenset(c))
+        and all(independent(frozenset(c) - {e}) for e in c)
+    ]
+
+
+class TestExchangeMatchesPairScan:
+    def test_accepts_and_rejects_as_the_pair_scan(self):
+        outcomes = set()
+        for n, family in _random_families(6, 3000):
+            expected = exchange_holds(family)
+            outcomes.add(expected)
+            if expected:
+                Matroid(n, family)
+            else:
+                with pytest.raises(ValueError, match="basis exchange fails"):
+                    Matroid(n, family)
+        assert outcomes == {True, False}
+
+    def test_circuits_match_the_subset_scan(self):
+        for n, family in _random_families(7, 3000):
+            if exchange_holds(family):
+                assert Matroid(n, family).circuits() == subset_scan_circuits(n, family)
 
 
 class TestIndependent:
