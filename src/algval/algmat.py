@@ -23,24 +23,6 @@ from algval.ffpoly import Polynomial, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
 
 
-def minimal_dependent_sets(n, dependent, max_size):
-    """Yield the minimal dependent subsets of {0..n-1} with at most
-    max_size elements, ascending by size then lexicographically.
-
-    dependent is asked only about sets that contain no set already
-    yielded; since every smaller set was asked first, each set it
-    flags is minimal."""
-    found = []
-    for size in range(1, max_size + 1):
-        for combo in combinations(range(n), size):
-            s = frozenset(combo)
-            if any(c <= s for c in found):
-                continue
-            if dependent(s):
-                found.append(s)
-                yield s
-
-
 class Matroid:
     """Matroid on ground set {0..n-1} given by its bases; the
     basis-exchange axiom is verified on construction."""
@@ -103,13 +85,21 @@ class Matroid:
 
     def circuits(self):
         """Minimal dependent sets, ascending by size then
-        lexicographically: each is the fundamental circuit of some basis
-        and outside element."""
-        found = {
-            self.fundamental_circuit(b, v)
-            for b in self.bases for v in range(self.n) if v not in b
-        }
-        return sorted(found, key=lambda c: (len(c), sorted(c)))
+        lexicographically."""
+        return list(self.fundamental_circuits())
+
+    def fundamental_circuits(self) -> dict:
+        """Each circuit, ascending by size then lexicographically, mapped
+        to the first (basis, outside element) whose fundamental circuit
+        it is, taking bases in order and elements in ascending order;
+        every circuit is the fundamental circuit of some such pair."""
+        found = {}
+        for b in self.bases:
+            for v in range(self.n):
+                if v not in b:
+                    found.setdefault(self.fundamental_circuit(b, v), (b, v))
+        order = sorted(found, key=lambda c: (len(c), sorted(c)))
+        return {c: found[c] for c in order}
 
     def fundamental_circuit(self, basis, v) -> frozenset:
         """The unique circuit inside basis + {v}; always contains v."""
@@ -302,15 +292,6 @@ def bases(ideal: Ideal, oracle=None) -> Matroid:
             f"the ideal is not prime"
         )
     return oracle._matroid
-
-
-def fundamental_circuit(matroid: Matroid, circuit_records, basis, v) -> CircuitRecord:
-    """The record of the unique circuit inside basis + {v}."""
-    support = matroid.fundamental_circuit(basis, v)
-    for rec in circuit_records:
-        if rec.support == support:
-            return rec
-    raise ValueError(f"no circuit record with support {sorted(support)}")
 
 
 def hyperplanes(matroid: Matroid):

@@ -26,8 +26,9 @@ from algval.ffpoly import INF, is_prime
 from algval.groebner import Ideal, NotPrincipalError
 from algval.toric import (
     IntMatrix,
-    integer_kernel_circuits,
-    linear_valuated_matroid,
+    _kernel_circuits,
+    _minor_table,
+    _valuation,
     toric_ideal,
     toric_valuated_circuit,
 )
@@ -130,12 +131,14 @@ class Pipeline:
 
 
 def _matrix_route(matrix, p):
-    valuation = linear_valuated_matroid(matrix, p)
+    # one minor table gives the bases, their values and the circuits
+    matroid, minors = _minor_table(matrix)
     vcircs = sorted(
-        (toric_valuated_circuit(c, p) for c in integer_kernel_circuits(matrix)),
+        (toric_valuated_circuit(c, p)
+         for c in _kernel_circuits(matrix, matroid, minors)),
         key=lambda c: c.sort_key(),
     )
-    return valuation, vcircs
+    return _valuation(matroid, minors, p), vcircs
 
 
 def _ideal_route(ideal, p, cache_dir, fingerprint):

@@ -2,11 +2,13 @@
 
 The columns of a d x n integer matrix present n monomials in d
 parameters.  Their algebraic relations form a binomial prime ideal, and
-the valuated matroid can be read off directly from the matrix: circuits
-are the minimal-support integer kernel vectors (valuated entrywise by
-val_p), and basis values are the p-adic valuations of maximal minors.
-This is both a standalone input mode and an independent oracle for the
-elimination route.
+the valuated matroid can be read off directly from the matrix.  One
+table of the nonzero maximal minors on a fixed row basis gives it all:
+its keys are the bases, their p-adic valuations are the basis values,
+and each circuit's minimal-support integer kernel vector (valuated
+entrywise by val_p) is read from it by Cramer's rule, then checked
+against every row.  This is both a standalone input mode and an
+independent oracle for the elimination route.
 
 All linear algebra is exact: fraction-free (Bareiss) determinants and
 unimodular column reduction for kernel lattice bases, over unbounded
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from algval.algmat import Matroid, minimal_dependent_sets
+from algval.algmat import Matroid
 from algval.ffpoly import INF, CircuitVector, Polynomial, PrimeField, p_adic_valuation
 from algval.groebner import Ideal, saturate
 from algval.valmat import Valuation
@@ -186,38 +188,51 @@ def _primitive(vector):
     return tuple(vector)
 
 
-def integer_kernel_circuits(matrix: IntMatrix):
-    """One primitive kernel vector per circuit of the column matroid.
+def _minor_table(matrix: IntMatrix):
+    """The column matroid and its table of nonzero maximal minors on the
+    fixed row basis (chosen once; its size is the rank), keyed by column
+    set: the keys are the bases."""
+    rows = row_basis(matrix)
+    minors = {}
+    for combo in combinations(range(matrix.n), len(rows)):
+        det = bareiss_determinant(matrix.submatrix(rows, combo))
+        if det:
+            minors[frozenset(combo)] = det
+    return Matroid(matrix.n, minors), minors
 
-    Candidate supports are found by exact rank; on each circuit the
-    kernel line is produced by the cofactor rule: up to sign, entry j is
-    the maximal minor obtained by deleting column j.
-    """
-    n = matrix.n
-    rows = range(matrix.d)
 
-    def dependent(s):
-        return integer_rank(matrix.submatrix(rows, sorted(s))) < len(s)
-
+def _kernel_circuits(matrix: IntMatrix, matroid: Matroid, minors):
+    """One primitive kernel vector per circuit, by Cramer's rule on the
+    fundamental circuit C of its first spanning basis B and element v:
+    entry v is det(B), and entry u in C - v is -(-1)^k det(B - u + v),
+    where k counts the elements of B strictly between u and v.  The
+    result must vanish on every row of the matrix."""
     found = []
-    circuit_bound = integer_rank(matrix.rows) + 1
-    for s in minimal_dependent_sets(n, dependent, circuit_bound):
-        cols = sorted(s)
-        rsel = row_basis(IntMatrix(matrix.submatrix(rows, cols)))
-        vector = [0] * n
-        for k, j in enumerate(cols):
-            others = cols[:k] + cols[k + 1:]
-            minor_val = bareiss_determinant(matrix.submatrix(rsel, others))
-            vector[j] = (-1) ** k * minor_val
+    for s, (b, v) in matroid.fundamental_circuits().items():
+        vector = [0] * matrix.n
+        vector[v] = minors[b]
+        cols = sorted(b)
+        below = sum(e < v for e in cols)
+        for i, u in enumerate(cols):
+            if u in s:
+                # column v replaces column i of B, then moves to its
+                # place j in B - u + v: k = |i - j| transpositions
+                j = below - (u < v)
+                vector[u] = (-1) ** (i + j + 1) * minors[b - {u} | {v}]
         vec = _primitive(vector)
-        circuit = KernelCircuit(vec, s)
-        if any(
-            sum(matrix.rows[i][j] * vec[j] for j in range(n)) != 0
-            for i in rows
-        ):
-            raise AssertionError(f"cofactor construction failed on {sorted(s)}")
-        found.append(circuit)
+        if any(sum(row[j] * vec[j] for j in s) for row in matrix.rows):
+            raise AssertionError(f"Cramer's rule failed on {sorted(s)}")
+        found.append(KernelCircuit(vec, s))
     return found
+
+
+def integer_kernel_circuits(matrix: IntMatrix):
+    """One primitive kernel vector per circuit of the column matroid,
+    ascending by support size then lexicographically.  Bases and
+    circuits come from the table of maximal minors, and each kernel
+    vector is read from it by Cramer's rule; A x = 0 is checked on every
+    row."""
+    return _kernel_circuits(matrix, *_minor_table(matrix))
 
 
 def toric_valuated_circuit(circuit: KernelCircuit, p: int) -> CircuitVector:
@@ -251,13 +266,6 @@ def toric_ideal(matrix: IntMatrix, p: int) -> Ideal:
     return saturate(lattice, (1,) * matrix.n)
 
 
-def _minor_valuation(matrix: IntMatrix, rows, cols, p: int):
-    det = bareiss_determinant(matrix.submatrix(rows, cols))
-    if det == 0:
-        return INF
-    return p_adic_valuation(abs(det), p)
-
-
 def determinant_valuation(matrix: IntMatrix, column_subset, p: int):
     """val_p of the maximal minor on a fixed row basis and the given
     columns; infinite when the columns are dependent.  The row-basis
@@ -267,18 +275,18 @@ def determinant_valuation(matrix: IntMatrix, column_subset, p: int):
     cols = sorted(column_subset)
     if len(cols) != len(rows):
         raise ValueError(f"need exactly rank={len(rows)} columns, got {len(cols)}")
-    return _minor_valuation(matrix, rows, cols, p)
+    det = bareiss_determinant(matrix.submatrix(rows, cols))
+    return p_adic_valuation(abs(det), p) if det else INF
+
+
+def _valuation(matroid: Matroid, minors, p: int) -> Valuation:
+    """Each basis valued by val_p of its minor in the table."""
+    return Valuation(
+        matroid, {b: p_adic_valuation(abs(det), p) for b, det in minors.items()}
+    )
 
 
 def linear_valuated_matroid(matrix: IntMatrix, p: int) -> Valuation:
     """Column bases valued by the p-adic valuation of their maximal
-    minors, shifted to distinguished form.  The row basis is chosen once;
-    its size is the rank."""
-    rows = row_basis(matrix)
-    values = {}
-    for combo in combinations(range(matrix.n), len(rows)):
-        v = _minor_valuation(matrix, rows, combo, p)
-        if v != INF:
-            values[frozenset(combo)] = v
-    matroid = Matroid(matrix.n, values.keys())
-    return Valuation(matroid, values)
+    minors in the minor table, shifted to distinguished form."""
+    return _valuation(*_minor_table(matrix), p)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from algval.algmat import Matroid
 from algval.ffpoly import INF, CircuitVector, circuit_vector
@@ -131,17 +132,14 @@ def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVecto
 
 
 def valuated_circuit_family(valuation: Valuation):
-    """All canonical valuated circuits, recovered from the valuation by
-    sweeping fundamental circuits over every (basis, outside element);
-    each support is built once, from the first pair that spans it."""
-    seen = {}
-    m = valuation.matroid
-    for b in m.bases:
-        for v in range(m.n):
-            if v not in b and m.fundamental_circuit(b, v) not in seen:
-                c = fundamental_valuated_circuit(valuation, b, v)
-                seen[c.support] = c
-    return sorted(seen.values(), key=lambda c: c.sort_key())
+    """All canonical valuated circuits, recovered from the valuation:
+    each support is built once, from the first (basis, outside element)
+    that spans it."""
+    return sorted(
+        (fundamental_valuated_circuit(valuation, b, v)
+         for b, v in valuation.matroid.fundamental_circuits().values()),
+        key=lambda c: c.sort_key(),
+    )
 
 
 def dual(valuation: Valuation) -> Valuation:
@@ -271,34 +269,37 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
             )
         seen[c.support] = c
 
-    # (4) elimination with controlled entries; the candidates for (u, v)
-    # are the members with v in their support and u outside it
+    # (4) elimination with controlled entries, on the ordered pairs whose
+    # union has a rank deficit of two, each union ranked once; the
+    # candidates for (u, v) are the members with v in their support and
+    # u outside it
     n = matroid.n
+    pairs = []
+    for i, j in combinations(range(len(vectors)), 2):
+        union = supports[i] | supports[j]
+        if (vectors[i] is not vectors[j]
+                and matroid.rank_of(union) == len(union) - 2):
+            pairs += [(i, j), (j, i)]
     candidates = {}
-    for c in vectors:
-        for cp in vectors:
-            if c is cp:
-                continue
-            union = c.support | cp.support
-            if matroid.rank_of(union) != len(union) - 2:
-                continue
-            for u in sorted(c.support & cp.support):
-                lam = c[u] - cp[u]
-                aligned = cp.shifted(lam)
-                for v in sorted(c.support - cp.support):
-                    report.checked += 1
-                    floor = [min(c[i], aligned[i]) for i in range(n)]
-                    if (u, v) not in candidates:
-                        candidates[u, v] = [d for d in vectors
-                                            if v in d.support and u not in d.support]
-                    if not any(
-                        _eliminates(d, v, c[v], floor) for d in candidates[u, v]
-                    ):
-                        report.violations.append(
-                            f"axiom 4: no eliminating circuit for supports "
-                            f"{sorted(c.support)}, {sorted(cp.support)} with "
-                            f"u={u}, v={v}"
-                        )
+    for i, j in sorted(pairs):
+        c, cp = vectors[i], vectors[j]
+        for u in sorted(c.support & cp.support):
+            lam = c[u] - cp[u]
+            aligned = cp.shifted(lam)
+            for v in sorted(c.support - cp.support):
+                report.checked += 1
+                floor = [min(c[k], aligned[k]) for k in range(n)]
+                if (u, v) not in candidates:
+                    candidates[u, v] = [d for d in vectors
+                                        if v in d.support and u not in d.support]
+                if not any(
+                    _eliminates(d, v, c[v], floor) for d in candidates[u, v]
+                ):
+                    report.violations.append(
+                        f"axiom 4: no eliminating circuit for supports "
+                        f"{sorted(c.support)}, {sorted(cp.support)} with "
+                        f"u={u}, v={v}"
+                    )
     return report
 
 

@@ -84,6 +84,25 @@ def exchange_holds(bases):
     )
 
 
+def minimal_dependent_sets(n, dependent, max_size):
+    """Yield the minimal dependent subsets of {0..n-1} with at most
+    max_size elements, ascending by size then lexicographically.
+
+    dependent is asked only about sets that contain no set already
+    yielded; since every smaller set was asked first, each set it
+    flags is minimal.  The reference enumeration for circuits read off
+    a basis family or a minor table."""
+    found = []
+    for size in range(1, max_size + 1):
+        for combo in combinations(range(n), size):
+            s = frozenset(combo)
+            if any(c <= s for c in found):
+                continue
+            if dependent(s):
+                found.append(s)
+                yield s
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion."""
     rows = {}

@@ -9,17 +9,22 @@ from algval.algmat import (
     Matroid,
     bases,
     circuits,
-    fundamental_circuit,
     hyperplanes,
     independent,
-    minimal_dependent_sets,
     rank,
 )
 from algval.ffpoly import PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, principal_generator
 from algval.toric import IntMatrix, toric_ideal
 
-from conftest import NONFANO_A, NONFANO_VARS, S, column_rank, exchange_holds
+from conftest import (
+    NONFANO_A,
+    NONFANO_VARS,
+    S,
+    column_rank,
+    exchange_holds,
+    minimal_dependent_sets,
+)
 
 
 def P(text, variables=("x1", "x2"), p=2):
@@ -126,6 +131,32 @@ class TestExchangeMatchesPairScan:
         for n, family in _random_families(7, 3000):
             if exchange_holds(family):
                 assert Matroid(n, family).circuits() == subset_scan_circuits(n, family)
+
+
+class TestFundamentalCircuitSweep:
+    def test_first_spanning_pair_of_each_circuit(self):
+        swept = 0
+        for n, family in _random_families(8, 1500):
+            if not exchange_holds(family):
+                continue
+            m = Matroid(n, family)
+            sweep = m.fundamental_circuits()
+            assert list(sweep) == subset_scan_circuits(n, family)
+            pairs = [(b, v) for b in m.bases for v in range(n) if v not in b]
+            for c, (b, v) in sweep.items():
+                assert m.fundamental_circuit(b, v) == c
+                # c lies inside b + v, which holds exactly one circuit
+                assert c <= b | {v} and v in c
+                first = next(q for q in pairs if m.fundamental_circuit(*q) == c)
+                assert (b, v) == first
+                swept += 1
+        assert swept > 1000
+
+    def test_free_and_loop_matroids(self):
+        assert Matroid(3, [{0, 1, 2}]).fundamental_circuits() == {}
+        loops = Matroid(2, [frozenset()]).fundamental_circuits()
+        assert loops == {frozenset({0}): (frozenset(), 0),
+                         frozenset({1}): (frozenset(), 1)}
 
 
 class TestIndependent:
@@ -306,22 +337,6 @@ class TestBases:
         idl = I(["x1*x3", "x2*x3"], ("x1", "x2", "x3"), p=3)
         with pytest.raises(NotPrincipalError, match=r"circuit \{x3\}.*zero"):
             circuits(idl)
-
-
-class TestFundamentalCircuit:
-    def test_product_circuit(self, nonfano_matroid, nonfano_circuits):
-        rec = fundamental_circuit(nonfano_matroid, nonfano_circuits, S(1, 2, 3), 3)
-        assert rec.support == S(1, 2, 4)
-
-    def test_top_element(self, nonfano_matroid, nonfano_circuits):
-        rec = fundamental_circuit(nonfano_matroid, nonfano_circuits, S(1, 2, 3), 6)
-        assert rec.support == S(1, 2, 3, 7)
-
-    def test_rank_one(self):
-        idl = I(["x1 - x2"])
-        m = bases(idl)
-        recs = circuits(idl)
-        assert fundamental_circuit(m, recs, {0}, 1).support == {0, 1}
 
 
 class TestHyperplanes:

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -21,7 +22,7 @@ from algval.toric import (
 )
 from algval.valmat import valuated_circuits, valuation_from_circuits
 
-from conftest import NONFANO_A, NONFANO_VARS, S, minor_det
+from conftest import NONFANO_A, NONFANO_VARS, S, minimal_dependent_sets, minor_det
 
 A7 = IntMatrix(NONFANO_A)
 
@@ -102,6 +103,86 @@ class TestIntegerKernelCircuits:
             for v in nonzero:
                 g = __import__("math").gcd(g, abs(v))
             assert g == 1
+
+
+def reference_kernel_circuits(matrix):
+    """Every column subset up to rank + 1 asked of exact rank, skipping
+    supersets of circuits already found, and one kernel vector per
+    circuit by the cofactor rule on its own row basis: the construction
+    integer_kernel_circuits used before it read the minor table."""
+    n, rows = matrix.n, range(matrix.d)
+
+    def dependent(s):
+        return integer_rank(matrix.submatrix(rows, sorted(s))) < len(s)
+
+    found = []
+    for s in minimal_dependent_sets(n, dependent, integer_rank(matrix.rows) + 1):
+        cols = sorted(s)
+        rsel = row_basis(IntMatrix(matrix.submatrix(rows, cols)))
+        vector = [0] * n
+        for k, j in enumerate(cols):
+            others = cols[:k] + cols[k + 1:]
+            vector[j] = (-1) ** k * bareiss_determinant(matrix.submatrix(rsel, others))
+        g = 0
+        for v in vector:
+            g = gcd(g, v)
+        sign = 1 if next(v for v in vector if v) > 0 else -1
+        found.append(KernelCircuit(tuple(sign * v // g for v in vector), s))
+    return found
+
+
+def _seeded_matrices():
+    """Small random matrices and the shapes that stress a minor table:
+    rank below the row count, zero and repeated columns, all zeros, and
+    the 3x7 and 4x12 shapes the benchmark runs."""
+    rng = random.Random(20260601)
+
+    def draw(d, n, lo=-2, hi=2):
+        return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(d)]
+
+    for _ in range(220):
+        yield draw(rng.randint(1, 4), rng.randint(1, 8))
+    for _ in range(30):
+        # the last row is a combination of the others, so rank < d
+        rows = draw(rng.randint(1, 3), rng.randint(2, 7))
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        yield rows
+    for _ in range(20):
+        rows = draw(rng.randint(1, 3), rng.randint(1, 6))
+        j = rng.randint(0, len(rows[0]))
+        yield [r[:j] + [0] + r[j:] for r in rows]
+    for _ in range(20):
+        rows = draw(rng.randint(1, 3), rng.randint(1, 6))
+        i = rng.randrange(len(rows[0]))
+        j = rng.randint(0, len(rows[0]))
+        yield [r[:j] + [r[i]] + r[j:] for r in rows]
+    for d, n in ((1, 1), (1, 4), (2, 3), (3, 5), (4, 2)):
+        yield [[0] * n for _ in range(d)]
+    for _ in range(10):
+        yield draw(3, 7, -2, 3)
+    for _ in range(3):
+        yield draw(4, 12, -3, 4)
+
+
+class TestKernelCircuitsMatchReference:
+    def test_same_circuits_and_order(self):
+        count = 0
+        for rows in _seeded_matrices():
+            matrix = IntMatrix(tuple(map(tuple, rows)))
+            assert integer_kernel_circuits(matrix) == reference_kernel_circuits(matrix)
+            count += 1
+        assert count >= 300
+
+    def test_kernel_check_runs_past_the_first_row(self, monkeypatch):
+        # a vector on the circuit that passes the first row but not the
+        # second is caught
+        matrix = IntMatrix(((1, 1, 1), (0, 1, 2)))
+        assert [c.vector for c in integer_kernel_circuits(matrix)] == [(1, -2, 1)]
+        monkeypatch.setattr("algval.toric._primitive",
+                            lambda vector: (2, -3, 1))
+        with pytest.raises(AssertionError, match=r"Cramer's rule failed on \[0, 1, 2\]"):
+            integer_kernel_circuits(matrix)
 
 
 class TestKernelCircuitType:

@@ -6,6 +6,7 @@ from algval.algmat import CircuitRecord, EliminationOracle, Matroid, bases, circ
 from algval.ffpoly import INF, CircuitVector, parse_polynomial
 from algval.groebner import Ideal
 from algval.valmat import (
+    AxiomReport,
     InconsistentValuationError,
     Valuation,
     check_circuit_axioms,
@@ -307,6 +308,113 @@ class TestCircuitAxioms:
         except InconsistentValuationError:
             exchange_ok = False
         assert not (axiom_report.ok and exchange_ok)
+
+
+def reference_circuit_axioms(vcircuits, matroid):
+    """check_circuit_axioms as it was when axiom 4 ranked the union of
+    every ordered pair of circuit vectors: the same checks and messages,
+    each unordered pair's union ranked twice."""
+    report = AxiomReport()
+    vectors = list(vcircuits)
+    supports = [c.support for c in vectors]
+    expected = set(matroid.circuits())
+    report.checked += 1
+    if set(supports) != expected:
+        report.violations.append(
+            f"axiom 1: supports {sorted(map(sorted, set(supports)))} differ "
+            f"from the matroid circuits {sorted(map(sorted, expected))}"
+        )
+    for c in vectors:
+        report.checked += 1
+        if not c.support:
+            report.violations.append("axiom 1: empty support")
+    for a in supports:
+        for b in supports:
+            report.checked += 1
+            if a < b:
+                report.violations.append(
+                    f"axiom 1: support {sorted(a)} strictly inside {sorted(b)}"
+                )
+    seen = {}
+    for c in vectors:
+        report.checked += 1
+        if not c.is_canonical:
+            report.violations.append(f"axiom 2/3: {c} is not canonical")
+        if c.support in seen and seen[c.support] != c:
+            report.violations.append(
+                f"axiom 3: two distinct representatives on support "
+                f"{sorted(c.support)}"
+            )
+        seen[c.support] = c
+    n = matroid.n
+    for c in vectors:
+        for cp in vectors:
+            if c is cp:
+                continue
+            union = c.support | cp.support
+            if matroid.rank_of(union) != len(union) - 2:
+                continue
+            for u in sorted(c.support & cp.support):
+                aligned = cp.shifted(c[u] - cp[u])
+                for v in sorted(c.support - cp.support):
+                    report.checked += 1
+                    floor = [min(c[i], aligned[i]) for i in range(n)]
+                    if not any(
+                        v in d.support and u not in d.support
+                        and all(d[i] == INF or d[i] + c[v] - d[v] >= floor[i]
+                                for i in range(n))
+                        for d in vectors
+                    ):
+                        report.violations.append(
+                            f"axiom 4: no eliminating circuit for supports "
+                            f"{sorted(c.support)}, {sorted(cp.support)} with "
+                            f"u={u}, v={v}"
+                        )
+    return report
+
+
+def _tampered_families(vcircs):
+    """The family as it is, and copies with one entry raised, one vector
+    dropped, one vector listed twice and one non-canonical shift added."""
+    yield list(vcircs)
+    for k in range(0, len(vcircs), 3):
+        c = vcircs[k]
+        entries = list(c.entries)
+        entries[min(c.support)] += 1 + k % 2
+        yield vcircs[:k] + [CircuitVector(entries)] + vcircs[k + 1:]
+    yield vcircs[1:]
+    yield vcircs + vcircs[:1]
+    yield vcircs + [vcircs[-1].shifted(2)]
+
+
+class TestCircuitAxiomsRankOnce:
+    def test_same_reports_with_each_union_ranked_once(self, nonfano, monkeypatch):
+        from algval.toric import IntMatrix, linear_valuated_matroid
+
+        calls = []
+        rank_of = Matroid.rank_of
+        monkeypatch.setattr(Matroid, "rank_of",
+                            lambda m, s: calls.append(1) or rank_of(m, s))
+        matroid, _, vcircs, _ = nonfano
+        cases = [(matroid, list(vcircs))]
+        for rows in (((1, 0, 2, 1, 3), (0, 1, 1, 2, 1)),
+                     ((2, 0, 0, 2, 1, 0), (0, 2, 0, 2, 0, 1), (0, 0, 2, 2, 1, 1))):
+            valuation = linear_valuated_matroid(IntMatrix(rows), 2)
+            cases.append((valuation.matroid, valuated_circuit_family(valuation)))
+        violations = 0
+        for m, family in cases:
+            for tampered in _tampered_families(family):
+                calls.clear()
+                got = check_circuit_axioms(tampered, m)
+                ranked = len(calls)
+                calls.clear()
+                expected = reference_circuit_axioms(tampered, m)
+                assert (got.checked, got.violations) == (
+                    expected.checked, expected.violations)
+                distinct = sum(a is not b for a, b in combinations(tampered, 2))
+                assert ranked == distinct and len(calls) == 2 * distinct
+                violations += len(got.violations)
+        assert violations > 0
 
 
 class TestExchangeConsistency:
