@@ -23,14 +23,53 @@ from algval.ffpoly import Polynomial, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
 
 
+def _mask(elements) -> int:
+    """The int with bit e set for each element e."""
+    return sum(1 << e for e in frozenset(elements))
+
+
+def exchange_failure(n, masks):
+    """The first violation of basis exchange in a family of bases on
+    {0..n-1}, each given as an int with bit e set for element e: the
+    positions of bases b1 and b2 and the element u of b1 at which they
+    fail, or None when the family passes.
+
+    Bases b2 satisfy exchange with b1 at u in b1 exactly when they hold
+    u or some v outside b1 with b1 - u + v a basis.  holding[e] has bit
+    k set when the k-th basis holds e, so one pass over each (b1, u, v)
+    finds every b2 that fails, and the first one is reported."""
+    holding = [0] * n
+    for k, m in enumerate(masks):
+        for e in range(n):
+            if m >> e & 1:
+                holding[e] |= 1 << k
+    known = set(masks)
+    everyone = (1 << len(masks)) - 1
+    for k1, m1 in enumerate(masks):
+        outside = [v for v in range(n) if not m1 >> v & 1]
+        for u in range(n):
+            if not m1 >> u & 1:
+                continue
+            rest = m1 ^ 1 << u
+            ok = holding[u]
+            for v in outside:
+                if holding[v] & ~ok and (rest | 1 << v) in known:
+                    ok |= holding[v]
+            if ok != everyone:
+                failing = everyone & ~ok
+                return k1, (failing & -failing).bit_length() - 1, u
+    return None
+
+
 class Matroid:
     """Matroid on ground set {0..n-1} given by its bases; the
-    basis-exchange axiom is verified on construction."""
+    basis-exchange axiom is verified on construction.  masks[k] is the
+    k-th basis as an int with bit e set for element e; adjacency tests
+    run on these ints."""
 
-    __slots__ = ("n", "bases", "rank", "_baseset")
+    __slots__ = ("n", "bases", "rank", "masks", "_maskset", "_sweep")
 
     def __init__(self, n, bases):
-        self.n = n
         cleaned = sorted({frozenset(b) for b in bases}, key=sorted)
         if not cleaned:
             raise ValueError("a matroid needs at least one basis")
@@ -41,43 +80,27 @@ class Matroid:
         for b in cleaned:
             if not b <= ground:
                 raise ValueError(f"basis {sorted(b)} outside ground set of size {n}")
-        self.bases = tuple(cleaned)
-        self._baseset = frozenset(cleaned)
-        self.rank = sizes.pop()
-        self._check_exchange()
+        self._adopt(n, tuple(cleaned), tuple(map(_mask, cleaned)))
+        failure = exchange_failure(n, self.masks)
+        if failure is not None:
+            b1, b2, u = self.bases[failure[0]], self.bases[failure[1]], failure[2]
+            raise ValueError(
+                f"basis exchange fails for {[e + 1 for e in sorted(b1)]}, "
+                f"{[e + 1 for e in sorted(b2)]} at {u + 1}"
+            )
 
-    def _check_exchange(self):
-        """Bases b2 satisfy exchange with b1 at u in b1 exactly when they
-        hold u or some v outside b1 with b1 - u + v a basis.  holding[e]
-        has bit k set when the k-th basis holds e, so one pass over each
-        (b1, u, v) finds every b2 that fails, and the first one is named
-        by 1-based elements."""
-        holding = [0] * self.n
-        masks = []
-        for k, b in enumerate(self.bases):
-            for e in b:
-                holding[e] |= 1 << k
-            masks.append(sum(1 << e for e in b))
-        known = set(masks)
-        everyone = (1 << len(self.bases)) - 1
-        for b1, m1 in zip(self.bases, masks):
-            outside = [v for v in range(self.n) if v not in b1]
-            for u in sorted(b1):
-                rest = m1 ^ 1 << u
-                ok = holding[u]
-                for v in outside:
-                    if holding[v] & ~ok and (rest | 1 << v) in known:
-                        ok |= holding[v]
-                if ok != everyone:
-                    failing = everyone & ~ok
-                    b2 = self.bases[(failing & -failing).bit_length() - 1]
-                    raise ValueError(
-                        f"basis exchange fails for {[e + 1 for e in sorted(b1)]}, "
-                        f"{[e + 1 for e in sorted(b2)]} at {u + 1}"
-                    )
+    def _adopt(self, n, bases, masks):
+        """Fill the slots from sorted, distinct bases of equal size and
+        their masks."""
+        self.n = n
+        self.bases = bases
+        self.rank = len(bases[0])
+        self.masks = masks
+        self._maskset = frozenset(masks)
+        self._sweep = None
 
     def is_basis(self, subset) -> bool:
-        return frozenset(subset) in self._baseset
+        return _mask(subset) in self._maskset
 
     def rank_of(self, subset) -> int:
         subset = frozenset(subset)
@@ -92,25 +115,46 @@ class Matroid:
         """Each circuit, ascending by size then lexicographically, mapped
         to the first (basis, outside element) whose fundamental circuit
         it is, taking bases in order and elements in ascending order;
-        every circuit is the fundamental circuit of some such pair."""
-        found = {}
-        for b in self.bases:
-            for v in range(self.n):
-                if v not in b:
-                    found.setdefault(self.fundamental_circuit(b, v), (b, v))
-        order = sorted(found, key=lambda c: (len(c), sorted(c)))
-        return {c: found[c] for c in order}
+        every circuit is the fundamental circuit of some such pair.
+
+        The circuit of (basis m, element v) collects v and each u in m
+        with m - u + v a basis, all on masks, and each distinct circuit
+        becomes a frozenset once.  The sweep runs once per matroid; each
+        call returns a fresh copy of it."""
+        if self._sweep is None:
+            known = self._maskset
+            found = {}
+            for b, m in zip(self.bases, self.masks):
+                rests = [(1 << u, m ^ 1 << u) for u in b]
+                for v in range(self.n):
+                    bit = 1 << v
+                    if m & bit:
+                        continue
+                    c = bit
+                    for ubit, rest in rests:
+                        if rest | bit in known:
+                            c |= ubit
+                    if c not in found:
+                        found[c] = (b, v)
+            as_sets = {
+                frozenset(e for e in range(self.n) if c >> e & 1): pair
+                for c, pair in found.items()
+            }
+            order = sorted(as_sets, key=lambda c: (len(c), sorted(c)))
+            self._sweep = {c: as_sets[c] for c in order}
+        return dict(self._sweep)
 
     def fundamental_circuit(self, basis, v) -> frozenset:
         """The unique circuit inside basis + {v}; always contains v."""
         basis = frozenset(basis)
-        if not self.is_basis(basis):
+        m = _mask(basis)
+        known = self._maskset
+        if m not in known:
             raise ValueError(f"{sorted(basis)} is not a basis")
         if v in basis:
             raise ValueError(f"{v} already lies in the basis")
-        return frozenset({v}) | {
-            u for u in basis if basis - {u} | {v} in self._baseset
-        }
+        bit = 1 << v
+        return frozenset([v, *(u for u in basis if (m ^ 1 << u) | bit in known)])
 
     def hyperplanes(self):
         """Maximal subsets of rank one less than the matroid."""
@@ -128,16 +172,24 @@ class Matroid:
         return sorted(out, key=sorted)
 
     def dual(self) -> "Matroid":
+        """The matroid of the complements of the bases.  They pass basis
+        exchange because these bases do, so they are not checked again;
+        complementing equal-size sets reverses their order by elements,
+        so the dual's bases come out sorted."""
         ground = frozenset(range(self.n))
-        return Matroid(self.n, [ground - b for b in self.bases])
+        full = (1 << self.n) - 1
+        out = Matroid.__new__(Matroid)
+        out._adopt(self.n, tuple(ground - b for b in reversed(self.bases)),
+                   tuple(full ^ m for m in reversed(self.masks)))
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)
                 and self.n == other.n
-                and self._baseset == other._baseset)
+                and self._maskset == other._maskset)
 
     def __hash__(self):
-        return hash((self.n, self._baseset))
+        return hash((self.n, self._maskset))
 
     def __repr__(self):
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)})"

@@ -462,6 +462,8 @@ def run(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help
             return exc.code or 0
+        if args.command == "verify" and args.box is not None and args.box < 0:
+            raise CliInputError(f"--box must be at least 0, got {args.box}")
         problem = load_problem(args.input)
         if args.command == "cross-check":
             doc = cross_check(problem, cache_dir=args.cache)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain, product
 
-from algval.algmat import Matroid
+from algval.algmat import Matroid, exchange_failure
 from algval.valmat import Valuation
 
 
@@ -31,6 +31,7 @@ class _Scores:
         entries = list(entries)
         low, high = min(entries, default=0), max(entries, default=0)
         self.bases = valuation.matroid.bases
+        self.masks = valuation.matroid.masks
         values = [valuation.values[b] for b in self.bases]
         rank = valuation.matroid.rank
         self.offset = max(values) - rank * low
@@ -71,8 +72,10 @@ class _Scores:
         below = top * self.ones - s + self.fill
         return top, (self.guard & ~below) >> (self.bits - 1)
 
-    def family(self, indicator):
-        return [b for k, b in enumerate(self.bases) if indicator >> (k * self.bits) & 1]
+    def family(self, indicator, items):
+        """The items (bases or their masks) at the fields marked in an
+        indicator."""
+        return [x for k, x in enumerate(items) if indicator >> (k * self.bits) & 1]
 
 
 def _slice(valuation: Valuation, alpha):
@@ -102,7 +105,8 @@ def flock_slice(valuation: Valuation, alpha) -> FlockSlice:
     """Slice at one direction; the basis family is exchange-verified."""
     alpha = tuple(alpha)
     scores, here, value = _slice(valuation, alpha)
-    return FlockSlice(alpha, Matroid(valuation.n, scores.family(here)), value)
+    family = scores.family(here, scores.bases)
+    return FlockSlice(alpha, Matroid(valuation.n, family), value)
 
 
 @dataclass
@@ -141,11 +145,14 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     Directions come from an explicit iterable or from the full box
     [-radius, radius]^n (default radius bounded by the evaluation
     budget).  Every slice is the argmax of its own direction's packed
-    score vector; exchange verification is memoized per distinct
-    family, so large sweeps stay cheap.
+    score vector; exchange verification runs on the basis masks and is
+    memoized per distinct family, so large sweeps stay cheap.  A
+    negative radius is a ValueError: its box holds no direction.
     """
     n = valuation.n
     report = FlockReport()
+    if radius is not None and radius < 0:
+        raise ValueError(f"box radius must be at least 0, got {radius}")
     if alphas is None:
         if radius is None:
             radius = default_box_radius(valuation)
@@ -162,11 +169,8 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
 
     def is_matroid(indicator):
         if indicator not in exchange_ok:
-            try:
-                Matroid(n, scores.family(indicator))
-                exchange_ok[indicator] = True
-            except ValueError:
-                exchange_ok[indicator] = False
+            masks = scores.family(indicator, scores.masks)
+            exchange_ok[indicator] = exchange_failure(n, masks) is None
         return exchange_ok[indicator]
 
     for alpha in alphas:

@@ -84,6 +84,23 @@ def exchange_holds(bases):
     )
 
 
+def frozenset_fundamental_circuits(matroid):
+    """The fundamental-circuit sweep written on frozensets: for each
+    basis in order and each outside element v in ascending order, the
+    circuit of v and every u with basis - u + v a basis, keeping the
+    first pair per circuit; circuits ascending by size then
+    lexicographically.  The reference for the sweep on basis masks."""
+    known = set(matroid.bases)
+    found = {}
+    for b in matroid.bases:
+        for v in range(matroid.n):
+            if v not in b:
+                c = frozenset({v}) | {u for u in b if b - {u} | {v} in known}
+                found.setdefault(c, (b, v))
+    order = sorted(found, key=lambda c: (len(c), sorted(c)))
+    return {c: found[c] for c in order}
+
+
 def minimal_dependent_sets(n, dependent, max_size):
     """Yield the minimal dependent subsets of {0..n-1} with at most
     max_size elements, ascending by size then lexicographically.

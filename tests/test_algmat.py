@@ -9,13 +9,14 @@ from algval.algmat import (
     Matroid,
     bases,
     circuits,
+    exchange_failure,
     hyperplanes,
     independent,
     rank,
 )
 from algval.ffpoly import PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, principal_generator
-from algval.toric import IntMatrix, toric_ideal
+from algval.toric import IntMatrix, _minor_table, integer_rank, toric_ideal
 
 from conftest import (
     NONFANO_A,
@@ -23,6 +24,7 @@ from conftest import (
     S,
     column_rank,
     exchange_holds,
+    frozenset_fundamental_circuits,
     minimal_dependent_sets,
 )
 
@@ -127,6 +129,24 @@ class TestExchangeMatchesPairScan:
                     Matroid(n, family)
         assert outcomes == {True, False}
 
+    def test_mask_check_names_the_failure_matroid_reports(self):
+        # exchange_failure is the check behind Matroid, run on masks
+        for n, family in _random_families(11, 2000):
+            bases = sorted(family, key=sorted)
+            failure = exchange_failure(n, [sum(1 << e for e in b) for b in bases])
+            assert (failure is None) == exchange_holds(family)
+            if failure is None:
+                continue
+            b1, b2, u = bases[failure[0]], bases[failure[1]], failure[2]
+            assert u in b1 - b2
+            assert all(b1 - {u} | {v} not in family for v in b2 - b1)
+            with pytest.raises(ValueError) as caught:
+                Matroid(n, family)
+            assert str(caught.value) == (
+                f"basis exchange fails for {[e + 1 for e in sorted(b1)]}, "
+                f"{[e + 1 for e in sorted(b2)]} at {u + 1}"
+            )
+
     def test_circuits_match_the_subset_scan(self):
         for n, family in _random_families(7, 3000):
             if exchange_holds(family):
@@ -158,6 +178,68 @@ class TestFundamentalCircuitSweep:
         assert loops == {frozenset({0}): (frozenset(), 0),
                          frozenset({1}): (frozenset(), 1)}
 
+
+
+def _benchmark_4x12_matrices(seed):
+    """The 14 inputs of the benchmark's matrix-valuation workload at a
+    seed: 4x12, entries in [-3, 4], full row rank, no zero column."""
+    rng = random.Random(seed)
+    for _ in range(14):
+        while True:
+            rows = [[rng.randint(-3, 4) for _ in range(12)] for _ in range(4)]
+            if all(any(r[j] for r in rows) for j in range(12)) and integer_rank(rows) == 4:
+                yield IntMatrix(tuple(map(tuple, rows)))
+                break
+
+
+class TestMaskSweepMatchesFrozensetSweep:
+    """The sweep and the dual on basis masks against frozenset code."""
+
+    def assert_sweeps_agree(self, m):
+        expected = frozenset_fundamental_circuits(m)
+        assert list(m.fundamental_circuits().items()) == list(expected.items())
+        for c, (b, v) in expected.items():
+            assert m.fundamental_circuit(b, v) == c
+
+    def test_random_families_and_their_duals(self):
+        swept = 0
+        for n, family in _random_families(9, 4000):
+            if exchange_holds(family):
+                m = Matroid(n, family)
+                self.assert_sweeps_agree(m)
+                self.assert_sweeps_agree(m.dual())
+                swept += 1
+        assert swept >= 3000
+
+    def test_benchmark_matrices_and_their_duals(self):
+        for matrix in _benchmark_4x12_matrices(1):
+            m = _minor_table(matrix)[0]
+            self.assert_sweeps_agree(m)
+            self.assert_sweeps_agree(m.dual())
+
+    def test_dual_equals_the_checked_complements(self):
+        for n, family in _random_families(10, 1500):
+            if not exchange_holds(family):
+                continue
+            m = Matroid(n, family)
+            d = m.dual()
+            ground = frozenset(range(n))
+            checked = Matroid(n, [ground - b for b in m.bases])
+            assert (d.n, d.rank, d.bases, d.masks) == (
+                checked.n, checked.rank, checked.bases, checked.masks)
+            assert d == checked
+            assert exchange_holds(d.bases)
+            assert d.dual().bases == m.bases
+
+    def test_sweep_is_shared_and_copied(self):
+        m = Matroid(5, combinations(range(5), 3))
+        expected = frozenset_fundamental_circuits(m)
+        first = m.fundamental_circuits()
+        assert first is not m.fundamental_circuits()
+        first.clear()
+        m.circuits().clear()
+        assert m.fundamental_circuits() == expected
+        assert m.circuits() == list(expected)
 
 class TestIndependent:
     def test_parameters_are_independent(self, nonfano_ideal, nonfano_oracle):

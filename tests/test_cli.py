@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -226,6 +227,45 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli_module, "check_flock_axioms", broken)
         assert run(["verify", matrix_file, "--box", "1"]) == 2
+
+
+    def test_negative_box_is_input_error(self, capsys, matrix_file):
+        # a negative radius leaves an empty box, which would pass by
+        # checking nothing
+        assert run(["verify", matrix_file, "--box", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --box must be at least 0, got -1\n"
+
+    def test_box_zero_checks_one_direction(self, capsys, matrix_file):
+        code, doc = run_json(capsys, "verify", matrix_file, "--box", "0")
+        assert code == 0
+        flock = doc["suites"][-1]
+        assert flock["name"] == "flock-axioms"
+        # the slice, one contraction/deletion check per element, the shift
+        assert flock["checked"] == 1 + 7 + 1
+
+
+class TestSeeded4x12Golden:
+    """valuation --format json on a seeded 4x12 matrix (random.Random(4012),
+    entries in [-3, 4], p = 2), pinned byte for byte: its circuits and
+    cocircuits come from the fundamental-circuit sweeps of a 4x12
+    matroid and of its dual.  After an intended change of output,
+    re-record with
+
+        PYTHONPATH=src python -m algval.cli valuation \\
+            tests/golden/inputs/seeded-4x12-matrix.json --format json \\
+            > tests/golden/out/seeded-4x12-matrix.valuation.json
+    """
+
+    def test_output_matches_golden(self, capsys):
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        code = run(["valuation", os.path.join(golden, "inputs", "seeded-4x12-matrix.json"),
+                    "--format", "json"])
+        with open(os.path.join(golden, "out", "seeded-4x12-matrix.valuation.json"),
+                  encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+        assert code == 0
 
 
 class TestCrossCheckCommand:

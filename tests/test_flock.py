@@ -107,6 +107,11 @@ class TestFlockAxioms:
         assert report.ok
         assert report.directions == 5
 
+    def test_negative_radius_rejected(self, nonfano_valuation):
+        with pytest.raises(ValueError, match="box radius must be at least 0"):
+            check_flock_axioms(nonfano_valuation, radius=-1)
+        assert check_flock_axioms(nonfano_valuation, radius=0).directions == 1
+
     def test_explicit_direction_list(self, nonfano_valuation):
         report = check_flock_axioms(
             nonfano_valuation, alphas=[(0,) * 7, ALPHA_MINUS]
