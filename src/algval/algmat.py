@@ -99,9 +99,6 @@ class Matroid:
         self._maskset = frozenset(masks)
         self._sweep = None
 
-    def is_basis(self, subset) -> bool:
-        return _mask(subset) in self._maskset
-
     def rank_of(self, subset) -> int:
         subset = frozenset(subset)
         return max(len(b & subset) for b in self.bases)

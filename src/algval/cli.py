@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from algval.algmat import EliminationOracle, bases, circuits, hyperplanes
-from algval.ffpoly import INF, is_prime
+from algval.ffpoly import INF, PrimeField, is_prime
 from algval.groebner import Ideal, NotPrincipalError
 from algval.toric import (
     IntMatrix,
@@ -151,7 +151,7 @@ def _ideal_route(ideal, p, cache_dir, fingerprint):
         raise CliInputError("the unit ideal carries no matroid")
     # the oracle keeps the matroid, so circuits() reuses this one
     matroid = bases(ideal, oracle=oracle)
-    vcircs = valuated_circuits(circuits(ideal, oracle=oracle), p)
+    vcircs = valuated_circuits(circuits(ideal, oracle=oracle))
     return valuation_from_circuits(matroid, vcircs), vcircs
 
 
@@ -288,6 +288,10 @@ def cross_check(problem: ProblemInput, cache_dir=None) -> dict:
         raise CliInputError("cross-check needs a matrix input")
     fingerprint = problem_fingerprint(problem)
     p = problem.p
+    try:
+        PrimeField(p)  # the elimination route needs a word-sized p
+    except ValueError as exc:
+        raise CliInputError(f"elimination route: {exc}")
     direct, direct_circuits = _matrix_route(problem.matrix, p)
     ideal = toric_ideal(problem.matrix, p)
     derived, derived_circuits = _ideal_route(ideal, p, cache_dir, fingerprint)

@@ -10,13 +10,15 @@ exchange identity
 
 which ties the values of adjacent bases to the entries of the circuit
 spanned inside B + {v}; the identity holds with both sides infinite
-exactly when B - u + v is not a basis.  Duality, cocircuits, minors,
-and executable checks of the circuit axioms live here as well.
+exactly when B - u + v is not a basis.  One walk over the bases in
+their sorted order gives each neighbor without a value its value from
+the identity and checks the identity at every other one.  Duality,
+cocircuits, minors, and executable checks of the circuit axioms live
+here as well.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -68,7 +70,7 @@ class Valuation:
         return f"Valuation(rank={self.matroid.rank}, bases={len(self.values)})"
 
 
-def valuated_circuits(circuit_records, p):
+def valuated_circuits(circuit_records):
     """One canonical circuit vector per circuit polynomial, sorted by
     support then entries."""
     out = [circuit_vector(rec.polynomial).canonical() for rec in circuit_records]
@@ -76,13 +78,13 @@ def valuated_circuits(circuit_records, p):
 
 
 def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
-    """Propagate basis values across the exchange graph from the first
-    basis, then shift so the minimum is 0.
+    """Walk the exchange identity from value 0 at the first basis, then
+    shift so the minimum is 0.
 
     Circuit supports that differ from the matroid's circuits, or an
-    exchange edge that fails verification afterwards, mean the circuit
-    family does not come from a valuated matroid: a corrupted family,
-    or an ideal that is not prime.
+    exchange edge the walk finds violated, mean the circuit family does
+    not come from a valuated matroid: a corrupted family, or an ideal
+    that is not prime.
     """
     by_support = {c.support: c.canonical() for c in vcircuits}
     matroid_circuits = set(matroid.circuits())
@@ -94,28 +96,11 @@ def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
             f"unexpected {extra})"
         )
     # every start basis gives the same values after the shift to minimum 0
-    start = matroid.bases[0]
-    values = {start: 0}
-    queue = deque([start])
-    ground = set(range(matroid.n))
-    while queue:
-        b = queue.popleft()
-        for v in ground - b:
-            circ = by_support[matroid.fundamental_circuit(b, v)]
-            cv = circ[v]
-            for u in circ.support - {v}:
-                neighbor = b - {u} | {v}
-                val = values[b] + circ[u] - cv
-                if neighbor not in values:
-                    values[neighbor] = val
-                    queue.append(neighbor)
-    if len(values) != len(matroid.bases):
-        raise InconsistentValuationError("exchange graph left bases unreached")
-    valuation = Valuation(matroid, values)
-    report = check_exchange_consistency(valuation, vcircuits)
+    values = {matroid.bases[0]: 0}
+    report = _exchange_walk(matroid, by_support, values)
     if report.violations:
         raise InconsistentValuationError(report.violations[0])
-    return valuation
+    return Valuation(matroid, values)
 
 
 def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVector:
@@ -309,17 +294,28 @@ def _eliminates(d, v, target_v, floor):
 
 
 def check_exchange_consistency(valuation: Valuation, vcircuits=None) -> AxiomReport:
-    """Verify the exchange identity for every (basis, u, v) triple and its
-    covering valuated circuit, with the infinite-iff-infinite reading."""
-    report = AxiomReport()
-    m = valuation.matroid
+    """Check the exchange identity at every (basis, u, v) against the
+    valuated circuit on the fundamental circuit of basis + v."""
     if vcircuits is None:
         vcircuits = valuated_circuit_family(valuation)
     by_support = {c.support: c.canonical() for c in vcircuits}
-    ground = set(range(m.n))
-    for b in m.bases:
+    return _exchange_walk(valuation.matroid, by_support, dict(valuation.values))
+
+
+def _exchange_walk(matroid: Matroid, by_support, values) -> AxiomReport:
+    """For each basis b in order, v outside b and u in the circuit of
+    b + v, give b - u + v its value from the exchange identity if it has
+    none yet, else check the identity there.  values holds the first
+    basis and gains the rest: each later basis b has an earlier
+    neighbor, since for v in the first (greedy) basis and outside b the
+    circuit of b + v holds some u > v, and b - u + v sorts before b."""
+    report = AxiomReport()
+    ground = set(range(matroid.n))
+    for b in matroid.bases:
+        if b not in values:
+            raise InconsistentValuationError("exchange graph left bases unreached")
         for v in ground - b:
-            support = m.fundamental_circuit(b, v)
+            support = matroid.fundamental_circuit(b, v)
             circ = by_support.get(support)
             if circ is None:
                 report.violations.append(
@@ -328,19 +324,10 @@ def check_exchange_consistency(valuation: Valuation, vcircuits=None) -> AxiomRep
                 continue
             for u in b:
                 report.checked += 1
-                neighbor = b - {u} | {v}
-                left_inf = circ[u] == INF
-                right_inf = not m.is_basis(neighbor)
-                if left_inf != right_inf:
-                    report.violations.append(
-                        f"infinite sides disagree at basis {sorted(b)}, "
-                        f"u={u}, v={v}"
-                    )
+                if circ[u] == INF:
                     continue
-                if left_inf:
-                    continue
-                lhs = valuation.value(b) + circ[u]
-                rhs = valuation.value(neighbor) + circ[v]
+                lhs = values[b] + circ[u]
+                rhs = values.setdefault(b - {u} | {v}, lhs - circ[v]) + circ[v]
                 if lhs != rhs:
                     report.violations.append(
                         f"exchange identity fails at basis {sorted(b)}, "

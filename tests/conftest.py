@@ -5,11 +5,19 @@ in-file brute-force oracles (minor enumeration over the matrix columns),
 never by the code paths under test.
 """
 
+from collections import deque
 from itertools import combinations
 
 import pytest
 
+from algval.ffpoly import INF
 from algval.groebner import Ideal
+from algval.valmat import (
+    AxiomReport,
+    InconsistentValuationError,
+    Valuation,
+    valuated_circuit_family,
+)
 
 # The 3x7 exponent matrix of the non-Fano parametrization: column i holds
 # the exponents of the monomial x_i in the parameters t1, t2, t3.
@@ -118,6 +126,80 @@ def minimal_dependent_sets(n, dependent, max_size):
             if dependent(s):
                 found.append(s)
                 yield s
+
+
+def reference_valuation_from_circuits(matroid, vcircuits):
+    """Basis values by a breadth-first search over the exchange graph
+    from the first basis, then a full pass of
+    reference_check_exchange_consistency over the result; the two-pass
+    reference for the single exchange walk."""
+    by_support = {c.support: c.canonical() for c in vcircuits}
+    matroid_circuits = set(matroid.circuits())
+    if set(by_support) != matroid_circuits:
+        raise InconsistentValuationError("circuit covers do not match the matroid")
+    start = matroid.bases[0]
+    values = {start: 0}
+    queue = deque([start])
+    ground = set(range(matroid.n))
+    while queue:
+        b = queue.popleft()
+        for v in ground - b:
+            circ = by_support[matroid.fundamental_circuit(b, v)]
+            for u in circ.support - {v}:
+                neighbor = b - {u} | {v}
+                if neighbor not in values:
+                    values[neighbor] = values[b] + circ[u] - circ[v]
+                    queue.append(neighbor)
+    if len(values) != len(matroid.bases):
+        raise InconsistentValuationError("exchange graph left bases unreached")
+    valuation = Valuation(matroid, values)
+    report = reference_check_exchange_consistency(valuation, vcircuits)
+    if report.violations:
+        raise InconsistentValuationError(report.violations[0])
+    return valuation
+
+
+def reference_check_exchange_consistency(valuation, vcircuits=None):
+    """The exchange identity at every (basis, u, v), with the infinite
+    sides compared by asking the basis family whether basis - u + v is a
+    basis: the same checks and messages as the exchange walk."""
+    report = AxiomReport()
+    m = valuation.matroid
+    known = set(m.bases)
+    if vcircuits is None:
+        vcircuits = valuated_circuit_family(valuation)
+    by_support = {c.support: c.canonical() for c in vcircuits}
+    ground = set(range(m.n))
+    for b in m.bases:
+        for v in ground - b:
+            support = m.fundamental_circuit(b, v)
+            circ = by_support.get(support)
+            if circ is None:
+                report.violations.append(
+                    f"no valuated circuit on support {sorted(support)}"
+                )
+                continue
+            for u in b:
+                report.checked += 1
+                neighbor = b - {u} | {v}
+                left_inf = circ[u] == INF
+                right_inf = neighbor not in known
+                if left_inf != right_inf:
+                    report.violations.append(
+                        f"infinite sides disagree at basis {sorted(b)}, "
+                        f"u={u}, v={v}"
+                    )
+                    continue
+                if left_inf:
+                    continue
+                lhs = valuation.value(b) + circ[u]
+                rhs = valuation.value(neighbor) + circ[v]
+                if lhs != rhs:
+                    report.violations.append(
+                        f"exchange identity fails at basis {sorted(b)}, "
+                        f"u={u}, v={v}: {lhs} != {rhs}"
+                    )
+    return report
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

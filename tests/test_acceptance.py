@@ -87,7 +87,7 @@ def instances():
         oracle = EliminationOracle(ideal)
         matroid = bases(ideal, oracle=oracle)
         records = circuits(ideal, oracle=oracle)
-        vcircs = valuated_circuits(records, p)
+        vcircs = valuated_circuits(records)
         derived = valuation_from_circuits(matroid, vcircs)
         seconds = time.perf_counter() - start
         out.append(
@@ -107,7 +107,7 @@ def nonfano_groebner():
     oracle = EliminationOracle(ideal)
     matroid = bases(ideal, oracle=oracle)
     records = circuits(ideal, oracle=oracle)
-    vcircs = valuated_circuits(records, 2)
+    vcircs = valuated_circuits(records)
     return matroid, vcircs, valuation_from_circuits(matroid, vcircs)
 
 
@@ -115,7 +115,7 @@ def nonfano_groebner():
 def parabola_groebner():
     ideal = Ideal.from_strings(2, ("x1", "x2"), ["x1 - x2^2"])
     matroid = bases(ideal)
-    vcircs = valuated_circuits(circuits(ideal), 2)
+    vcircs = valuated_circuits(circuits(ideal))
     return matroid, vcircs, valuation_from_circuits(matroid, vcircs)
 
 
@@ -143,7 +143,7 @@ def test_criterion_2_elimination_route_end_to_end(nonfano_direct):
     oracle = EliminationOracle(ideal)
     matroid = bases(ideal, oracle=oracle)
     records = circuits(ideal, oracle=oracle)
-    vcircs = valuated_circuits(records, 2)
+    vcircs = valuated_circuits(records)
     derived = valuation_from_circuits(matroid, vcircs)
     elapsed = time.perf_counter() - start
     _expect_nonfano_table(derived)

@@ -305,6 +305,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_huge_p_cross_check_is_input_error(self, capsys, tmp_path):
+        # the matrix route takes any prime; the elimination route works
+        # in a field of word-sized characteristic only
+        path = tmp_path / "huge-p.json"
+        path.write_text('{"kind":"matrix","p":9223372036854775837,"rows":2,'
+                        '"cols":3,"entries":[[1,0,1],[0,1,1]]}')
+        assert run(["valuation", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["cross-check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "9223372036854775837" in err
+
     def test_non_principal_elimination_is_inconsistency(self, capsys, tmp_path):
         # (x1^2*x2, x1*x2^2) meets neither F_3[x1] nor F_3[x2], and its
         # elimination ideal on {x1, x2} needs both generators

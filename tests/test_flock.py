@@ -125,7 +125,7 @@ class TestFlockAxioms:
         oracle = EliminationOracle(nonfano_ideal)
         matroid = bases(nonfano_ideal, oracle=oracle)
         records = circuits(nonfano_ideal, oracle=oracle)
-        derived = valuation_from_circuits(matroid, valuated_circuits(records, 2))
+        derived = valuation_from_circuits(matroid, valuated_circuits(records))
         assert flock_slice(derived, ALPHA_MINUS).matroid == flock_slice(
             nonfano_valuation, ALPHA_MINUS
         ).matroid

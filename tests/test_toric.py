@@ -315,10 +315,10 @@ class TestOracleEquivalence:
         oracle = EliminationOracle(idl)
         matroid = bases(idl, oracle=oracle)
         records = circuits(idl, oracle=oracle)
-        derived = valuation_from_circuits(matroid, valuated_circuits(records, p))
+        derived = valuation_from_circuits(matroid, valuated_circuits(records))
         assert derived == direct
         toric_family = sorted(
             (toric_valuated_circuit(c, p) for c in integer_kernel_circuits(matrix)),
             key=lambda c: c.sort_key(),
         )
-        assert toric_family == valuated_circuits(records, p)
+        assert toric_family == valuated_circuits(records)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from algval.algmat import CircuitRecord, EliminationOracle, Matroid, bases, circuits
 from algval.ffpoly import INF, CircuitVector, parse_polynomial
 from algval.groebner import Ideal
+from algval.toric import IntMatrix, linear_valuated_matroid
 from algval.valmat import (
     AxiomReport,
     InconsistentValuationError,
@@ -21,7 +23,12 @@ from algval.valmat import (
     valuation_from_circuits,
 )
 
-from conftest import NONFANO_VARS, S
+from conftest import (
+    NONFANO_VARS,
+    S,
+    reference_check_exchange_consistency,
+    reference_valuation_from_circuits,
+)
 
 
 def P(text, variables=("x1", "x2"), p=2):
@@ -33,7 +40,7 @@ def nonfano(nonfano_ideal):
     oracle = EliminationOracle(nonfano_ideal)
     records = circuits(nonfano_ideal, oracle=oracle)
     matroid = bases(nonfano_ideal, oracle=oracle)
-    vcircs = valuated_circuits(records, 2)
+    vcircs = valuated_circuits(records)
     valuation = valuation_from_circuits(matroid, vcircs)
     return matroid, records, vcircs, valuation
 
@@ -43,7 +50,7 @@ def parabola():
     idl = Ideal.from_strings(2, ("x1", "x2"), ["x1 - x2^2"])
     records = circuits(idl)
     matroid = bases(idl)
-    vcircs = valuated_circuits(records, 2)
+    vcircs = valuated_circuits(records)
     return matroid, vcircs, valuation_from_circuits(matroid, vcircs)
 
 
@@ -60,7 +67,7 @@ class TestValuatedCircuits:
 
     def test_parabola_circuit(self):
         recs = [CircuitRecord(frozenset({0, 1}), P("x1 - x2^2"))]
-        (got,) = valuated_circuits(recs, 2)
+        (got,) = valuated_circuits(recs)
         assert got.entries == (0, 1)
 
     def test_sorted_and_canonical(self, nonfano):
@@ -434,6 +441,121 @@ class TestExchangeConsistency:
         tampered[S(1, 2, 3)] = 3
         report = check_exchange_consistency(Valuation(matroid, tampered), vcircs)
         assert not report.ok
+
+
+def _seeded_matrix_valuations(seed, count):
+    """count seeded matrices (d <= 4, n <= 8, entries in [-3, 3], p in
+    {2, 3, 5}), about a third with a zeroed column and a third with a
+    repeated row, so loops and rank deficits occur; yields each matrix's
+    valuation, its dual and one minor."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d, n = rng.randint(1, 4), rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        if d > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        valuation = linear_valuated_matroid(
+            IntMatrix(tuple(map(tuple, rows))), rng.choice((2, 3, 5)))
+        yield valuation
+        yield dual(valuation)
+        elements = rng.sample(range(n), n)
+        cut = rng.randint(0, n)
+        split = rng.randint(0, cut)
+        yield minor(valuation, delete=elements[:split],
+                    contract=elements[split:cut])
+
+
+def _with_entry(vector, k, value):
+    entries = list(vector.entries)
+    entries[k] = value
+    return CircuitVector(entries)
+
+
+def _corrupted_families(family, rng):
+    """Three corruptions of a valuated circuit family: one finite entry
+    moved, one finite entry made infinite, one circuit dropped; each is
+    left out when the family has no circuit it would change."""
+    wide = [i for i, c in enumerate(family) if len(c.support) >= 2]
+    if wide:
+        i = rng.choice(wide)
+        k = rng.choice(sorted(family[i].support))
+        moved = _with_entry(family[i], k, family[i][k] + rng.choice((-1, 1, 2)))
+        yield family[:i] + [moved] + family[i + 1:]
+        i = rng.choice(wide)
+        k = rng.choice(sorted(family[i].support))
+        yield family[:i] + [_with_entry(family[i], k, INF)] + family[i + 1:]
+    if family:
+        i = rng.randrange(len(family))
+        yield family[:i] + family[i + 1:]
+
+
+def _outcome(propagate, matroid, family):
+    try:
+        return propagate(matroid, family)
+    except InconsistentValuationError:
+        return None
+
+
+def _report(report):
+    return report.checked, report.violations
+
+
+class TestExchangeWalk:
+    """The single exchange walk against the breadth-first propagation
+    and the separate checking pass it replaces."""
+
+    def test_matches_two_pass_reference(self):
+        rng = random.Random(9)
+        instances = raises = violations = 0
+        for valuation in _seeded_matrix_valuations(1704, 120):
+            m = valuation.matroid
+            family = valuated_circuit_family(valuation)
+            assert valuation_from_circuits(m, family).values == valuation.values
+            families = [family, *_corrupted_families(family, rng)]
+            for fam in families:
+                instances += 1
+                derived = _outcome(valuation_from_circuits, m, fam)
+                assert derived == _outcome(reference_valuation_from_circuits, m, fam)
+                raises += derived is None
+            tampered_values = Valuation(m, {
+                b: x + rng.randint(0, 1) for b, x in valuation.values.items()})
+            cases = [(valuation, fam) for fam in families]
+            cases += [(tampered_values, family), (tampered_values, None)]
+            for val, fam in cases:
+                got = check_exchange_consistency(val, fam)
+                assert _report(got) == _report(
+                    reference_check_exchange_consistency(val, fam))
+                violations += len(got.violations)
+        assert instances >= 300
+        assert 0 < raises < instances and violations > 0
+
+    def test_every_later_basis_has_an_earlier_neighbor(self):
+        count = 0
+        for valuation in _seeded_matrix_valuations(1705, 150):
+            for m in (valuation.matroid, valuation.matroid.dual()):
+                count += 1
+                for k in range(1, len(m.bases)):
+                    assert any(len(m.bases[k] ^ a) == 2 for a in m.bases[:k])
+        assert count == 900
+
+    def test_support_shrunk_by_an_infinite_entry(self, nonfano):
+        matroid, _, vcircs, valuation = nonfano
+        target = next(c for c in vcircs if len(c.support) == 4)
+        k = min(target.support)
+        family = [_with_entry(c, k, INF) if c is target else c for c in vcircs]
+        report = check_exchange_consistency(valuation, family)
+        expected = f"no valuated circuit on support {sorted(target.support)}"
+        spans = sum(matroid.fundamental_circuit(b, v) == target.support
+                    for b in matroid.bases for v in range(7) if v not in b)
+        assert report.violations == [expected] * spans and spans > 0
+        assert _report(report) == _report(
+            reference_check_exchange_consistency(valuation, family))
+        with pytest.raises(InconsistentValuationError, match="circuit covers"):
+            valuation_from_circuits(matroid, family)
 
 
 class TestOrthogonality:
