@@ -100,8 +100,8 @@ class Matroid:
         self._sweep = None
 
     def rank_of(self, subset) -> int:
-        subset = frozenset(subset)
-        return max(len(b & subset) for b in self.bases)
+        s = _mask(subset)
+        return max((m & s).bit_count() for m in self.masks)
 
     def circuits(self):
         """Minimal dependent sets, ascending by size then

@@ -155,11 +155,21 @@ def _ideal_route(ideal, p, cache_dir, fingerprint):
     return valuation_from_circuits(matroid, vcircs), vcircs
 
 
+def _check_elimination_field(p):
+    """The matrix route takes any prime p; the elimination route needs a
+    word-sized one."""
+    try:
+        PrimeField(p)
+    except ValueError as exc:
+        raise CliInputError(f"elimination route: {exc}")
+
+
 def build_pipeline(problem, cache_dir=None) -> Pipeline:
     fingerprint = problem_fingerprint(problem)
     if problem.kind == "matrix":
         valuation, vcircs = _matrix_route(problem.matrix, problem.p)
     else:
+        _check_elimination_field(problem.p)
         try:
             ideal = Ideal.from_strings(
                 problem.p, problem.variables, problem.generators
@@ -288,10 +298,7 @@ def cross_check(problem: ProblemInput, cache_dir=None) -> dict:
         raise CliInputError("cross-check needs a matrix input")
     fingerprint = problem_fingerprint(problem)
     p = problem.p
-    try:
-        PrimeField(p)  # the elimination route needs a word-sized p
-    except ValueError as exc:
-        raise CliInputError(f"elimination route: {exc}")
+    _check_elimination_field(p)
     direct, direct_circuits = _matrix_route(problem.matrix, p)
     ideal = toric_ideal(problem.matrix, p)
     derived, derived_circuits = _ideal_route(ideal, p, cache_dir, fingerprint)

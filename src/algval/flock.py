@@ -11,11 +11,11 @@ axioms are verified exhaustively over finite boxes of directions.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, product
 
 from algval.algmat import Matroid, exchange_failure
-from algval.valmat import Valuation
+from algval.valmat import AxiomReport, Valuation
 
 
 class _Scores:
@@ -110,16 +110,10 @@ def flock_slice(valuation: Valuation, alpha) -> FlockSlice:
 
 
 @dataclass
-class FlockReport:
+class FlockReport(AxiomReport):
     """Axiom-violation log for a sweep of directions."""
 
     directions: int = 0
-    checked: int = 0
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def default_box_radius(valuation: Valuation) -> int:

@@ -339,10 +339,7 @@ def eliminate(ideal: Ideal, keep):
         raise ValueError(f"keep set {sorted(keep)} out of range for n={n}")
     if ideal.is_zero():
         return []
-    eliminated = tuple(i for i in range(n) if i not in keep)
-    if not eliminated:
-        return buchberger(ideal.generators, GradedLex(n))
-    gb = buchberger(ideal.generators, BlockElimination(eliminated, n))
+    gb = buchberger(ideal.generators, BlockElimination(set(range(n)) - keep, n))
     return [g for g in gb if g.support() <= keep]
 
 

@@ -14,7 +14,9 @@ exactly when B - u + v is not a basis.  One walk over the bases in
 their sorted order gives each neighbor without a value its value from
 the identity and checks the identity at every other one.  Duality,
 cocircuits, minors, and executable checks of the circuit axioms live
-here as well.
+here as well; a minor is a deletion, which completes every basis by one
+fixed subset of the deleted set, followed by a contraction, which is a
+deletion in the dual.
 """
 
 from __future__ import annotations
@@ -141,56 +143,39 @@ def cocircuits(valuation: Valuation):
     return valuated_circuit_family(dual(valuation))
 
 
-def minor(valuation: Valuation, delete=(), contract=()) -> Valuation:
-    """Valuated minor: delete one set, contract another (disjoint).
+def _delete(valuation: Valuation, delete) -> Valuation:
+    """Delete a set, relabeling the kept elements densely.  X, the
+    deleted part of the first basis that keeps the most elements, is a
+    basis of the contraction to the deleted set, so each basis of the
+    deletion together with X is a basis of the original and carries its
+    value; another choice of X shifts every value by one constant."""
+    if not delete:
+        return valuation
+    m = valuation.matroid
+    keep = [e for e in range(m.n) if e not in delete]
+    x = min(m.bases, key=lambda b: len(b & delete)) & delete
+    position = {e: i for i, e in enumerate(keep)}
+    values = {frozenset(position[e] for e in b - x): v
+              for b, v in valuation.items() if b & delete == x}
+    labels = tuple(valuation.labels[e] for e in keep)
+    return Valuation(Matroid(len(keep), values), values, labels=labels)
 
-    Bases of the minor are completed to bases of the original matroid by
-    a fixed auxiliary set (a maximal independent subset of the
-    contracted set, padded from the deleted set when deletion drops the
-    rank); values are inherited from the completed bases and then
-    re-normalized.  Different completions change the values by a common
-    constant only, so the distinguished representative is well defined.
-    The result is relabeled to a dense ground set, with labels tracking
-    the original elements.
-    """
+
+def minor(valuation: Valuation, delete=(), contract=()) -> Valuation:
+    """Valuated minor: delete one set and contract another (disjoint)
+    one, relabeled to a dense ground set whose labels track the original
+    elements.  Contraction is deletion in the dual, M/C = (M* \\ C)*."""
     delete = frozenset(delete)
     contract = frozenset(contract)
     if delete & contract:
         raise ValueError(
             f"delete and contract sets overlap: {sorted(delete & contract)}"
         )
-    m = valuation.matroid
-    ground = frozenset(range(m.n))
-    if not (delete | contract) <= ground:
+    if not (delete | contract) <= frozenset(range(valuation.n)):
         raise ValueError("delete/contract sets outside the ground set")
-    keep = sorted(ground - delete - contract)
-
-    # fixed completion: greedy basis of the contracted set, then greedy
-    # padding from the deleted set until the kept-plus-completion spans
-    b_f = set()
-    for i in sorted(contract):
-        if m.rank_of(b_f | {i}) == len(b_f) + 1:
-            b_f.add(i)
-    padding = set()
-    base = set(keep) | contract
-    cur = m.rank_of(base)
-    for g in sorted(delete):
-        if cur == m.rank:
-            break
-        if m.rank_of(base | padding | {g}) > cur:
-            padding.add(g)
-            cur += 1
-    completion = frozenset(b_f | padding)
-
-    values = {}
-    for b in m.bases:
-        if completion <= b and b - completion <= set(keep):
-            values[b - completion] = valuation.values[b]
-    position = {e: i for i, e in enumerate(keep)}
-    dense = {frozenset(position[e] for e in b): v for b, v in values.items()}
-    sub = Matroid(len(keep), dense.keys())
-    labels = tuple(valuation.labels[e] for e in keep)
-    return Valuation(sub, dense, labels=labels)
+    keep = [e for e in range(valuation.n) if e not in delete]
+    contract = frozenset(i for i, e in enumerate(keep) if e in contract)
+    return dual(_delete(dual(_delete(valuation, delete)), contract))
 
 
 @dataclass

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from algval.algmat import Matroid
 from algval.ffpoly import INF
 from algval.groebner import Ideal
 from algval.valmat import (
@@ -200,6 +201,47 @@ def reference_check_exchange_consistency(valuation, vcircuits=None):
                         f"u={u}, v={v}: {lhs} != {rhs}"
                     )
     return report
+
+
+def reference_minor(valuation, delete=(), contract=()):
+    """The greedy completion: a greedy basis of the contracted set, then
+    greedy padding from the deleted set until the kept elements and the
+    completion span; each basis of the minor, completed, is a basis of
+    the original and keeps its value.  The reference for minors by
+    deletion and duality."""
+    delete = frozenset(delete)
+    contract = frozenset(contract)
+    if delete & contract:
+        raise ValueError(
+            f"delete and contract sets overlap: {sorted(delete & contract)}"
+        )
+    m = valuation.matroid
+    ground = frozenset(range(m.n))
+    if not (delete | contract) <= ground:
+        raise ValueError("delete/contract sets outside the ground set")
+    keep = sorted(ground - delete - contract)
+    b_f = set()
+    for i in sorted(contract):
+        if m.rank_of(b_f | {i}) == len(b_f) + 1:
+            b_f.add(i)
+    padding = set()
+    base = set(keep) | contract
+    cur = m.rank_of(base)
+    for g in sorted(delete):
+        if cur == m.rank:
+            break
+        if m.rank_of(base | padding | {g}) > cur:
+            padding.add(g)
+            cur += 1
+    completion = frozenset(b_f | padding)
+    values = {}
+    for b in m.bases:
+        if completion <= b and b - completion <= set(keep):
+            values[b - completion] = valuation.values[b]
+    position = {e: i for i, e in enumerate(keep)}
+    dense = {frozenset(position[e] for e in b): v for b, v in values.items()}
+    labels = tuple(valuation.labels[e] for e in keep)
+    return Valuation(Matroid(len(keep), dense.keys()), dense, labels=labels)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -175,6 +175,21 @@ class TestMinorCommand:
     def test_out_of_range_rejected(self, capsys, matrix_file):
         assert run(["minor", matrix_file, "--delete", "9"]) == 1
 
+    @pytest.mark.parametrize("args,recorded", [
+        (("--delete", "3,5,6,7"), "nonfano-matrix.minor-delete-3567.json"),
+        (("--contract", "1,2,4"), "nonfano-matrix.minor-contract-124.json"),
+    ])
+    def test_output_matches_golden(self, capsys, args, recorded):
+        # a deletion that drops the rank to 2 and the contraction of a
+        # circuit, pinned byte for byte as the greedy completion printed
+        # them
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        code = run(["minor", os.path.join(golden, "inputs", "nonfano-matrix.json"),
+                    *args, "--format", "json"])
+        with open(os.path.join(golden, "out", recorded), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+        assert code == 0
+
 
 class TestFlockCommand:
     def test_worked_direction(self, capsys, matrix_file):
@@ -317,6 +332,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "9223372036854775837" in err
+
+    def test_huge_p_ideal_is_elimination_route_error(self, capsys, tmp_path):
+        # a well-formed generator over a characteristic past word size:
+        # the message names the route, not the generators
+        path = tmp_path / "huge-p-ideal.json"
+        path.write_text('{"kind":"ideal","p":9223372036854775837,'
+                        '"vars":["x1","x2"],"generators":["x1 - x2^2"]}')
+        assert run(["valuation", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: elimination route: ")
+        assert err.count("\n") == 1 and "9223372036854775837" in err
 
     def test_non_principal_elimination_is_inconsistency(self, capsys, tmp_path):
         # (x1^2*x2, x1*x2^2) meets neither F_3[x1] nor F_3[x2], and its

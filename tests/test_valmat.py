@@ -27,6 +27,7 @@ from conftest import (
     NONFANO_VARS,
     S,
     reference_check_exchange_consistency,
+    reference_minor,
     reference_valuation_from_circuits,
 )
 
@@ -284,6 +285,39 @@ class TestMinor:
             assert got.labels == tuple(kept)
             assert got.values == expected.values
             assert got.matroid == expected.matroid
+
+
+    def test_matches_greedy_completion(self, nonfano):
+        # deletion and duality against the greedy completion on the
+        # ideal-route non-Fano valuation and 300 seeded valuations with
+        # their duals: the empty split, the whole ground set deleted or
+        # contracted, random disjoint splits, and two splits that raise
+        rng = random.Random(1992)
+        valuations = [nonfano[3]]
+        for valuation in _seeded_matrix_valuations(1992, 100):
+            valuations += [valuation, dual(valuation)]
+        for valuation in valuations:
+            n = valuation.n
+            splits = [((), ()), (range(n), ()), ((), range(n)),
+                      ((), (n,)), ((0,), (0,))]
+            for _ in range(4):
+                elements = rng.sample(range(n), n)
+                cut = rng.randint(0, n)
+                split = rng.randint(0, cut)
+                splits.append((elements[:split], elements[split:cut]))
+            for delete, contract in splits:
+                assert (_minor_outcome(minor, valuation, delete, contract)
+                        == _minor_outcome(reference_minor, valuation, delete,
+                                          contract))
+
+
+def _minor_outcome(construct, valuation, delete, contract):
+    """Bases in order, values and labels of a minor, or the error type."""
+    try:
+        got = construct(valuation, delete=delete, contract=contract)
+    except ValueError as exc:
+        return type(exc)
+    return got.matroid.bases, [v for _, v in got.items()], got.labels
 
 
 class TestCircuitAxioms:
