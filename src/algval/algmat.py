@@ -6,7 +6,9 @@ the minimal dependent sets; each carries the monic generator of its
 (principal) elimination ideal, the circuit polynomial.  Only bases()
 asks the oracle about subsets; circuits() reads the circuits off the
 basis family and takes each polynomial from that circuit's own
-elimination.  Elimination is by far the dominant cost, so elimination
+elimination.  A Matroid rests on one exchange table of fundamental
+circuits and cocircuits, which its exchange check, its circuits and its
+dual share.  Elimination is by far the dominant cost, so elimination
 queries are memoized and can optionally persist to an on-disk cache
 shared between runs.
 """
@@ -28,46 +30,53 @@ def _mask(elements) -> int:
     return sum(1 << e for e in frozenset(elements))
 
 
-def exchange_failure(n, masks):
-    """The first violation of basis exchange in a family of bases on
-    {0..n-1}, each given as an int with bit e set for element e: the
-    positions of bases b1 and b2 and the element u of b1 at which they
-    fail, or None when the family passes.
-
-    Bases b2 satisfy exchange with b1 at u in b1 exactly when they hold
-    u or some v outside b1 with b1 - u + v a basis.  holding[e] has bit
-    k set when the k-th basis holds e, so one pass over each (b1, u, v)
-    finds every b2 that fails, and the first one is reported."""
+def exchange_table(n, masks):
+    """One pass over every (basis b, u in b, v outside b) of bases on
+    {0..n-1}, given as ints with bit e set for element e, that asks
+    whether b - u + v is a basis.  Row k of the table holds, for each e,
+    the fundamental circuit of e (e outside the k-th basis) or its
+    fundamental cocircuit (e inside).  Returns (rows, None), or (None,
+    (k1, k2, u)) for the first basis b1 and u in it, in order, whose
+    cocircuit misses a basis, and the first such b2: exchange holds
+    exactly when every basis meets every fundamental cocircuit."""
+    bits = [1 << e for e in range(n)]
     holding = [0] * n
     for k, m in enumerate(masks):
-        for e in range(n):
-            if m >> e & 1:
+        for e, b in enumerate(bits):
+            if m & b:
                 holding[e] |= 1 << k
     known = set(masks)
     everyone = (1 << len(masks)) - 1
-    for k1, m1 in enumerate(masks):
-        outside = [v for v in range(n) if not m1 >> v & 1]
-        for u in range(n):
-            if not m1 >> u & 1:
-                continue
-            rest = m1 ^ 1 << u
+    rows = []
+    for k1, m in enumerate(masks):
+        row = bits[:]
+        outside = [(v, b) for v, b in enumerate(bits) if not m & b]
+        for u, ubit in [(u, b) for u, b in enumerate(bits) if m & b]:
+            rest = m ^ ubit
             ok = holding[u]
-            for v in outside:
-                if holding[v] & ~ok and (rest | 1 << v) in known:
+            for v, vbit in outside:
+                if rest | vbit in known:
+                    row[u] |= vbit
+                    row[v] |= ubit
                     ok |= holding[v]
-            if ok != everyone:
-                failing = everyone & ~ok
-                return k1, (failing & -failing).bit_length() - 1, u
-    return None
+            if ok != everyone:  # the lowest clear bit of ok is the first b2
+                return None, (k1, (~ok & ok + 1).bit_length() - 1, u)
+        rows.append(row)
+    return rows, None
+
+
+def exchange_failure(n, masks):
+    """The (k1, k2, u) failure of exchange_table, or None."""
+    return exchange_table(n, masks)[1]
 
 
 class Matroid:
     """Matroid on ground set {0..n-1} given by its bases; the
     basis-exchange axiom is verified on construction.  masks[k] is the
-    k-th basis as an int with bit e set for element e; adjacency tests
-    run on these ints."""
+    k-th basis as an int with bit e set for element e; the exchange
+    table that the check produces is kept."""
 
-    __slots__ = ("n", "bases", "rank", "masks", "_maskset", "_sweep")
+    __slots__ = ("n", "bases", "rank", "masks", "_index", "_rows")
 
     def __init__(self, n, bases):
         cleaned = sorted({frozenset(b) for b in bases}, key=sorted)
@@ -80,24 +89,40 @@ class Matroid:
         for b in cleaned:
             if not b <= ground:
                 raise ValueError(f"basis {sorted(b)} outside ground set of size {n}")
-        self._adopt(n, tuple(cleaned), tuple(map(_mask, cleaned)))
-        failure = exchange_failure(n, self.masks)
+        masks = tuple(map(_mask, cleaned))
+        rows, failure = exchange_table(n, masks)
         if failure is not None:
-            b1, b2, u = self.bases[failure[0]], self.bases[failure[1]], failure[2]
+            b1, b2, u = cleaned[failure[0]], cleaned[failure[1]], failure[2]
             raise ValueError(
                 f"basis exchange fails for {[e + 1 for e in sorted(b1)]}, "
                 f"{[e + 1 for e in sorted(b2)]} at {u + 1}"
             )
+        self._adopt(n, tuple(cleaned), masks, rows)
 
-    def _adopt(self, n, bases, masks):
-        """Fill the slots from sorted, distinct bases of equal size and
-        their masks."""
+    @classmethod
+    def trusted(cls, n, bases, masks=None, rows=None):
+        """Sorted, distinct bases that pass exchange by construction, as a
+        dual's or a deletion's: no check runs; the table comes on use."""
+        out = cls.__new__(cls)
+        out._adopt(n, tuple(bases), masks, rows)
+        return out
+
+    def _adopt(self, n, bases, masks, rows):
         self.n = n
         self.bases = bases
         self.rank = len(bases[0])
-        self.masks = masks
-        self._maskset = frozenset(masks)
-        self._sweep = None
+        self.masks = masks = tuple(masks or map(_mask, bases))
+        self._index = {m: k for k, m in enumerate(masks)}
+        self._rows = rows
+
+    def rows(self):
+        """The exchange table, one row per basis in order."""
+        if self._rows is None:
+            self._rows = exchange_table(self.n, self.masks)[0]
+        return self._rows
+
+    def _elements(self, mask) -> frozenset:
+        return frozenset(e for e in range(self.n) if mask >> e & 1)
 
     def rank_of(self, subset) -> int:
         s = _mask(subset)
@@ -112,46 +137,24 @@ class Matroid:
         """Each circuit, ascending by size then lexicographically, mapped
         to the first (basis, outside element) whose fundamental circuit
         it is, taking bases in order and elements in ascending order;
-        every circuit is the fundamental circuit of some such pair.
-
-        The circuit of (basis m, element v) collects v and each u in m
-        with m - u + v a basis, all on masks, and each distinct circuit
-        becomes a frozenset once.  The sweep runs once per matroid; each
-        call returns a fresh copy of it."""
-        if self._sweep is None:
-            known = self._maskset
-            found = {}
-            for b, m in zip(self.bases, self.masks):
-                rests = [(1 << u, m ^ 1 << u) for u in b]
-                for v in range(self.n):
-                    bit = 1 << v
-                    if m & bit:
-                        continue
-                    c = bit
-                    for ubit, rest in rests:
-                        if rest | bit in known:
-                            c |= ubit
-                    if c not in found:
-                        found[c] = (b, v)
-            as_sets = {
-                frozenset(e for e in range(self.n) if c >> e & 1): pair
-                for c, pair in found.items()
-            }
-            order = sorted(as_sets, key=lambda c: (len(c), sorted(c)))
-            self._sweep = {c: as_sets[c] for c in order}
-        return dict(self._sweep)
+        every circuit is the fundamental circuit of some such pair.  The
+        circuits are the table's entries outside each basis."""
+        found = {}
+        for b, m, row in zip(self.bases, self.masks, self.rows()):
+            for v in range(self.n):
+                if not m >> v & 1 and row[v] not in found:
+                    found[row[v]] = (b, v)
+        as_sets = {self._elements(c): pair for c, pair in found.items()}
+        return dict(sorted(as_sets.items(), key=lambda cp: (len(cp[0]), sorted(cp[0]))))
 
     def fundamental_circuit(self, basis, v) -> frozenset:
         """The unique circuit inside basis + {v}; always contains v."""
-        basis = frozenset(basis)
-        m = _mask(basis)
-        known = self._maskset
-        if m not in known:
+        k = self._index.get(_mask(basis))
+        if k is None:
             raise ValueError(f"{sorted(basis)} is not a basis")
         if v in basis:
             raise ValueError(f"{v} already lies in the basis")
-        bit = 1 << v
-        return frozenset([v, *(u for u in basis if (m ^ 1 << u) | bit in known)])
+        return self._elements(self.rows()[k][v])
 
     def hyperplanes(self):
         """Maximal subsets of rank one less than the matroid."""
@@ -169,24 +172,24 @@ class Matroid:
         return sorted(out, key=sorted)
 
     def dual(self) -> "Matroid":
-        """The matroid of the complements of the bases.  They pass basis
-        exchange because these bases do, so they are not checked again;
-        complementing equal-size sets reverses their order by elements,
-        so the dual's bases come out sorted."""
+        """The matroid of the complements of the bases, which come out
+        sorted: complementing sets of one size reverses their order.  Its
+        exchange table is these rows reversed, since its fundamental
+        circuits are these cocircuits."""
         ground = frozenset(range(self.n))
         full = (1 << self.n) - 1
-        out = Matroid.__new__(Matroid)
-        out._adopt(self.n, tuple(ground - b for b in reversed(self.bases)),
-                   tuple(full ^ m for m in reversed(self.masks)))
-        return out
+        return Matroid.trusted(
+            self.n, [ground - b for b in reversed(self.bases)],
+            [full ^ m for m in reversed(self.masks)],
+            self._rows[::-1] if self._rows is not None else None)
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)
                 and self.n == other.n
-                and self._maskset == other._maskset)
+                and self._index.keys() == other._index.keys())
 
     def __hash__(self):
-        return hash((self.n, self._maskset))
+        return hash((self.n, frozenset(self.masks)))
 
     def __repr__(self):
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)})"
@@ -272,12 +275,6 @@ class EliminationOracle:
         return not self.elimination(subset)
 
 
-def independent(ideal: Ideal, subset, oracle=None) -> bool:
-    """True iff the elimination ideal on the subset's variables is zero."""
-    oracle = oracle or EliminationOracle(ideal)
-    return oracle.independent(subset)
-
-
 def rank(ideal: Ideal, subset, oracle=None) -> int:
     """Size of a maximum independent subset, grown greedily (exchange
     makes greedy exact)."""
@@ -341,7 +338,3 @@ def bases(ideal: Ideal, oracle=None) -> Matroid:
             f"the ideal is not prime"
         )
     return oracle._matroid
-
-
-def hyperplanes(matroid: Matroid):
-    return matroid.hyperplanes()

@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from algval.algmat import EliminationOracle, bases, circuits, hyperplanes
+from algval.algmat import EliminationOracle, bases, circuits
 from algval.ffpoly import INF, PrimeField, is_prime
 from algval.groebner import Ideal, NotPrincipalError
 from algval.toric import (
@@ -75,8 +75,11 @@ def load_problem(path) -> ProblemInput:
     if kind not in ("ideal", "matrix"):
         raise CliInputError('problem "kind" must be "ideal" or "matrix"')
     p = raw.get("p")
-    if not isinstance(p, int) or not is_prime(p):
-        raise CliInputError('"p" must be a prime integer')
+    try:
+        if not isinstance(p, int) or not is_prime(p):
+            raise CliInputError('"p" must be a prime integer')
+    except ValueError as exc:
+        raise CliInputError(f'"p": {exc}')
     if kind == "ideal":
         variables = raw.get("vars")
         generators = raw.get("generators")
@@ -267,7 +270,7 @@ def verify_document(pipe: Pipeline, box_radius=None) -> dict:
     if valuation.matroid.rank >= 1:
         checked += 1
         ground = frozenset(range(valuation.n))
-        expected = {ground - h for h in hyperplanes(valuation.matroid)}
+        expected = {ground - h for h in valuation.matroid.hyperplanes()}
         got = {c.support for c in cocircs}
         if got != expected:
             duality_violations.append(

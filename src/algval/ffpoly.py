@@ -11,13 +11,16 @@ from __future__ import annotations
 
 INF = float("inf")
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
+# Miller-Rabin witnesses, exact below their least strong pseudoprime _MR_BOUND.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q

@@ -148,7 +148,8 @@ def _delete(valuation: Valuation, delete) -> Valuation:
     deleted part of the first basis that keeps the most elements, is a
     basis of the contraction to the deleted set, so each basis of the
     deletion together with X is a basis of the original and carries its
-    value; another choice of X shifts every value by one constant."""
+    value; another choice of X shifts every value by one constant.  The
+    bases keep their order, and a deletion needs no exchange check."""
     if not delete:
         return valuation
     m = valuation.matroid
@@ -158,7 +159,7 @@ def _delete(valuation: Valuation, delete) -> Valuation:
     values = {frozenset(position[e] for e in b - x): v
               for b, v in valuation.items() if b & delete == x}
     labels = tuple(valuation.labels[e] for e in keep)
-    return Valuation(Matroid(len(keep), values), values, labels=labels)
+    return Valuation(Matroid.trusted(len(keep), values), values, labels=labels)
 
 
 def minor(valuation: Valuation, delete=(), contract=()) -> Valuation:
@@ -295,17 +296,16 @@ def _exchange_walk(matroid: Matroid, by_support, values) -> AxiomReport:
     neighbor, since for v in the first (greedy) basis and outside b the
     circuit of b + v holds some u > v, and b - u + v sorts before b."""
     report = AxiomReport()
+    by_mask = {sum(1 << e for e in c): circ for c, circ in by_support.items()}
     ground = set(range(matroid.n))
-    for b in matroid.bases:
+    for b, row in zip(matroid.bases, matroid.rows()):
         if b not in values:
             raise InconsistentValuationError("exchange graph left bases unreached")
         for v in ground - b:
-            support = matroid.fundamental_circuit(b, v)
-            circ = by_support.get(support)
+            circ = by_mask.get(row[v])
             if circ is None:
-                report.violations.append(
-                    f"no valuated circuit on support {sorted(support)}"
-                )
+                support = sorted(matroid.fundamental_circuit(b, v))
+                report.violations.append(f"no valuated circuit on support {support}")
                 continue
             for u in b:
                 report.checked += 1

@@ -93,19 +93,53 @@ def exchange_holds(bases):
     )
 
 
+def reference_exchange_failure(n, masks):
+    """The exchange check on basis masks that ORs holding[v] only when
+    it adds a basis: the reference for the check made in the pass that
+    builds the exchange table.  The first violation as (position of b1,
+    position of b2, element u of b1), or None when the family passes."""
+    holding = [0] * n
+    for k, m in enumerate(masks):
+        for e in range(n):
+            if m >> e & 1:
+                holding[e] |= 1 << k
+    known = set(masks)
+    everyone = (1 << len(masks)) - 1
+    for k1, m1 in enumerate(masks):
+        outside = [v for v in range(n) if not m1 >> v & 1]
+        for u in range(n):
+            if not m1 >> u & 1:
+                continue
+            rest = m1 ^ 1 << u
+            ok = holding[u]
+            for v in outside:
+                if holding[v] & ~ok and (rest | 1 << v) in known:
+                    ok |= holding[v]
+            if ok != everyone:
+                failing = everyone & ~ok
+                return k1, (failing & -failing).bit_length() - 1, u
+    return None
+
+
+def frozenset_fundamental_circuit(known, b, v):
+    """The circuit of v and every u with b - u + v in the set of bases
+    known, on frozensets."""
+    return frozenset({v}) | {u for u in b if b - {u} | {v} in known}
+
+
 def frozenset_fundamental_circuits(matroid):
     """The fundamental-circuit sweep written on frozensets: for each
     basis in order and each outside element v in ascending order, the
     circuit of v and every u with basis - u + v a basis, keeping the
     first pair per circuit; circuits ascending by size then
-    lexicographically.  The reference for the sweep on basis masks."""
+    lexicographically.  The reference for the circuits read off the
+    exchange table."""
     known = set(matroid.bases)
     found = {}
     for b in matroid.bases:
         for v in range(matroid.n):
             if v not in b:
-                c = frozenset({v}) | {u for u in b if b - {u} | {v} in known}
-                found.setdefault(c, (b, v))
+                found.setdefault(frozenset_fundamental_circuit(known, b, v), (b, v))
     order = sorted(found, key=lambda c: (len(c), sorted(c)))
     return {c: found[c] for c in order}
 
@@ -133,11 +167,12 @@ def reference_valuation_from_circuits(matroid, vcircuits):
     """Basis values by a breadth-first search over the exchange graph
     from the first basis, then a full pass of
     reference_check_exchange_consistency over the result; the two-pass
-    reference for the single exchange walk."""
+    reference for the single exchange walk.  Circuits are computed on
+    frozensets, not read off the exchange table."""
     by_support = {c.support: c.canonical() for c in vcircuits}
-    matroid_circuits = set(matroid.circuits())
-    if set(by_support) != matroid_circuits:
+    if set(by_support) != set(frozenset_fundamental_circuits(matroid)):
         raise InconsistentValuationError("circuit covers do not match the matroid")
+    known = set(matroid.bases)
     start = matroid.bases[0]
     values = {start: 0}
     queue = deque([start])
@@ -145,7 +180,7 @@ def reference_valuation_from_circuits(matroid, vcircuits):
     while queue:
         b = queue.popleft()
         for v in ground - b:
-            circ = by_support[matroid.fundamental_circuit(b, v)]
+            circ = by_support[frozenset_fundamental_circuit(known, b, v)]
             for u in circ.support - {v}:
                 neighbor = b - {u} | {v}
                 if neighbor not in values:
@@ -173,7 +208,7 @@ def reference_check_exchange_consistency(valuation, vcircuits=None):
     ground = set(range(m.n))
     for b in m.bases:
         for v in ground - b:
-            support = m.fundamental_circuit(b, v)
+            support = frozenset_fundamental_circuit(known, b, v)
             circ = by_support.get(support)
             if circ is None:
                 report.violations.append(

@@ -20,7 +20,7 @@ from itertools import product
 
 import pytest
 
-from algval.algmat import EliminationOracle, bases, circuits, hyperplanes
+from algval.algmat import EliminationOracle, bases, circuits
 from algval.cli import cross_check, ProblemInput
 from algval.flock import check_flock_axioms, flock_slice, g
 from algval.groebner import Ideal
@@ -220,7 +220,7 @@ def test_criterion_7_duality_orthogonality(
         assert report.ok, report.violations[:5]
         if valuation.matroid.rank >= 1:
             ground = frozenset(range(valuation.n))
-            expected = {ground - h for h in hyperplanes(valuation.matroid)}
+            expected = {ground - h for h in valuation.matroid.hyperplanes()}
             assert {c.support for c in cocircs} == expected
         else:
             assert cocircs == []

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from algval import algmat
 from algval.algmat import (
     CircuitRecord,
     EliminationOracle,
@@ -10,13 +11,19 @@ from algval.algmat import (
     bases,
     circuits,
     exchange_failure,
-    hyperplanes,
-    independent,
     rank,
 )
 from algval.ffpoly import PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, principal_generator
-from algval.toric import IntMatrix, _minor_table, integer_rank, toric_ideal
+from algval.toric import (
+    IntMatrix,
+    _kernel_circuits,
+    _minor_table,
+    integer_rank,
+    toric_ideal,
+    toric_valuated_circuit,
+)
+from algval.valmat import cocircuits, valuation_from_circuits
 
 from conftest import (
     NONFANO_A,
@@ -24,8 +31,10 @@ from conftest import (
     S,
     column_rank,
     exchange_holds,
+    frozenset_fundamental_circuit,
     frozenset_fundamental_circuits,
     minimal_dependent_sets,
+    reference_exchange_failure,
 )
 
 
@@ -133,7 +142,9 @@ class TestExchangeMatchesPairScan:
         # exchange_failure is the check behind Matroid, run on masks
         for n, family in _random_families(11, 2000):
             bases = sorted(family, key=sorted)
-            failure = exchange_failure(n, [sum(1 << e for e in b) for b in bases])
+            masks = [sum(1 << e for e in b) for b in bases]
+            failure = exchange_failure(n, masks)
+            assert failure == reference_exchange_failure(n, masks)
             assert (failure is None) == exchange_holds(family)
             if failure is None:
                 continue
@@ -228,6 +239,10 @@ class TestMaskSweepMatchesFrozensetSweep:
             assert (d.n, d.rank, d.bases, d.masks) == (
                 checked.n, checked.rank, checked.bases, checked.masks)
             assert d == checked
+            # the dual reads the reversed rows; the reference sweeps the
+            # complements checked from scratch
+            assert (list(d.fundamental_circuits().items())
+                    == list(frozenset_fundamental_circuits(checked).items()))
             assert exchange_holds(d.bases)
             assert d.dual().bases == m.bases
 
@@ -241,15 +256,74 @@ class TestMaskSweepMatchesFrozensetSweep:
         assert m.fundamental_circuits() == expected
         assert m.circuits() == list(expected)
 
+
+def _mask_of(elements):
+    return sum(1 << e for e in elements)
+
+
+class TestExchangeTable:
+    """The rows of the one pass against circuits and cocircuits computed
+    on frozensets, and the number of passes a matroid runs."""
+
+    def test_rows_hold_circuits_and_cocircuits(self):
+        tables = 0
+        for n, family in _random_families(12, 1500):
+            if not exchange_holds(family):
+                continue
+            m = Matroid(n, family)
+            known = set(m.bases)
+            for b, row in zip(m.bases, m.rows()):
+                expected = [
+                    frozenset({e}) | {v for v in range(n)
+                                      if v not in b and b - {e} | {v} in known}
+                    if e in b else frozenset_fundamental_circuit(known, b, e)
+                    for e in range(n)
+                ]
+                assert row == [_mask_of(c) for c in expected]
+            # the dual's rows, passed on and computed afresh
+            ground = frozenset(range(n))
+            complements = [ground - b for b in reversed(m.bases)]
+            assert m.dual().rows() == m.rows()[::-1]
+            assert Matroid.trusted(n, complements).rows() == m.rows()[::-1]
+            tables += 1
+        assert tables > 1000
+
+    def test_one_pass_per_matroid(self, monkeypatch):
+        matrix = IntMatrix(NONFANO_A)
+        _, minors = _minor_table(matrix)
+        passes = []
+        table = algmat.exchange_table
+
+        def counted(n, masks):
+            passes.append(len(masks))
+            return table(n, masks)
+
+        monkeypatch.setattr(algmat, "exchange_table", counted)
+        m = Matroid(matrix.n, minors)
+        m.fundamental_circuits()
+        m.circuits()
+        m.dual().fundamental_circuits()
+        vcircs = sorted((toric_valuated_circuit(c, 2)
+                         for c in _kernel_circuits(matrix, m, minors)),
+                        key=lambda c: c.sort_key())
+        valuation = valuation_from_circuits(m, vcircs)
+        cocircuits(valuation)
+        assert passes == [len(minors)]
+
+    def test_failure_returns_no_rows(self):
+        assert algmat.exchange_table(4, [0b0011, 0b1100]) == (None, (0, 1, 0))
+        assert algmat.exchange_table(2, [0]) == ([[0b01, 0b10]], None)
+
+
 class TestIndependent:
-    def test_parameters_are_independent(self, nonfano_ideal, nonfano_oracle):
-        assert independent(nonfano_ideal, S(1, 2, 3), oracle=nonfano_oracle)
+    def test_parameters_are_independent(self, nonfano_oracle):
+        assert nonfano_oracle.independent(S(1, 2, 3))
 
-    def test_empty_set(self, nonfano_ideal, nonfano_oracle):
-        assert independent(nonfano_ideal, frozenset(), oracle=nonfano_oracle)
+    def test_empty_set(self, nonfano_oracle):
+        assert nonfano_oracle.independent(frozenset())
 
-    def test_product_relation_dependent(self, nonfano_ideal, nonfano_oracle):
-        assert not independent(nonfano_ideal, S(1, 2, 4), oracle=nonfano_oracle)
+    def test_product_relation_dependent(self, nonfano_oracle):
+        assert not nonfano_oracle.independent(S(1, 2, 4))
 
 
 class TestRank:
@@ -423,7 +497,7 @@ class TestBases:
 
 class TestHyperplanes:
     def test_nonfano_contains_expected(self, nonfano_matroid):
-        got = set(hyperplanes(nonfano_matroid))
+        got = set(nonfano_matroid.hyperplanes())
         # oracle: closed rank-2 column sets of the exponent matrix
         for h in (S(1, 2, 4), S(3, 4, 7)):
             assert column_rank(NONFANO_A, h) == 2

@@ -344,6 +344,18 @@ class TestExitCodes:
         assert err.startswith("error: elimination route: ")
         assert err.count("\n") == 1 and "9223372036854775837" in err
 
+    def test_p_past_the_primality_bound_is_input_error(self, capsys, tmp_path):
+        # 1287836182261 * 2575672364521 is a strong pseudoprime to every
+        # Miller-Rabin witness the primality test uses
+        path = tmp_path / "pseudoprime.json"
+        path.write_text('{"kind":"matrix","p":3317044064679887385961981,'
+                        '"rows":2,"cols":3,"entries":[[1,0,1],[0,1,1]]}')
+        assert run(["valuation", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "3317044064679887385961981" in captured.err
+
     def test_non_principal_elimination_is_inconsistency(self, capsys, tmp_path):
         # (x1^2*x2, x1*x2^2) meets neither F_3[x1] nor F_3[x2], and its
         # elimination ideal on {x1, x2} needs both generators

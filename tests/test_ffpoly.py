@@ -41,6 +41,16 @@ def test_is_prime_small():
     assert {n for n in range(50) if is_prime(n)} == primes
 
 
+def test_is_prime_refuses_past_its_witnesses():
+    # the least strong pseudoprime to all twelve witnesses is composite
+    pseudoprime = 3317044064679887385961981
+    assert pseudoprime == 1287836182261 * 2575672364521
+    assert is_prime(pseudoprime - 2) is False
+    with pytest.raises(ValueError, match="decided only below"):
+        is_prime(pseudoprime)
+    assert is_prime(9223372036854775837)
+
+
 class TestPadicValuation:
     def test_twelve(self):
         assert p_adic_valuation(12, 2) == 2

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from algval import algmat
 from algval.algmat import CircuitRecord, EliminationOracle, Matroid, bases, circuits
 from algval.ffpoly import INF, CircuitVector, parse_polynomial
 from algval.groebner import Ideal
@@ -309,6 +310,27 @@ class TestMinor:
                 assert (_minor_outcome(minor, valuation, delete, contract)
                         == _minor_outcome(reference_minor, valuation, delete,
                                           contract))
+
+
+    def test_minor_runs_no_exchange_pass(self, nonfano, monkeypatch):
+        # a deletion of a matroid is a matroid, so neither step of a
+        # two-sided minor checks exchange; the table comes on first use
+        valuation = nonfano[3]
+        expected = reference_minor(valuation, delete=(0,), contract=(1,))
+        passes = []
+        table = algmat.exchange_table
+
+        def counted(n, masks):
+            passes.append(len(masks))
+            return table(n, masks)
+
+        monkeypatch.setattr(algmat, "exchange_table", counted)
+        got = minor(valuation, delete=(0,), contract=(1,))
+        minor(valuation, delete=(2, 5), contract=(0,))
+        minor(dual(valuation), contract=(3, 4))
+        assert passes == []
+        assert got.matroid.circuits() == expected.matroid.circuits()
+        assert passes == [len(got.matroid.bases)]
 
 
 def _minor_outcome(construct, valuation, delete, contract):
