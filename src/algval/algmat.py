@@ -8,9 +8,12 @@ asks the oracle about subsets; circuits() reads the circuits off the
 basis family and takes each polynomial from that circuit's own
 elimination.  A Matroid rests on one exchange table of fundamental
 circuits and cocircuits, which its exchange check, its circuits and its
-dual share.  Elimination is by far the dominant cost, so elimination
-queries are memoized and can optionally persist to an on-disk cache
-shared between runs.
+dual share.  Elimination is by far the dominant cost, so the oracle
+decides a set before eliminating it where a certificate does: an input
+generator on the set proves it dependent, and the leading monomials of
+the Groebner bases earlier eliminations computed can prove it
+independent.  Answers are memoized and can optionally persist to an
+on-disk cache shared between runs.
 """
 
 from __future__ import annotations
@@ -211,7 +214,17 @@ class CircuitRecord:
 
 
 class EliminationOracle:
-    """Memoized elimination queries against a fixed ideal.
+    """Memoized elimination queries against a fixed ideal, answered from
+    certificates where it can.
+
+    A set that holds the support of an input generator is dependent.  A
+    set that holds the support of no leading monomial of a reduced
+    Groebner basis of the ideal, under any order, meets the ideal in
+    zero (Kredel-Weispfenning): the leading monomial of a nonzero
+    polynomial on the set would be divisible by one of them.  The
+    oracle keeps the leading monomials of every basis its eliminations
+    compute, and eliminates only the sets that neither certificate
+    decides.
 
     With a cache directory, each elimination result is persisted as a
     JSON file keyed by (ideal fingerprint, subset); files are written to
@@ -225,6 +238,8 @@ class EliminationOracle:
         self.ideal = ideal
         self._memo = {}
         self._matroid = None
+        self._leads = []
+        self._supports = [_mask(g.support()) for g in ideal.generators]
         self.cache_dir = cache_dir
         self.fingerprint = fingerprint
         if cache_dir is not None:
@@ -257,7 +272,11 @@ class EliminationOracle:
             else:
                 self._memo[subset] = gens
                 return gens
-        gens = tuple(eliminate(self.ideal, subset))
+        s = _mask(subset)
+        if any(all(m & ~s for m in leads) for leads in self._leads):
+            gens = ()
+        else:
+            gens = tuple(eliminate(self.ideal, subset, self._leads))
         self._memo[subset] = gens
         if self.cache_dir is not None:
             payload = json.dumps({"generators": [str(g) for g in gens]})
@@ -272,6 +291,9 @@ class EliminationOracle:
         return gens
 
     def independent(self, subset) -> bool:
+        s = _mask(subset)
+        if any(not g & ~s for g in self._supports):
+            return False
         return not self.elimination(subset)
 
 

@@ -330,16 +330,22 @@ def buchberger(gens, order: MonomialOrder):
     return [basis[k] for k in minimal]
 
 
-def eliminate(ideal: Ideal, keep):
+def eliminate(ideal: Ideal, keep, leads=None):
     """Reduced Groebner basis of the intersection with the subring on the
-    kept variables (empty list iff that intersection is zero)."""
+    kept variables (empty list iff that intersection is zero).  With a
+    list as `leads`, also appends the support masks of the leading
+    monomials of the whole reduced basis computed on the way."""
     keep = frozenset(keep)
     n = ideal.n
     if not keep <= set(range(n)):
         raise ValueError(f"keep set {sorted(keep)} out of range for n={n}")
     if ideal.is_zero():
         return []
-    gb = buchberger(ideal.generators, BlockElimination(set(range(n)) - keep, n))
+    order = BlockElimination(set(range(n)) - keep, n)
+    gb = buchberger(ideal.generators, order)
+    if leads is not None:
+        lms = (max(g.terms, key=order.key) for g in gb)
+        leads.append([sum(1 << i for i, e in enumerate(lm) if e) for lm in lms])
     return [g for g in gb if g.support() <= keep]
 
 

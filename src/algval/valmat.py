@@ -105,11 +105,14 @@ def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
     return Valuation(matroid, values)
 
 
-def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVector:
+def fundamental_valuated_circuit(valuation: Valuation, basis, v,
+                                 support=None) -> CircuitVector:
     """Canonical circuit vector supported on the unique circuit inside
-    basis + {v}, rebuilt from basis values via the exchange identity."""
+    basis + {v}, rebuilt from basis values via the exchange identity;
+    a caller that holds that circuit passes it as `support`."""
     basis = frozenset(basis)
-    support = valuation.matroid.fundamental_circuit(basis, v)
+    if support is None:
+        support = valuation.matroid.fundamental_circuit(basis, v)
     entries = [INF] * valuation.n
     entries[v] = 0
     vb = valuation.value(basis)
@@ -123,8 +126,8 @@ def valuated_circuit_family(valuation: Valuation):
     each support is built once, from the first (basis, outside element)
     that spans it."""
     return sorted(
-        (fundamental_valuated_circuit(valuation, b, v)
-         for b, v in valuation.matroid.fundamental_circuits().values()),
+        (fundamental_valuated_circuit(valuation, b, v, support)
+         for support, (b, v) in valuation.matroid.fundamental_circuits().items()),
         key=lambda c: c.sort_key(),
     )
 

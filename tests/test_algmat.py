@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from algval.algmat import (
     rank,
 )
 from algval.ffpoly import PrimeField, parse_polynomial
-from algval.groebner import Ideal, NotPrincipalError, principal_generator
+from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
 from algval.toric import (
     IntMatrix,
     _kernel_circuits,
@@ -324,6 +325,83 @@ class TestIndependent:
 
     def test_product_relation_dependent(self, nonfano_oracle):
         assert not nonfano_oracle.independent(S(1, 2, 4))
+
+
+def _certificate_ideals():
+    rng = random.Random(1988)
+    for k in range(6):
+        d, n = rng.randint(1, 2), rng.randint(3, 5)
+        rows = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(d))
+        p = (2, 3, 5)[k % 3]
+        yield pytest.param(lambda rows=rows, p=p: toric_ideal(IntMatrix(rows), p),
+                           id=f"toric{k}-p{p}")
+    # x_{d+j} - f_j(x_1..x_d) with random f_j of one or two terms
+    for k in range(6):
+        d, m = rng.randint(1, 2), rng.randint(1, 3)
+        names = tuple(f"x{i}" for i in range(1, d + m + 1))
+        texts = []
+        for j in range(m):
+            terms = ["*".join([str(rng.randint(1, 4))] + [
+                         f"x{i + 1}^{rng.randint(1, 3)}"
+                         for i in range(d) if rng.random() < 0.7])
+                     for _ in range(rng.randint(1, 2))]
+            texts.append(f"x{d + j + 1} - " + " - ".join(terms))
+        p = (2, 3, 5)[k % 3]
+        yield pytest.param(lambda names=names, texts=texts, p=p:
+                           Ideal.from_strings(p, names, texts),
+                           id=f"graph{k}-p{p}")
+    names = ("x1", "x2", "x3", "x4")
+    yield pytest.param(lambda: I(["x1*x3", "x1*x4", "x2*x3", "x2*x4"], names, p=3),
+                       id="two-planes")
+    yield pytest.param(lambda: I(["x1*x3", "x2*x3"], names[:3], p=3), id="plane-and-line")
+    # x3 = 1 forces x1 = 0, so x1*x2 = 1 fails: the unit ideal, though
+    # no generator is a constant
+    yield pytest.param(lambda: I(["x1*x2 - 1", "x1*x3", "x3 - 1"], names[:3], p=3),
+                       id="unit")
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("make_ideal", [*_certificate_ideals()])
+    def test_answers_equal_plain_elimination(self, make_ideal):
+        ideal = make_ideal()
+        n = ideal.n
+        subsets = [frozenset(c) for r in range(n + 1) for c in combinations(range(n), r)]
+        plain = {s: tuple(eliminate(ideal, s)) for s in subsets}
+        random.Random(n).shuffle(subsets)
+        # one oracle asked only independent(), one only elimination(), so
+        # each certificate meets sets that no elimination has decided
+        by_independent, by_elimination = EliminationOracle(ideal), EliminationOracle(ideal)
+        for s in subsets:
+            assert by_independent.independent(s) == (not plain[s]), sorted(s)
+            assert by_elimination.elimination(s) == plain[s], sorted(s)
+
+    def test_cache_files_match_plain_elimination(self, nonfano_ideal, tmp_path,
+                                                  monkeypatch):
+        calls = []
+
+        def counted(ideal, keep, leads=None):
+            calls.append(frozenset(keep))
+            return eliminate(ideal, keep, leads)
+
+        monkeypatch.setattr(algmat, "eliminate", counted)
+        cold = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        matroid = bases(nonfano_ideal, oracle=cold)
+        records = circuits(nonfano_ideal, oracle=cold)
+        files = sorted(tmp_path.iterdir())
+        # every elimination leaves a file, and certified sets leave more
+        assert len(set(calls)) == len(calls) < len(files)
+        for path in files:
+            mask = int(path.name.removeprefix("fp-elim-").removesuffix(".json"), 16)
+            subset = frozenset(e for e in range(nonfano_ideal.n) if mask >> e & 1)
+            assert path.name == f"fp-elim-{mask:x}.json"
+            gens = [str(g) for g in eliminate(nonfano_ideal, subset)]
+            assert path.read_text(encoding="utf-8") == json.dumps({"generators": gens})
+
+        calls.clear()
+        warm = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        assert bases(nonfano_ideal, oracle=warm) == matroid
+        assert circuits(nonfano_ideal, oracle=warm) == records
+        assert calls == []
 
 
 class TestRank:

@@ -154,6 +154,19 @@ class TestFundamentalValuatedCircuit:
                 derived = fundamental_valuated_circuit(valuation, b, v)
                 assert derived == by_support[derived.support]
 
+    def test_family_reuses_the_supports_of_the_sweep(self, nonfano, monkeypatch):
+        # the family takes each support from fundamental_circuits(), so it
+        # never rebuilds one through Matroid.fundamental_circuit
+        _, _, vcircs, valuation = nonfano
+        expected_cocircuits = cocircuits(valuation)
+
+        def refuse(self, basis, v):
+            raise AssertionError("a fundamental circuit was rebuilt")
+
+        monkeypatch.setattr(Matroid, "fundamental_circuit", refuse)
+        assert valuated_circuit_family(valuation) == list(vcircs)
+        assert cocircuits(valuation) == expected_cocircuits
+
 
 class TestDual:
     def test_involution(self, nonfano):
