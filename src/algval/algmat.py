@@ -18,6 +18,7 @@ on-disk cache shared between runs.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -229,9 +230,11 @@ class EliminationOracle:
     With a cache directory, each elimination result is persisted as a
     JSON file keyed by (ideal fingerprint, subset); files are written to
     a temporary name and renamed into place, so concurrent runs that
-    compute identical content can share a directory safely.  The oracle
-    also keeps the matroid that bases() builds, so the callers sharing
-    an oracle build and exchange-check the basis family once.
+    compute identical content can share a directory safely.  The
+    directory is created if missing; one that cannot be created or
+    written raises OSError on construction.  The oracle also keeps the
+    matroid that bases() builds, so the callers sharing an oracle build
+    and exchange-check the basis family once.
     """
 
     def __init__(self, ideal: Ideal, cache_dir=None, fingerprint=None):
@@ -243,9 +246,12 @@ class EliminationOracle:
         self.cache_dir = cache_dir
         self.fingerprint = fingerprint
         if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
             if fingerprint is None:
                 raise ValueError("a cache directory needs an input fingerprint")
+            os.makedirs(cache_dir, exist_ok=True)
+            if not os.access(cache_dir, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                      cache_dir)
 
     def _cache_path(self, subset):
         mask = sum(1 << i for i in subset)

@@ -4,8 +4,10 @@ Reads a problem file holding either a prime-ideal presentation
 (variables plus generator strings) or an integer exponent matrix,
 computes the requested valuated-matroid objects, and writes a text or
 JSON document to standard output.  Matrix inputs run the determinant
-route; ideal inputs run the elimination route; cross-check runs both on
-the same matrix and compares.
+route, whose valuated circuits are read off the basis values; ideal
+inputs run the elimination route, whose basis values are walked from
+its circuit polynomials; cross-check runs both on the same matrix and
+compares.
 
 Exit codes: 0 success, 1 input error, 2 verification failure or
 cross-check mismatch, 3 internal inconsistency (independent sets that
@@ -24,14 +26,7 @@ from dataclasses import dataclass
 from algval.algmat import EliminationOracle, bases, circuits
 from algval.ffpoly import INF, PrimeField, is_prime
 from algval.groebner import Ideal, NotPrincipalError
-from algval.toric import (
-    IntMatrix,
-    _kernel_circuits,
-    _minor_table,
-    _valuation,
-    toric_ideal,
-    toric_valuated_circuit,
-)
+from algval.toric import IntMatrix, linear_valuated_matroid, toric_ideal
 from algval.valmat import (
     InconsistentValuationError,
     Valuation,
@@ -134,22 +129,18 @@ class Pipeline:
 
 
 def _matrix_route(matrix, p):
-    # one minor table gives the bases, their values and the circuits
-    matroid, minors = _minor_table(matrix)
-    vcircs = sorted(
-        (toric_valuated_circuit(c, p)
-         for c in _kernel_circuits(matrix, matroid, minors)),
-        key=lambda c: c.sort_key(),
-    )
-    return _valuation(matroid, minors, p), vcircs
+    # the circuits are read off the basis values, as for cocircuits and minors
+    valuation = linear_valuated_matroid(matrix, p)
+    return valuation, valuated_circuit_family(valuation)
 
 
 def _ideal_route(ideal, p, cache_dir, fingerprint):
-    oracle = EliminationOracle(
-        ideal,
-        cache_dir=cache_dir,
-        fingerprint=fingerprint[:16] if cache_dir else None,
-    )
+    try:
+        oracle = EliminationOracle(ideal, cache_dir, fingerprint[:16])
+    except OSError as exc:
+        raise CliInputError(
+            f"cannot use cache directory {cache_dir}: {exc.strerror or exc}"
+        )
     if not oracle.independent(frozenset()):
         raise CliInputError("the unit ideal carries no matroid")
     # the oracle keeps the matroid, so circuits() reuses this one

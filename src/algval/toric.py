@@ -3,12 +3,13 @@
 The columns of a d x n integer matrix present n monomials in d
 parameters.  Their algebraic relations form a binomial prime ideal, and
 the valuated matroid can be read off directly from the matrix.  One
-table of the nonzero maximal minors on a fixed row basis gives it all:
-its keys are the bases, their p-adic valuations are the basis values,
-and each circuit's minimal-support integer kernel vector (valuated
-entrywise by val_p) is read from it by Cramer's rule, then checked
-against every row.  This is both a standalone input mode and an
-independent oracle for the elimination route.
+table of the nonzero maximal minors on a fixed row basis gives it: its
+keys are the bases and their p-adic valuations are the basis values,
+from which valmat reads the valuated circuits.  The same table gives
+each circuit's minimal-support integer kernel vector by Cramer's rule,
+checked against every row; valued entrywise by val_p, these vectors are
+the reference for those circuits.  This is both a standalone input
+mode and an independent oracle for the elimination route.
 
 All linear algebra is exact: fraction-free (Bareiss) determinants and
 unimodular column reduction for kernel lattice bases, over unbounded
@@ -201,12 +202,16 @@ def _minor_table(matrix: IntMatrix):
     return Matroid(matrix.n, minors), minors
 
 
-def _kernel_circuits(matrix: IntMatrix, matroid: Matroid, minors):
-    """One primitive kernel vector per circuit, by Cramer's rule on the
-    fundamental circuit C of its first spanning basis B and element v:
-    entry v is det(B), and entry u in C - v is -(-1)^k det(B - u + v),
-    where k counts the elements of B strictly between u and v.  The
-    result must vanish on every row of the matrix."""
+def integer_kernel_circuits(matrix: IntMatrix):
+    """One primitive kernel vector per circuit of the column matroid,
+    ascending by support size then lexicographically.  Bases and
+    circuits come from the table of maximal minors, and each kernel
+    vector is read from it by Cramer's rule on the fundamental circuit C
+    of its first spanning basis B and element v: entry v is det(B), and
+    entry u in C - v is -(-1)^k det(B - u + v), where k counts the
+    elements of B strictly between u and v.  A x = 0 is checked on every
+    row."""
+    matroid, minors = _minor_table(matrix)
     found = []
     for s, (b, v) in matroid.fundamental_circuits().items():
         vector = [0] * matrix.n
@@ -224,15 +229,6 @@ def _kernel_circuits(matrix: IntMatrix, matroid: Matroid, minors):
             raise AssertionError(f"Cramer's rule failed on {sorted(s)}")
         found.append(KernelCircuit(vec, s))
     return found
-
-
-def integer_kernel_circuits(matrix: IntMatrix):
-    """One primitive kernel vector per circuit of the column matroid,
-    ascending by support size then lexicographically.  Bases and
-    circuits come from the table of maximal minors, and each kernel
-    vector is read from it by Cramer's rule; A x = 0 is checked on every
-    row."""
-    return _kernel_circuits(matrix, *_minor_table(matrix))
 
 
 def toric_valuated_circuit(circuit: KernelCircuit, p: int) -> CircuitVector:
@@ -279,14 +275,10 @@ def determinant_valuation(matrix: IntMatrix, column_subset, p: int):
     return p_adic_valuation(abs(det), p) if det else INF
 
 
-def _valuation(matroid: Matroid, minors, p: int) -> Valuation:
-    """Each basis valued by val_p of its minor in the table."""
-    return Valuation(
-        matroid, {b: p_adic_valuation(abs(det), p) for b, det in minors.items()}
-    )
-
-
 def linear_valuated_matroid(matrix: IntMatrix, p: int) -> Valuation:
     """Column bases valued by the p-adic valuation of their maximal
     minors in the minor table, shifted to distinguished form."""
-    return _valuation(*_minor_table(matrix), p)
+    matroid, minors = _minor_table(matrix)
+    return Valuation(
+        matroid, {b: p_adic_valuation(abs(det), p) for b, det in minors.items()}
+    )

@@ -244,31 +244,33 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
         seen[c.support] = c
 
     # (4) elimination with controlled entries, on the ordered pairs whose
-    # union has a rank deficit of two, each union ranked once; the
-    # candidates for (u, v) are the members with v in their support and
-    # u outside it
-    n = matroid.n
+    # union has a rank deficit of two, each union ranked once; a union of
+    # more than rank + 2 elements has a larger deficit.  An eliminating
+    # member lies inside the union minus u, since a finite entry outside
+    # it would sit below an infinite floor; on a valuated matroid that
+    # set holds exactly one circuit, and many pairs share it
+    masks = [sum(1 << e for e in s) for s in supports]
+    inside_of = {}
     pairs = []
     for i, j in combinations(range(len(vectors)), 2):
         union = supports[i] | supports[j]
-        if (vectors[i] is not vectors[j]
+        if (vectors[i] is not vectors[j] and len(union) <= matroid.rank + 2
                 and matroid.rank_of(union) == len(union) - 2):
             pairs += [(i, j), (j, i)]
-    candidates = {}
     for i, j in sorted(pairs):
         c, cp = vectors[i], vectors[j]
         for u in sorted(c.support & cp.support):
             lam = c[u] - cp[u]
-            aligned = cp.shifted(lam)
+            floor = [min(a, b + lam) for a, b in zip(c, cp)]
+            inside = (masks[i] | masks[j]) & ~(1 << u)
+            if inside not in inside_of:
+                inside_of[inside] = [d for d, m in zip(vectors, masks)
+                                     if not m & ~inside]
+            candidates = inside_of[inside]
             for v in sorted(c.support - cp.support):
                 report.checked += 1
-                floor = [min(c[k], aligned[k]) for k in range(n)]
-                if (u, v) not in candidates:
-                    candidates[u, v] = [d for d in vectors
-                                        if v in d.support and u not in d.support]
-                if not any(
-                    _eliminates(d, v, c[v], floor) for d in candidates[u, v]
-                ):
+                if not any(v in d.support and _eliminates(d, v, c[v], floor)
+                           for d in candidates):
                     report.violations.append(
                         f"axiom 4: no eliminating circuit for supports "
                         f"{sorted(c.support)}, {sorted(cp.support)} with "
@@ -279,7 +281,7 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
 
 def _eliminates(d, v, target_v, floor):
     mu = target_v - d[v]
-    return all(d[i] == INF or d[i] + mu >= floor[i] for i in range(len(floor)))
+    return all(d[i] + mu >= floor[i] for i in d.support)
 
 
 def check_exchange_consistency(valuation: Valuation, vcircuits=None) -> AxiomReport:

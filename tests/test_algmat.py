@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from algval import algmat
+from algval import algmat, cli
 from algval.algmat import (
     CircuitRecord,
     EliminationOracle,
@@ -16,14 +16,7 @@ from algval.algmat import (
 )
 from algval.ffpoly import PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
-from algval.toric import (
-    IntMatrix,
-    _kernel_circuits,
-    _minor_table,
-    integer_rank,
-    toric_ideal,
-    toric_valuated_circuit,
-)
+from algval.toric import IntMatrix, _minor_table, integer_rank, toric_ideal
 from algval.valmat import cocircuits, valuation_from_circuits
 
 from conftest import (
@@ -290,8 +283,6 @@ class TestExchangeTable:
         assert tables > 1000
 
     def test_one_pass_per_matroid(self, monkeypatch):
-        matrix = IntMatrix(NONFANO_A)
-        _, minors = _minor_table(matrix)
         passes = []
         table = algmat.exchange_table
 
@@ -300,16 +291,11 @@ class TestExchangeTable:
             return table(n, masks)
 
         monkeypatch.setattr(algmat, "exchange_table", counted)
-        m = Matroid(matrix.n, minors)
-        m.fundamental_circuits()
-        m.circuits()
-        m.dual().fundamental_circuits()
-        vcircs = sorted((toric_valuated_circuit(c, 2)
-                         for c in _kernel_circuits(matrix, m, minors)),
-                        key=lambda c: c.sort_key())
-        valuation = valuation_from_circuits(m, vcircs)
+        valuation, vcircs = cli._matrix_route(IntMatrix(NONFANO_A), 2)
+        valuation.matroid.circuits()
+        assert valuation_from_circuits(valuation.matroid, vcircs) == valuation
         cocircuits(valuation)
-        assert passes == [len(minors)]
+        assert passes == [len(valuation.matroid.bases)]
 
     def test_failure_returns_no_rows(self):
         assert algmat.exchange_table(4, [0b0011, 0b1100]) == (None, (0, 1, 0))
@@ -664,3 +650,25 @@ class TestDiskCache:
         with pytest.raises(OSError):
             oracle.elimination({0, 1})
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_fingerprint_creates_no_directory(self, tmp_path):
+        idl = I(["x4 - x1*x2"], ("x1", "x2", "x3", "x4"))
+        with pytest.raises(ValueError, match="fingerprint"):
+            EliminationOracle(idl, cache_dir=str(tmp_path / "new"))
+        assert not (tmp_path / "new").exists()
+
+    def test_unusable_directory_fails_on_construction(self, tmp_path, monkeypatch):
+        idl = I(["x4 - x1*x2"], ("x1", "x2", "x3", "x4"))
+        plain = tmp_path / "file"
+        plain.write_text("")
+        for path in (plain, plain / "sub"):
+            with pytest.raises(OSError):
+                EliminationOracle(idl, cache_dir=str(path), fingerprint="t1")
+        # a privileged user writes through mode bits, so the access check
+        # is made to deny instead of relying on chmod
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        monkeypatch.setattr("algval.algmat.os.access", lambda path, mode: False)
+        with pytest.raises(PermissionError):
+            EliminationOracle(idl, cache_dir=str(locked), fingerprint="t1")
+        assert list(locked.iterdir()) == []

@@ -465,6 +465,21 @@ class TestCache:
         assert first == second
         assert sorted(p.name for p in cache.iterdir()) == files
 
+    @pytest.mark.parametrize("where", ["file", "below-file", "unwritable"])
+    def test_unusable_directory_is_an_input_error(self, capsys, ideal_file,
+                                                  tmp_path, monkeypatch, where):
+        plain = tmp_path / "file"
+        plain.write_text("")
+        cache = {"file": plain, "below-file": plain / "sub",
+                 "unwritable": tmp_path / "locked"}[where]
+        if where == "unwritable":
+            monkeypatch.setattr("algval.algmat.os.access", lambda path, mode: False)
+        assert run(["bases", ideal_file, "--cache", str(cache)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot use cache directory {cache}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestPipelineHelpers:
     def test_build_pipeline_matrix(self, matrix_file):
@@ -475,3 +490,14 @@ class TestPipelineHelpers:
     def test_cross_check_requires_matrix(self, ideal_file):
         with pytest.raises(CliInputError):
             cross_check(load_problem(ideal_file))
+
+    def test_matrix_route_builds_no_kernel_vector(self, capsys, matrix_file,
+                                                  monkeypatch):
+        # the matrix route reads its circuits off the basis values
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel circuit was built")
+
+        monkeypatch.setattr("algval.toric.KernelCircuit", refuse)
+        for command in ("valuation", "verify", "cross-check"):
+            assert run([command, matrix_file, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["input_sha256"]

@@ -20,7 +20,11 @@ from algval.toric import (
     toric_ideal,
     toric_valuated_circuit,
 )
-from algval.valmat import valuated_circuits, valuation_from_circuits
+from algval.valmat import (
+    valuated_circuit_family,
+    valuated_circuits,
+    valuation_from_circuits,
+)
 
 from conftest import NONFANO_A, NONFANO_VARS, S, minimal_dependent_sets, minor_det
 
@@ -183,6 +187,24 @@ class TestKernelCircuitsMatchReference:
                             lambda vector: (2, -3, 1))
         with pytest.raises(AssertionError, match=r"Cramer's rule failed on \[0, 1, 2\]"):
             integer_kernel_circuits(matrix)
+
+
+class TestCircuitsFromBasisValues:
+    def test_equal_to_the_kernel_route(self):
+        # the matrix route reads its circuits off the basis values; the
+        # kernel vectors of Cramer's rule, valued entrywise, are the
+        # reference
+        count = 0
+        for k, rows in enumerate(_seeded_matrices()):
+            matrix = IntMatrix(tuple(map(tuple, rows)))
+            p = (2, 3, 5, 7)[k % 4]
+            expected = sorted(
+                (toric_valuated_circuit(c, p) for c in integer_kernel_circuits(matrix)),
+                key=lambda c: c.sort_key(),
+            )
+            assert valuated_circuit_family(linear_valuated_matroid(matrix, p)) == expected
+            count += 1
+        assert count >= 300
 
 
 class TestKernelCircuitType:
