@@ -232,7 +232,10 @@ class EliminationOracle:
     a temporary name and renamed into place, so concurrent runs that
     compute identical content can share a directory safely.  The
     directory is created if missing; one that cannot be created or
-    written raises OSError on construction.  The oracle also keeps the
+    written raises OSError on construction.  A missing, unreadable or
+    corrupt entry is a miss and is rewritten; a write that fails later
+    (a full disk, say) raises OSError from elimination and leaves no
+    temporary file.  The oracle also keeps the
     matroid that bases() builds, so the callers sharing an oracle build
     and exchange-check the basis family once.
     """
@@ -271,9 +274,10 @@ class EliminationOracle:
                     parse_polynomial(t, self.ideal.vars, self.ideal.field.p)
                     for t in texts
                 )
-            except (FileNotFoundError, KeyError, TypeError, ValueError):
-                # a missing or corrupt entry is a miss and gets rewritten;
-                # ValueError covers undecodable JSON or text and ParseError
+            except (OSError, KeyError, TypeError, ValueError):
+                # a missing, unreadable or corrupt entry is a miss and gets
+                # rewritten; ValueError covers undecodable JSON or text and
+                # ParseError
                 pass
             else:
                 self._memo[subset] = gens

@@ -141,11 +141,17 @@ def _ideal_route(ideal, p, cache_dir, fingerprint):
         raise CliInputError(
             f"cannot use cache directory {cache_dir}: {exc.strerror or exc}"
         )
-    if not oracle.independent(frozenset()):
-        raise CliInputError("the unit ideal carries no matroid")
-    # the oracle keeps the matroid, so circuits() reuses this one
-    matroid = bases(ideal, oracle=oracle)
-    vcircs = valuated_circuits(circuits(ideal, oracle=oracle))
+    try:
+        if not oracle.independent(frozenset()):
+            raise CliInputError("the unit ideal carries no matroid")
+        # the oracle keeps the matroid, so circuits() reuses this one
+        matroid = bases(ideal, oracle=oracle)
+        vcircs = valuated_circuits(circuits(ideal, oracle=oracle))
+    except OSError as exc:
+        # the oracle reads an unusable entry as a miss, so only a write fails
+        raise CliInputError(
+            f"cannot write cache directory {cache_dir}: {exc.strerror or exc}"
+        )
     return valuation_from_circuits(matroid, vcircs), vcircs
 
 

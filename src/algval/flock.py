@@ -10,9 +10,10 @@ axioms are verified exhaustively over finite boxes of directions.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, repeat
 
 from algval.algmat import Matroid, exchange_failure
 from algval.valmat import AxiomReport, Valuation
@@ -139,9 +140,19 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     Directions come from an explicit iterable or from the full box
     [-radius, radius]^n (default radius bounded by the evaluation
     budget).  Every slice is the argmax of its own direction's packed
-    score vector; exchange verification runs on the basis masks and is
-    memoized per distinct family, so large sweeps stay cheap.  A
-    negative radius is a ValueError: its box holds no direction.
+    score vector.  The box is swept once, in reverse mixed-radix order
+    (side 2*radius+1), which reaches alpha+e_i and alpha+1 before
+    alpha, and each direction's slice goes into a table at its
+    position.  A neighbour inside the box is read from the table, since
+    score(alpha+e_i) = score(alpha) + indicators[i] exactly; only
+    neighbours past the box's upper face are scored on their own.
+    Equal slices are one shared int, so the table holds one reference
+    per direction.  An explicit list is swept the same way with an
+    empty table.  Each direction's violations are emitted in forward
+    order, so the report is the one a forward sweep that rescored
+    every neighbour gives.  Exchange verification runs on the basis
+    masks, once per distinct slice.  A negative radius is a ValueError:
+    its box holds no direction.
     """
     n = valuation.n
     report = FlockReport()
@@ -150,35 +161,47 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     if alphas is None:
         if radius is None:
             radius = default_box_radius(valuation)
-        alphas = product(range(-radius, radius + 1), repeat=n)
         scores = _Scores(valuation, (-radius, radius))
+        side = 2 * radius + 1
+        strides = [side ** (n - 1 - i) for i in range(n)]
+        table = [None] * side**n
+        directions = zip(range(len(table) - 1, -1, -1),
+                         product(range(radius, -radius - 1, -1), repeat=n))
+        top = radius
     else:
         alphas = [tuple(alpha) for alpha in alphas]
         for alpha in alphas:
             if len(alpha) != n:
                 raise ValueError(f"direction {alpha} must have length {n}")
         scores = _Scores(valuation, chain.from_iterable(alphas))
-    elements = [(inside, scores.ones ^ inside) for inside in scores.indicators]
-    exchange_ok = {}
+        # no listed direction has a neighbour in the table
+        strides, table, top = [0] * n, [], -math.inf
+        directions = zip(repeat(0), reversed(alphas))
+    elements = [(i, inside, scores.ones ^ inside, stride)
+                for i, (inside, stride) in enumerate(zip(scores.indicators, strides))]
+    diagonal = sum(strides)
+    # each distinct slice, exchange-checked when it first appears; the
+    # table refers to these ints
+    slices = {}
+    failing = set()
+    found_per_direction = []
 
-    def is_matroid(indicator):
-        if indicator not in exchange_ok:
-            masks = scores.family(indicator, scores.masks)
-            exchange_ok[indicator] = exchange_failure(n, masks) is None
-        return exchange_ok[indicator]
-
-    for alpha in alphas:
-        report.directions += 1
+    for idx, alpha in directions:
         s = scores.score(alpha)
         here = scores.argmax(s)[1]
-        report.checked += 1
-        if not is_matroid(here):
-            report.violations.append(
-                f"slice at alpha={alpha} is not a matroid (exchange fails)"
-            )
-        for i, (inside, outside) in enumerate(elements):
-            report.checked += 1
-            bumped = scores.argmax(s + inside)[1]
+        known = slices.get(here)
+        if known is None:
+            slices[here] = known = here
+            if exchange_failure(n, scores.family(here, scores.masks)) is not None:
+                failing.add(here)
+        here = known
+        if table:
+            table[idx] = here
+        found = []
+        if here in failing:
+            found.append(f"slice at alpha={alpha} is not a matroid (exchange fails)")
+        for a, (i, inside, outside, stride) in zip(alpha, elements):
+            bumped = table[idx + stride] if a < top else scores.argmax(s + inside)[1]
             # removing i is injective on the bases holding it and leaves
             # them one element short of the bases lacking it, so
             # slice(alpha)/i = slice(alpha+e_i)\i exactly when the slice's
@@ -186,10 +209,17 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
             # holds i, the slice is the bumped slice's bases lacking i
             contracted = here & inside
             if contracted != bumped if contracted else here != bumped & outside:
-                report.violations.append(
-                    f"contraction/deletion mismatch at alpha={alpha}, i={i}"
-                )
-        report.checked += 1
-        if here != scores.argmax(s + scores.shift)[1]:
-            report.violations.append(f"all-ones shift changes the slice at {alpha}")
+                found.append(f"contraction/deletion mismatch at alpha={alpha}, i={i}")
+        if max(alpha, default=top) < top:
+            shifted = table[idx + diagonal]
+        else:
+            shifted = scores.argmax(s + scores.shift)[1]
+        if here != shifted:
+            found.append(f"all-ones shift changes the slice at {alpha}")
+        report.directions += 1
+        report.checked += n + 2
+        if found:
+            found_per_direction.append(found)
+    for found in reversed(found_per_direction):
+        report.violations.extend(found)
     return report

@@ -260,6 +260,19 @@ class TestVerifyCommand:
         # the slice, one contraction/deletion check per element, the shift
         assert flock["checked"] == 1 + 7 + 1
 
+    def test_box_two_matches_golden(self, capsys):
+        # radius 2 on the non-Fano matrix: 5^7 = 78,125 directions, most
+        # of whose neighbours alpha+e_i and alpha+1 lie inside the box,
+        # pinned byte for byte as the sweep that rescored every
+        # neighbour printed it
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        code = run(["verify", os.path.join(golden, "inputs", "nonfano-matrix.json"),
+                    "--box", "2", "--format", "json"])
+        with open(os.path.join(golden, "out", "nonfano-matrix.verify-box2.json"),
+                  encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+        assert code == 0
+
 
 class TestSeeded4x12Golden:
     """valuation --format json on a seeded 4x12 matrix (random.Random(4012),
@@ -479,6 +492,41 @@ class TestCache:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot use cache directory {cache}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["bases", "cross-check"])
+    def test_failed_write_is_an_input_error(self, capsys, command, ideal_file,
+                                            matrix_file, tmp_path, monkeypatch):
+        # a full disk fails the rename that puts an entry in place
+        def full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("algval.algmat.os.replace", full)
+        cache = tmp_path / "cache"
+        source = ideal_file if command == "bases" else matrix_file
+        assert run([command, source, "--cache", str(cache)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write cache directory {cache}: No space left on device\n")
+        assert list(cache.iterdir()) == []
+
+    def test_directory_in_an_entrys_place(self, capsys, ideal_file, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["bases", ideal_file, "--format", "json", "--cache", str(cache)]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        # a directory in an entry's place reads as a miss, and the
+        # rename of the recomputed entry onto it fails
+        entry = sorted(cache.iterdir())[-1]
+        entry.unlink()
+        entry.mkdir()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write cache directory {cache}: ")
+        assert not list(cache.glob("*.tmp"))
+        entry.rmdir()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestPipelineHelpers:

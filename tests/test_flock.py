@@ -311,3 +311,92 @@ class TestPackedScoresMatchScan:
             alphas = [(rng.randint(-10**6, 10**6),) for _ in range(10)]
             self.assert_sweeps_agree(valuation, alphas=alphas)
             self.assert_slices_agree(valuation, alphas)
+
+
+class TestBoxTable:
+    """The box sweep reads each in-box neighbour's slice from its table:
+    only neighbours past the box's upper face are scored on their own,
+    and the reports stay those of the sweep that rescored every one."""
+
+    def count_argmax(self, monkeypatch):
+        calls = []
+        argmax = flock._Scores.argmax
+
+        def counted(scores, s):
+            calls.append(s)
+            return argmax(scores, s)
+
+        monkeypatch.setattr(flock._Scores, "argmax", counted)
+        return calls
+
+    @pytest.mark.parametrize("d,n,radius", [(2, 4, 1), (2, 4, 2), (3, 5, 1), (2, 3, 3)])
+    def test_argmax_only_at_the_face(self, monkeypatch, d, n, radius):
+        rng = random.Random(407 + 10 * n + radius)
+        valuation = _random_matrix_valuation(rng, d, n, 3)
+        calls = self.count_argmax(monkeypatch)
+        report = check_flock_axioms(valuation, radius=radius)
+        box = list(product(range(-radius, radius + 1), repeat=n))
+        bumps_past_face = sum(a == radius for alpha in box for a in alpha)
+        shifts_past_face = sum(max(alpha) == radius for alpha in box)
+        assert report.directions == len(box)
+        assert len(calls) == len(box) + bumps_past_face + shifts_past_face
+        assert len(calls) < len(box) * (n + 2)
+
+    def test_radius_zero_and_listed_directions_score_every_neighbour(
+            self, monkeypatch, nonfano_valuation):
+        # a one-entry table is all face, and a list has no table
+        calls = self.count_argmax(monkeypatch)
+        assert check_flock_axioms(nonfano_valuation, radius=0).directions == 1
+        assert len(calls) == 1 + 7 + 1
+        del calls[:]
+        check_flock_axioms(nonfano_valuation, alphas=[(0,) * 7, ALPHA_MINUS] * 2)
+        assert len(calls) == 4 * (1 + 7 + 1)
+
+    def test_tampered_radius_three_keeps_violation_order(self):
+        rng = random.Random(408)
+        agree = TestPackedScoresMatchScan().assert_sweeps_agree
+        violations = 0
+        for _ in range(3):
+            valuation = _reweighted(_random_matrix_valuation(rng, 2, 4, 2), rng, 6)
+            report = agree(valuation, radius=3)
+            assert report.directions == 7**4
+            assert not report.ok
+            violations += len(report.violations)
+        # violations at many directions, so that their order across the
+        # table pins the forward emission; the family identities hold
+        # for any weighting, so every one is a slice that fails exchange
+        assert violations > 200
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_sixteen_byte_fields(self, radius):
+        # no struct format fits a 16-byte field, so argmax reads the
+        # fields one by one
+        rng = random.Random(409 + radius)
+        agree = TestPackedScoresMatchScan().assert_sweeps_agree
+        base = _random_matrix_valuation(rng, 3, 5, 3)
+        scaled = Valuation(base.matroid, {
+            b: v * 2**70 for b, v in base.values.items()})
+        assert flock._Scores(scaled, (-radius, radius)).format is None
+        assert agree(scaled, radius=radius).ok
+        violations = 0
+        for _ in range(4):
+            # one basis far above the rest widens the fields; the box's
+            # slices come from the others, with small seeded values
+            values = _reweighted(base, rng, 3).values
+            values[base.matroid.bases[0]] = 2**70
+            tampered = Valuation(base.matroid, values)
+            assert flock._Scores(tampered, (-radius, radius)).format is None
+            violations += len(agree(tampered, radius=radius).violations)
+        assert violations
+
+    def test_radius_zero_and_listed_directions_match_reference(self, nonfano_valuation):
+        rng = random.Random(410)
+        agree = TestPackedScoresMatchScan().assert_sweeps_agree
+        tampered = _reweighted(nonfano_valuation, rng, 3)
+        listed = [tuple(rng.randint(-2, 2) for _ in range(7)) for _ in range(60)]
+        for valuation in (nonfano_valuation, tampered):
+            agree(valuation, radius=0)
+            # repeated directions and a list that runs downwards
+            agree(valuation, alphas=listed + listed[:5])
+            agree(valuation, alphas=sorted(listed, reverse=True))
+        assert not agree(tampered, alphas=listed).ok
