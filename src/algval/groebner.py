@@ -5,12 +5,15 @@ normal (minimum-lcm) selection strategy, block elimination orders,
 elimination ideals, principal-generator extraction, and saturation of
 an ideal by a monomial via an auxiliary inverse variable.  The reduced
 basis is unique for a fixed order, so results are reproducible no
-matter how the input generators are listed.
+matter how the input generators are listed.  Inside the computation
+each monomial is a single int (see `_Ring`), and polynomials are
+converted only on the way in and out.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import mul
 
 from algval.ffpoly import Polynomial, PrimeField
 
@@ -21,11 +24,19 @@ class NotPrincipalError(RuntimeError):
 
 
 class MonomialOrder:
-    """Total multiplicative well-order on exponent vectors, realized as a
-    sort key (largest key = leading monomial)."""
+    """Total multiplicative well-order on exponent vectors, given by 0/1
+    weight rows: a monomial's key is its tuple of row sums, compared
+    lexicographically (largest key = leading monomial)."""
+
+    def rows(self):
+        """The weight rows, each as the tuple of the variables where it
+        is 1.  Every variable has a row of its own, and at most one row
+        has several variables: it comes just before the rows of exactly
+        those variables, which come last."""
+        raise NotImplementedError
 
     def key(self, expo):
-        raise NotImplementedError
+        return tuple(sum(expo[i] for i in row) for row in self.rows())
 
 
 class Lex(MonomialOrder):
@@ -33,8 +44,8 @@ class Lex(MonomialOrder):
         self.n = n
         self.positions = tuple(positions) if positions is not None else tuple(range(n))
 
-    def key(self, expo):
-        return tuple(expo[i] for i in self.positions)
+    def rows(self):
+        return tuple((i,) for i in self.positions)
 
     def __repr__(self):
         return f"Lex({self.n}, {self.positions})"
@@ -45,8 +56,8 @@ class GradedLex(MonomialOrder):
         self.n = n
         self.positions = tuple(positions) if positions is not None else tuple(range(n))
 
-    def key(self, expo):
-        return (sum(expo), *(expo[i] for i in self.positions))
+    def rows(self):
+        return (tuple(range(self.n)), *((i,) for i in self.positions))
 
     def __repr__(self):
         return f"GradedLex({self.n}, {self.positions})"
@@ -62,15 +73,19 @@ class BlockElimination(MonomialOrder):
         self.eliminated = tuple(sorted(eliminated))
         self.kept = tuple(i for i in range(n) if i not in set(self.eliminated))
 
-    def key(self, expo):
-        return (
-            tuple(expo[i] for i in self.eliminated)
-            + (sum(expo[i] for i in self.kept),)
-            + tuple(expo[i] for i in self.kept)
-        )
+    def rows(self):
+        return (*((i,) for i in self.eliminated), self.kept, *((i,) for i in self.kept))
 
     def __repr__(self):
         return f"BlockElimination({self.eliminated}, {self.n})"
+
+
+def _check_generators(polys, field, vars):
+    for g in polys:
+        if g.is_zero():
+            raise ValueError("generators must be nonzero polynomials")
+        if g.field != field or g.vars != vars:
+            raise ValueError("generator context mismatch")
 
 
 class Ideal:
@@ -82,13 +97,8 @@ class Ideal:
     def __init__(self, field: PrimeField, vars, generators):
         self.field = field
         self.vars = tuple(vars)
-        gens = tuple(generators)
-        for g in gens:
-            if g.is_zero():
-                raise ValueError("ideal generators must be nonzero")
-            if g.field != field or g.vars != self.vars:
-                raise ValueError("generator context mismatch")
-        self.generators = gens
+        self.generators = tuple(generators)
+        _check_generators(self.generators, field, self.vars)
 
     @classmethod
     def from_strings(cls, p, vars, texts):
@@ -121,135 +131,219 @@ class Ideal:
         return f"Ideal(p={self.field.p}, <{', '.join(map(str, self.generators))}>)"
 
 
-def _lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+class _Overflow(Exception):
+    """A monomial does not fit its bit fields."""
 
 
-def _quot(a, b):
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+class _Packed(dict):
+    """Polynomial inside the core: packed monomial -> coefficient in
+    [1, p)."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
 
 
-def _coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+class _Ring:
+    """F_p[x] with each monomial packed into one int: one `width`-bit
+    field per weight row of the order, the first row most significant.
+    Every field of a valid monomial keeps its top (guard) bit clear, so
+    a + b is the product of a and b, a < b is the order, and a divides
+    b exactly when (b | guard) - a keeps every guard bit; that
+    difference ^ guard is then the quotient.  Packing checks the total
+    degree, which bounds every field; a sum of two valid monomials can
+    only spill into its own guard bits, which are checked on each new
+    term.  `_Overflow` is raised when a monomial does not fit."""
+
+    __slots__ = ("field", "vars", "p", "width", "guard", "half", "mask", "units",
+                 "shifts", "degree")
+
+    def __init__(self, field, vars, order, width):
+        self.field, self.vars, self.p, self.width = field, vars, field.p, width
+        rows = order.rows()
+        top = width * (len(rows) - 1)
+        self.half = 1 << width - 1
+        self.mask = (1 << width) - 1
+        self.guard = sum(self.half << top - width * k for k in range(len(rows)))
+        # units[i] is x_i packed; shifts[i] places x_i's own row; degree
+        # is the number of fields below a row of several variables
+        self.units, self.shifts, self.degree = [0] * len(vars), [0] * len(vars), 0
+        for k, row in enumerate(rows):
+            for i in row:
+                self.units[i] += 1 << top - width * k
+            if len(row) == 1:
+                self.shifts[row[0]] = top - width * k
+            else:
+                self.degree = len(row)
+
+    def monomial(self, expo):
+        # every row is 0/1, so the total degree bounds every field
+        if sum(expo) >= self.half:
+            raise _Overflow
+        return sum(map(mul, expo, self.units))
+
+    def exponents(self, m):
+        return [m >> s & self.mask for s in self.shifts]
+
+    def support(self, m):
+        return sum(1 << i for i, s in enumerate(self.shifts) if m >> s & self.mask)
+
+    def lcm(self, a, b):
+        # ge marks the guard bit of each field where a >= b, and
+        # ge - (ge >> w - 1) sets every other bit of those fields, which
+        # selects a fieldwise max.  The row of several variables must be
+        # the sum of the fields below it instead; the product with a 1
+        # in each of those fields adds them up.
+        w, guard = self.width, self.guard
+        ge = ((a | guard) - b) & guard
+        m = b ^ (a ^ b) & (ge - (ge >> w - 1))
+        if self.degree:
+            k = self.degree * w
+            low = m & ((1 << k) - 1)
+            deg = low * (guard >> w - 1 & (1 << k) - 1) >> k - w & self.mask
+            if deg >= self.half:
+                raise _Overflow
+            m = m >> k + w << k + w | deg << k | low
+        return m
+
+    def divides(self, a, b):
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def pack(self, f: Polynomial):
+        return _Packed({self.monomial(e): c for e, c in f.terms.items()})
+
+    def polynomial(self, f):
+        return Polynomial(self.field, self.vars,
+                          {tuple(self.exponents(m)): c for m, c in f.items()})
+
+    def reducer(self, f):
+        """(leading monomial, inverse lead coefficient, remaining terms)
+        of the packed f, the form in which `normal_form` divides by f."""
+        lm = max(f)
+        return lm, pow(f[lm], -1, self.p), [(m, c) for m, c in f.items() if m != lm]
+
+    def monic(self, f):
+        """f scaled to lead coefficient 1, and its reducer."""
+        inv = pow(f[max(f)], -1, self.p)
+        if inv != 1:
+            f = _Packed({m: c * inv % self.p for m, c in f.items()})
+        return f, self.reducer(f)
 
 
-class _Terms(dict):
-    """Memo of one Groebner computation: exponent vector -> (negated
-    order key, support bitmask, exponent vector, order key).  A total
-    order gives each monomial its own key, and negated keys make a heapq
-    min-heap pop the leading monomial first."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order):
-        self.order = order
-
-    def __missing__(self, expo):
-        key = self.order.key(expo)
-        mask = sum(1 << i for i, e in enumerate(expo) if e)
-        entry = self[expo] = (tuple(-k for k in key), mask, expo, key)
-        return entry
+def _in_ring(field, vars, order, compute):
+    """compute(ring) at 16-bit fields, or at the first doubling of the
+    width at which no monomial overflows."""
+    width = 16
+    while True:
+        try:
+            return compute(_Ring(field, vars, order, width))
+        except _Overflow:
+            width *= 2
 
 
-def _reducer(g: Polynomial, terms: _Terms):
-    """(leading monomial, its support mask, inverse lead coefficient,
-    remaining terms) of g, the form in which `normal_form` divides by g."""
-    _, mask, lm, _ = min(map(terms.__getitem__, g.terms))
-    tail = [(m, c) for m, c in g.terms.items() if m != lm]
-    return lm, mask, g.field.inv(g.terms[lm]), tail
-
-
-def _monic(f: Polynomial, terms: _Terms):
-    """f scaled to lead coefficient 1, and its reducer."""
-    red = _reducer(f, terms)
-    if red[2] != 1:
-        f = f * red[2]
-        red = _reducer(f, terms)
-    return f, red
-
-
-def normal_form(f: Polynomial, basis, order: MonomialOrder, *,
-                terms=None, reducers=None) -> Polynomial:
-    """Remainder of f on division by the listed polynomials: no term of
-    the result is divisible by any of their leading monomials.  Unique
-    when the list is a Groebner basis for the order.  `buchberger`
-    passes its memo as `terms` and its basis, already in `_reducer`
-    form, as `reducers`."""
-    if terms is None:
-        terms = _Terms(order)
-    if reducers is None:
-        reducers = [_reducer(g, terms) for g in basis]
-    p = f.field.p
-    work = dict(f.terms)
-    heap = [terms[m] for m in work]
+def _remainder(f, reducers, ring):
+    # the heap holds negated monomials, so it pops the leading one first
+    p, guard = ring.p, ring.guard
+    work = dict(f)
+    heap = [-m for m in work]
     heapify(heap)
-    remainder = {}
+    remainder = _Packed()
     while heap:
-        _, mask, m, _ = heappop(heap)
+        m = -heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue  # cancelled, or already taken from a duplicate entry
-        for lm, lmask, lc_inv, tail in reducers:
-            if lmask & ~mask:
+        m_guarded = m | guard
+        for lm, lc_inv, tail in reducers:
+            q = m_guarded - lm
+            if q & guard != guard:
                 continue
-            q = _quot(m, lm)
-            if q is None:
-                continue
+            q ^= guard
             factor = c * lc_inv % p
             for mono, coeff in tail:
-                key = tuple(a + b for a, b in zip(mono, q))
+                key = mono + q
+                if key & guard:
+                    raise _Overflow
                 old = work.get(key, 0)
                 nc = (old - factor * coeff) % p
                 if nc:
                     if not old:
-                        heappush(heap, terms[key])
+                        heappush(heap, -key)
                     work[key] = nc
                 elif old:
                     del work[key]
             break
         else:
             remainder[m] = c
-    return Polynomial(f.field, f.vars, remainder)
+    return remainder
 
 
-def _s_polynomial(f, red_f, red_g, lcm):
+def normal_form(f: Polynomial, basis, order: MonomialOrder, *, ring=None):
+    """Remainder of f on division by the listed polynomials: no term of
+    the result is divisible by any of their leading monomials.  Unique
+    when the list is a Groebner basis for the order.  `buchberger`
+    passes its `_Ring` as `ring`, f packed and its basis as reducers;
+    the remainder is then packed too."""
+    if ring is not None:
+        return _remainder(f, basis, ring)
+    _check_generators(basis, f.field, f.vars)
+
+    def divide(ring):
+        reducers = [ring.reducer(ring.pack(g)) for g in basis]
+        return ring.polynomial(_remainder(ring.pack(f), reducers, ring))
+
+    return _in_ring(f.field, f.vars, order, divide)
+
+
+def _s_polynomial(red_f, red_g, lcm, ring):
     # f and g by their reducers; the leading terms cancel, so only the
     # remaining terms are shifted
-    p = f.field.p
-    (mf, _, inv_f, tail_f), (mg, _, inv_g, tail_g) = red_f, red_g
-    qf, qg = _quot(lcm, mf), _quot(lcm, mg)
-    out = {tuple(a + b for a, b in zip(e, qf)): c * inv_f for e, c in tail_f}
+    p, guard = ring.p, ring.guard
+    (mf, inv_f, tail_f), (mg, inv_g, tail_g) = red_f, red_g
+    qf, qg = ((lcm | guard) - mf) ^ guard, ((lcm | guard) - mg) ^ guard
+    out = _Packed()
+    for e, c in tail_f:
+        key = e + qf
+        if key & guard:
+            raise _Overflow
+        out[key] = c * inv_f % p
     for e, c in tail_g:
-        key = tuple(a + b for a, b in zip(e, qg))
-        out[key] = (out.get(key, 0) - c * inv_g) % p
-    return Polynomial(f.field, f.vars, out)
+        key = e + qg
+        if key & guard:
+            raise _Overflow
+        c = (out.get(key, 0) - c * inv_g) % p
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 def buchberger(gens, order: MonomialOrder):
     """The unique reduced Groebner basis (monic leads, fully
-    inter-reduced, sorted by ascending leading monomial).  An empty list
-    encodes the zero ideal."""
+    inter-reduced, sorted by ascending leading monomial), each member
+    listing its terms from the leading one down.  An empty list encodes
+    the zero ideal."""
     work = [g for g in gens if not g.is_zero()]
     if not work:
         return []
     field, vars = work[0].field, work[0].vars
-    for g in work[1:]:
-        if g.field != field or g.vars != vars:
-            raise ValueError("generator context mismatch")
-    terms = _Terms(order)
+    _check_generators(work[1:], field, vars)
+    return _in_ring(field, vars, order, lambda ring: _buchberger(work, order, ring))
+
+
+def _buchberger(work, order, ring):
+    guard, divides = ring.guard, ring.divides
 
     # pre-reduce the input list against itself until stable
+    work = [ring.pack(g) for g in work]
     while True:
         reduced, reducers = [], []
         for g in work:
-            r = normal_form(g, reduced, order, terms=terms, reducers=reducers)
-            if not r.is_zero():
-                r, red = _monic(r, terms)
+            r = normal_form(g, reducers, order, ring=ring)
+            if r:
+                r, red = ring.monic(r)
                 reduced.append(r)
                 reducers.append(red)
         if reduced == work:
@@ -258,40 +352,37 @@ def buchberger(gens, order: MonomialOrder):
 
     basis = list(work)
     lead = [red[0] for red in reducers]
+    support = [ring.support(m) for m in lead]
 
     def update(G, pairs, h):
         # Gebauer-Moller criteria for discarding unneeded critical pairs;
-        # a pair is stored as (order key of its lcm, i, j, lcm)
-        mh = lead[h]
-        lcm_h = {g: _lcm(mh, lead[g]) for g in G}
+        # a pair is stored as (its lcm, i, j)
+        mh, sh = lead[h], support[h]
+        lcm_h = {g: ring.lcm(mh, lead[g]) for g in G}
         C, D = set(G), set()
         while C:
             g = C.pop()
-            lcm_hg = lcm_h[g]
-
-            def lcm_divides(k):
-                return _quot(lcm_hg, lcm_h[k]) is not None
-
-            if _coprime(mh, lead[g]) or (
-                not any(lcm_divides(k) for k in C)
-                and not any(lcm_divides(k) for _, k in D)
+            # lcm_h[k] divides lcm_h[g] when t - lcm_h[k] keeps the guard
+            t = lcm_h[g] | guard
+            if not sh & support[g] or (
+                not any((t - lcm_h[k]) & guard == guard for k in C)
+                and not any((t - lcm_h[k]) & guard == guard for _, k in D)
             ):
                 D.add((h, g))
-        E = {(terms[lcm_h[g]][3], h, g, lcm_h[g])
-             for h, g in D if not _coprime(mh, lead[g])}
+        E = {(lcm_h[g], h, g) for h, g in D if sh & support[g]}
         kept = {
-            (key, i, j, lcm) for key, i, j, lcm in pairs
-            if _quot(lcm, mh) is None
-            or _lcm(lead[i], mh) == lcm
-            or _lcm(lead[j], mh) == lcm
+            (lcm, i, j) for lcm, i, j in pairs
+            if not divides(mh, lcm)
+            or ring.lcm(lead[i], mh) == lcm
+            or ring.lcm(lead[j], mh) == lcm
         }
         kept |= E
-        newG = {g for g in G if _quot(lead[g], mh) is None}
+        newG = {g for g in G if not divides(mh, lead[g])}
         newG.add(h)
         return newG, kept
 
     def by_lead(k):
-        return terms[lead[k]][3], k
+        return lead[k], k
 
     G, pairs = set(), set()
     todo = set(range(len(basis)))
@@ -300,34 +391,35 @@ def buchberger(gens, order: MonomialOrder):
         todo.remove(h)
         G, pairs = update(G, pairs, h)
 
+    chosen = sorted(G, key=by_lead)
     while pairs:
         pair = min(pairs)
         pairs.remove(pair)
-        _, i, j, lcm = pair
-        s = _s_polynomial(basis[i], reducers[i], reducers[j], lcm)
-        current = [reducers[k] for k in sorted(G, key=by_lead)]
-        r = normal_form(s, None, order, terms=terms, reducers=current)
-        if r.is_zero():
+        lcm, i, j = pair
+        s = _s_polynomial(reducers[i], reducers[j], lcm, ring)
+        r = normal_form(s, [reducers[k] for k in chosen], order, ring=ring)
+        if not r:
             continue
-        r, red = _monic(r, terms)
+        r, red = ring.monic(r)
         basis.append(r)
         reducers.append(red)
         lead.append(red[0])
+        support.append(ring.support(red[0]))
         G, pairs = update(G, pairs, len(basis) - 1)
+        chosen = sorted(G, key=by_lead)
 
     # minimalize: drop members whose lead is divisible by another lead
-    chosen = sorted(G, key=by_lead)
     minimal = [
         k for k in chosen
-        if not any(m != k and _quot(lead[k], lead[m]) is not None for m in chosen)
+        if not any(m != k and divides(lead[m], lead[k]) for m in chosen)
     ]
     # tail-reduce each member against the others; leads are pairwise
     # indivisible, so each keeps its monic lead and the list stays sorted
     for k in minimal:
         others = [reducers[m] for m in minimal if m != k]
-        basis[k] = normal_form(basis[k], None, order, terms=terms, reducers=others)
-        reducers[k] = _reducer(basis[k], terms)
-    return [basis[k] for k in minimal]
+        basis[k] = normal_form(basis[k], others, order, ring=ring)
+        reducers[k] = ring.reducer(basis[k])
+    return [ring.polynomial(basis[k]) for k in minimal]
 
 
 def eliminate(ideal: Ideal, keep, leads=None):
@@ -344,7 +436,7 @@ def eliminate(ideal: Ideal, keep, leads=None):
     order = BlockElimination(set(range(n)) - keep, n)
     gb = buchberger(ideal.generators, order)
     if leads is not None:
-        lms = (max(g.terms, key=order.key) for g in gb)
+        lms = (next(iter(g.terms)) for g in gb)
         leads.append([sum(1 << i for i, e in enumerate(lm) if e) for lm in lms])
     return [g for g in gb if g.support() <= keep]
 

@@ -1,9 +1,16 @@
+import json
+import os
 import random
+from operator import add, sub
 
 import pytest
+from hypothesis import given, strategies as st
 
+from algval import algmat, groebner
 from algval.ffpoly import Polynomial, PrimeField, parse_polynomial
 from algval.groebner import (
+    _Overflow,
+    _Ring,
     BlockElimination,
     GradedLex,
     Ideal,
@@ -155,6 +162,24 @@ class TestNormalForm:
         )
 
 
+    def test_divisor_over_other_variables_rejected(self):
+        vars3 = ("x1", "x2", "x3")
+        f = P("x1^2 + x2", p=3)
+        with pytest.raises(ValueError, match="generator context mismatch"):
+            normal_form(f, [P("x1 - x3", vars3, 3)], Lex(2))
+
+    def test_divisor_over_other_field_rejected(self):
+        f = P("x1^2 + x2", p=3)
+        with pytest.raises(ValueError, match="generator context mismatch"):
+            normal_form(f, [P("x1 - x2", p=5)], Lex(2))
+
+    def test_zero_divisor_rejected(self):
+        f = P("x1^2 + x2", p=3)
+        zero = Polynomial.zero(PrimeField(3), ("x1", "x2"))
+        with pytest.raises(ValueError, match="nonzero"):
+            normal_form(f, [P("x1", p=3), zero], Lex(2))
+
+
 def _naive_remainder(f, divisors, order):
     """Division written apart from the library: the largest remaining
     term, by order.key over a plain dict, is cancelled by the first
@@ -219,27 +244,164 @@ class TestBuchbergerIndependently:
         rng, field, names, gens, orders = _random_ideal(seed)
         for order in orders:
             gb = buchberger(gens, order)
-            assert gb
-            leads = [max(g.terms, key=order.key) for g in gb]
-            assert [order.key(m) for m in leads] == sorted(map(order.key, leads))
-            for g in gens:
-                assert _naive_remainder(g, gb, order) == {}
-            for a in range(len(gb)):
-                assert gb[a].terms[leads[a]] == 1
-                for b in range(a + 1, len(gb)):
-                    s = _naive_s_polynomial(gb[a], gb[b], leads[a], leads[b])
-                    assert _naive_remainder(s, gb, order) == {}
-                for m in gb[a].terms:
-                    assert not any(
-                        b != a and all(x >= y for x, y in zip(m, leads[b]))
-                        for b in range(len(gb))
-                    )
             probe = gens[0] * Polynomial(field, names, {
                 tuple(rng.randint(0, 1) for _ in names): 1,
                 (0,) * len(names): rng.randrange(1, field.p),
             })
-            for f in (*gens, probe):
-                assert normal_form(f, gb, order).terms == _naive_remainder(f, gb, order)
+            _check_reduced_basis(gens, gb, order, probe)
+
+
+def _check_reduced_basis(gens, gb, order, probe):
+    """Membership of the input, Buchberger's S-pair criterion, monic
+    leads listed first, full inter-reduction, and division of the input
+    and of probe as the naive division does it."""
+    assert gb
+    leads = [max(g.terms, key=order.key) for g in gb]
+    assert leads == [next(iter(g.terms)) for g in gb]
+    assert [order.key(m) for m in leads] == sorted(map(order.key, leads))
+    for g in gens:
+        assert _naive_remainder(g, gb, order) == {}
+    for a in range(len(gb)):
+        assert gb[a].terms[leads[a]] == 1
+        for b in range(a + 1, len(gb)):
+            s = _naive_s_polynomial(gb[a], gb[b], leads[a], leads[b])
+            assert _naive_remainder(s, gb, order) == {}
+        for m in gb[a].terms:
+            assert not any(
+                b != a and all(x >= y for x, y in zip(m, leads[b]))
+                for b in range(len(gb))
+            )
+    for f in (*gens, probe):
+        assert normal_form(f, gb, order).terms == _naive_remainder(f, gb, order)
+
+
+ORDERS3 = (Lex(3, (2, 1, 0)), GradedLex(3), BlockElimination((0,), 3),
+           BlockElimination((1, 2), 3))
+
+# reduced bases recorded before monomials were packed, one per order of
+# ORDERS3; every case passes 2^15, the largest exponent that fits the
+# core's starting 16-bit fields
+WIDE = [
+    # the input fits 16-bit fields; under Lex the basis carries past them
+    (5, ("x1^25000 - x2*x3", "x3^3 - x1^25000"), (
+        ("4*x1^75000 + x1^25000*x2^3", "x1^50000*x3 + 4*x1^25000*x2^2",
+         "4*x1^25000 + x2*x3", "x1^25000*x3^2 + 4*x1^25000*x2", "4*x1^25000 + x3^3"),
+        ("x3^3 + 4*x2*x3", "x1^25000 + 4*x2*x3"),
+        ("x3^3 + 4*x2*x3", "x1^25000 + 4*x2*x3"),
+        ("4*x1^25000 + x3^3", "4*x1^25000*x3^2 + x1^25000*x2", "4*x1^25000 + x2*x3"),
+    )),
+    # the input fits 16-bit fields; the degree of the lcm of the graded
+    # leads does not
+    (2, ("x1^30000 - x3", "x2^30000 - x3"), (
+        ("x1^30000 + x2^30000", "x1^30000 + x3"),
+        ("x2^30000 + x3", "x1^30000 + x3"),
+        ("x2^30000 + x3", "x1^30000 + x3"),
+        ("x1^30000 + x3", "x1^30000 + x2^30000"),
+    )),
+    # a single exponent carries past its 16-bit field
+    (5, ("x1^70000 - x2*x3", "x3^2 - x1^70000"), (
+        ("4*x1^140000 + x1^70000*x2^2", "4*x1^70000*x2 + x1^70000*x3",
+         "4*x1^70000 + x2*x3", "4*x1^70000 + x3^2"),
+        ("x2*x3 + 4*x3^2", "x1^70000 + 4*x3^2"),
+        ("x2*x3 + 4*x3^2", "x1^70000 + 4*x3^2"),
+        ("4*x1^70000 + x3^2", "x1^70000*x2 + 4*x1^70000*x3", "4*x1^70000 + x2*x3"),
+    )),
+    # past 2^31 in the input and past 2^32 in the basis
+    (3, ("x1^2147483653 - x2", "x3^2 - x1^2147483653*x2"), (
+        ("2*x1^2147483653 + x2", "2*x1^4294967306 + x3^2"),
+        ("x2^2 + 2*x3^2", "x1^2147483653 + 2*x2"),
+        ("x2^2 + 2*x3^2", "x1^2147483653 + 2*x2"),
+        ("2*x1^4294967306 + x3^2", "2*x1^2147483653 + x2"),
+    )),
+]
+
+
+class TestWideExponents:
+    """Exponents past the starting field width: the core restarts at a
+    wider field instead of returning a wrong basis."""
+
+    @pytest.mark.parametrize("p, texts, expected", WIDE)
+    def test_reduced_basis(self, p, texts, expected):
+        vars3 = ("x1", "x2", "x3")
+        gens = [P(t, vars3, p) for t in texts]
+        probe = gens[0] * P("x2 + 1", vars3, p)
+        for order, want in zip(ORDERS3, expected):
+            gb = buchberger(gens, order)
+            assert [str(g) for g in gb] == list(want), order
+            _check_reduced_basis(gens, gb, order, probe)
+
+    def test_input_bound(self):
+        # one 0/1 row can sum every exponent, so the total degree bounds
+        # every field; a guard-bit test alone would miss 70000 at 16 bits
+        ring = _Ring(PrimeField(2), ("x1", "x2"), Lex(2), 16)
+        assert ring.exponents(ring.monomial((32767, 0))) == [32767, 0]
+        for expo in ((32768, 0), (70000, 0), (16384, 16384)):
+            with pytest.raises(_Overflow):
+                ring.monomial(expo)
+
+
+@st.composite
+def _order_and_monomials(draw):
+    n = draw(st.integers(1, 7))
+    positions = draw(st.permutations(range(n)))
+    block = draw(st.sets(st.integers(0, n - 1)))
+    order = draw(st.sampled_from((Lex(n), Lex(n, positions), GradedLex(n, positions),
+                                  BlockElimination(block, n))))
+    # three monomials whose pairwise sums stay below 2^15
+    monomial = st.tuples(*[st.integers(0, 1500)] * n)
+    return order, draw(monomial), draw(monomial), draw(monomial)
+
+
+@given(_order_and_monomials())
+def test_packed_monomials_agree_with_tuples(case):
+    order, a, b, c = case
+    ring = _Ring(PrimeField(2), tuple(f"x{i}" for i in range(len(a))), order, 16)
+    pa, pb, pc = map(ring.monomial, (a, b, c))
+    ac = tuple(map(add, a, c))
+    assert ring.exponents(pa) == list(a)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert pa + pc == ring.monomial(ac)
+    assert ring.lcm(pa, pb) == ring.monomial(tuple(map(max, a, b)))
+    assert ring.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert ring.divides(pa, pa + pc)
+    assert ring.divides(pa + pc, pa) == (not any(c))
+    if ring.divides(pa, pb):
+        assert ((pb | ring.guard) - pa) ^ ring.guard == ring.monomial(tuple(map(sub, b, a)))
+
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "golden", "inputs")
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("nonfano-ideal", {"eliminate": 29, "buchberger": 29, "normal_form": 963,
+                       "nonzero remainders": 588}),
+    ("p3-ideal", {"eliminate": 17, "buchberger": 17, "normal_form": 1627,
+                  "nonzero remainders": 671}),
+])
+def test_same_reductions_as_tuple_core(monkeypatch, name, expected):
+    """The circuits of the golden ideals make as many eliminations and
+    reductions as they did before monomials were packed, with as many
+    nonzero remainders: the same pairs are reduced."""
+    counts = dict.fromkeys(expected, 0)
+    for module, fn in ((algmat, "eliminate"), (groebner, "buchberger"),
+                       (groebner, "normal_form")):
+        monkeypatch.setattr(module, fn, _counting(getattr(module, fn), counts))
+    with open(os.path.join(GOLDEN_INPUTS, f"{name}.json"), encoding="utf-8") as fh:
+        problem = json.load(fh)
+    ideal = Ideal.from_strings(problem["p"], problem["vars"], problem["generators"])
+    algmat.circuits(ideal)
+    assert counts == expected
+
+
+def _counting(fn, counts):
+    def wrapper(*args, **kwargs):
+        counts[fn.__name__] += 1
+        result = fn(*args, **kwargs)
+        if fn.__name__ == "normal_form" and not result.is_zero():
+            counts["nonzero remainders"] += 1
+        return result
+    return wrapper
 
 
 class TestEliminate:
