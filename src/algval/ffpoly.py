@@ -236,6 +236,13 @@ class CircuitVector:
         self.entries = tuple(clean)
         self.support = frozenset(i for i, e in enumerate(clean) if e != INF)
 
+    @classmethod
+    def trusted(cls, entries, support):
+        """A valid entries tuple and its support frozenset: no check runs."""
+        out = cls.__new__(cls)
+        out.entries, out.support = entries, support
+        return out
+
     def __len__(self):
         return len(self.entries)
 

@@ -38,7 +38,7 @@ class Valuation:
     over all bases is 0.  labels maps ground-set positions to original
     element ids (identity except for minors)."""
 
-    __slots__ = ("matroid", "values", "labels")
+    __slots__ = ("matroid", "values", "labels", "_masked")
 
     def __init__(self, matroid: Matroid, values, labels=None):
         self.matroid = matroid
@@ -50,6 +50,7 @@ class Valuation:
             vals = {b: v - shift for b, v in vals.items()}
         self.values = vals
         self.labels = tuple(labels) if labels is not None else tuple(range(matroid.n))
+        self._masked = None
 
     @property
     def n(self):
@@ -57,6 +58,12 @@ class Valuation:
 
     def value(self, basis) -> int:
         return self.values[frozenset(basis)]
+
+    def by_mask(self) -> dict:
+        """The values keyed by basis mask (Matroid.masks), built on first use."""
+        if self._masked is None:
+            self._masked = {m: v for m, (_, v) in zip(self.matroid.masks, self.items())}
+        return self._masked
 
     def items(self):
         """(basis, value) pairs in deterministic order."""
@@ -105,31 +112,42 @@ def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
     return Valuation(matroid, values)
 
 
+def _table_vector(n, value, mask, v, circuit) -> CircuitVector:
+    """Canonical circuit vector on circuit, an int mask holding v, from the
+    basis mask: entry u is value[mask ^ {u, v}] less the least such value."""
+    near = {u: value[mask ^ (1 << u ^ 1 << v)] for u in range(n) if circuit >> u & 1}
+    low = min(near.values())
+    entries = tuple(near[u] - low if u in near else INF for u in range(n))
+    return CircuitVector.trusted(entries, frozenset(near))
+
+
 def fundamental_valuated_circuit(valuation: Valuation, basis, v,
                                  support=None) -> CircuitVector:
     """Canonical circuit vector supported on the unique circuit inside
     basis + {v}, rebuilt from basis values via the exchange identity;
     a caller that holds that circuit passes it as `support`."""
-    basis = frozenset(basis)
     if support is None:
         support = valuation.matroid.fundamental_circuit(basis, v)
-    entries = [INF] * valuation.n
-    entries[v] = 0
-    vb = valuation.value(basis)
-    for u in support - {v}:
-        entries[u] = valuation.value(basis - {u} | {v}) - vb
-    return CircuitVector(entries).canonical()
+    return _table_vector(valuation.n, valuation.by_mask(), sum(1 << e for e in basis),
+                         v, sum(1 << e for e in support))
+
+
+def _table_family(valuation: Valuation, inside):
+    """Canonical vectors on the exchange table's circuits (inside false) or
+    cocircuits (inside true), each from the first (basis, element) whose
+    row entry it is; cocircuits take the bases in reverse, the dual's order."""
+    m, value, found = valuation.matroid, valuation.by_mask(), {}
+    for mask, row in list(zip(m.masks, m.rows()))[::-1 if inside else 1]:
+        for v, circuit in enumerate(row):
+            if mask >> v & 1 == inside and circuit not in found:
+                found[circuit] = _table_vector(m.n, value, mask, v, circuit)
+    return sorted(found.values(), key=CircuitVector.sort_key)
 
 
 def valuated_circuit_family(valuation: Valuation):
-    """All canonical valuated circuits, recovered from the valuation:
-    each support is built once, from the first (basis, outside element)
-    that spans it."""
-    return sorted(
-        (fundamental_valuated_circuit(valuation, b, v, support)
-         for support, (b, v) in valuation.matroid.fundamental_circuits().items()),
-        key=lambda c: c.sort_key(),
-    )
+    """All canonical valuated circuits, recovered from the valuation, each
+    from the first (basis, outside element) whose circuit it is."""
+    return _table_family(valuation, False)
 
 
 def dual(valuation: Valuation) -> Valuation:
@@ -141,9 +159,10 @@ def dual(valuation: Valuation) -> Valuation:
 
 
 def cocircuits(valuation: Valuation):
-    """Canonical valuated circuits of the dual; their supports are the
-    complements of the hyperplanes."""
-    return valuated_circuit_family(dual(valuation))
+    """Canonical valuated circuits of the dual, read off the exchange
+    table's fundamental cocircuits without building the dual; their
+    supports are the complements of the hyperplanes."""
+    return _table_family(valuation, True)
 
 
 def _delete(valuation: Valuation, delete) -> Valuation:

@@ -549,3 +549,26 @@ class TestPipelineHelpers:
         for command in ("valuation", "verify", "cross-check"):
             assert run([command, matrix_file, "--format", "json"]) == 0
             assert json.loads(capsys.readouterr().out)["input_sha256"]
+
+    def test_matrix_route_stays_on_the_tables(self, capsys, matrix_file,
+                                              monkeypatch):
+        # on these wide matrices the minors come from the row-expansion
+        # table and cocircuits from the exchange table: no Bareiss
+        # elimination and no dual is built
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        big = os.path.join(golden, "inputs", "seeded-4x12-matrix.json")
+        expected = {}
+        for path in (matrix_file, big):
+            for command in ("valuation", "cocircuits"):
+                assert run([command, path, "--format", "json"]) == 0
+                expected[path, command] = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matrix route left its tables")
+
+        monkeypatch.setattr("algval.toric.bareiss_determinant", refuse)
+        monkeypatch.setattr("algval.valmat.dual", refuse)
+        monkeypatch.setattr("algval.algmat.Matroid.dual", refuse)
+        for (path, command), out in expected.items():
+            assert run([command, path, "--format", "json"]) == 0
+            assert capsys.readouterr().out == out

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import algval.toric as toric
 from algval.algmat import EliminationOracle, bases, circuits
 from algval.ffpoly import INF, circuit_vector
 from algval.groebner import Ideal, buchberger, GradedLex
@@ -17,6 +18,7 @@ from algval.toric import (
     kernel_basis,
     linear_valuated_matroid,
     row_basis,
+    _minor_table,
     toric_ideal,
     toric_valuated_circuit,
 )
@@ -61,6 +63,75 @@ class TestExactLinearAlgebra:
     def test_row_basis_spans(self):
         m = IntMatrix(((1, 2, 3), (2, 4, 6), (0, 1, 1)))
         assert row_basis(m) == [0, 2]
+
+
+def bareiss_minor_table(matrix):
+    """The nonzero maximal minors on the row basis, one Bareiss
+    elimination per column set, keyed in the order of the column sets."""
+    rows = row_basis(matrix)
+    table = {}
+    for combo in combinations(range(matrix.n), len(rows)):
+        det = bareiss_determinant(matrix.submatrix(rows, combo))
+        if det:
+            table[frozenset(combo)] = det
+    return table
+
+
+class TestMinorTable:
+    """The table expands each minor along its last row from the smaller
+    minors; one Bareiss elimination per column set is the reference."""
+
+    @staticmethod
+    def seeded():
+        rng = random.Random(1704)
+        for d, n in ((1, 4), (2, 5), (3, 7), (4, 12), (5, 14)):
+            yield [[rng.randint(-3, 4) for _ in range(n)] for _ in range(d)]
+
+    def assert_matches_bareiss(self, rows):
+        matrix = IntMatrix(tuple(map(tuple, rows)))
+        matroid, minors = _minor_table(matrix)
+        assert list(minors.items()) == list(bareiss_minor_table(matrix).items())
+        assert set(matroid.bases) == set(minors)
+        return minors
+
+    def test_seeded_shapes(self):
+        sizes = [len(self.assert_matches_bareiss(rows)) for rows in self.seeded()]
+        assert len(sizes) == 5 and sizes[-1] > 1000
+
+    def test_zero_matrix(self):
+        assert self.assert_matches_bareiss([[0] * 5] * 3) == {frozenset(): 1}
+
+    def test_zero_column(self):
+        minors = self.assert_matches_bareiss([[1, 0, 2, 3], [0, 0, 1, -1], [2, 0, 5, 1]])
+        assert minors and all(1 not in b for b in minors)
+
+    def test_repeated_column(self):
+        minors = self.assert_matches_bareiss([[1, 2, 1, 3], [4, -1, 4, 0], [0, 3, 0, 2]])
+        assert minors and all(not {0, 2} <= b for b in minors)
+
+    def test_dependent_first_row_is_skipped(self):
+        rows = [[0, 0, 0, 0], [1, 2, 3, 4], [2, -1, 0, 5]]
+        assert row_basis(IntMatrix(tuple(map(tuple, rows)))) == [1, 2]
+        assert len(self.assert_matches_bareiss(rows)) == 6
+
+    @pytest.mark.parametrize("d, n, eliminations", [
+        (4, 12, 0), (5, 7, 0), (11, 14, 0), (12, 14, 91), (20, 22, 231)])
+    def test_cheaper_side_runs(self, d, n, eliminations, monkeypatch):
+        # row expansion holds every k-set of columns for k up to the
+        # rank, C(22, 11) = 705,432 of them on 20x22; a near-square matrix
+        # takes one Bareiss elimination per column set instead
+        real, calls = toric.bareiss_determinant, []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(toric, "bareiss_determinant", counted)
+        rng = random.Random(1000 * d + n)
+        rows = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(d)]
+        assert len(row_basis(IntMatrix(tuple(map(tuple, rows))))) == d
+        self.assert_matches_bareiss(rows)
+        assert calls == [d] * eliminations
 
 
 class TestKernelBasis:

@@ -209,6 +209,75 @@ class TestCocircuits:
         assert got.entries == (1, 0)
 
 
+def reference_fundamental_valuated_circuit(valuation, basis, v, support):
+    """The circuit vector on support from frozenset bases: entry u is
+    value(basis - u + v) - value(basis), shifted to canonical form."""
+    entries = [INF] * valuation.n
+    entries[v] = 0
+    vb = valuation.value(basis)
+    for u in support - {v}:
+        entries[u] = valuation.value(basis - {u} | {v}) - vb
+    return CircuitVector(entries).canonical()
+
+
+def reference_circuit_family(valuation):
+    return sorted(
+        (reference_fundamental_valuated_circuit(valuation, b, v, support)
+         for support, (b, v) in valuation.matroid.fundamental_circuits().items()),
+        key=lambda c: c.sort_key(),
+    )
+
+
+def _seeded_and_tampered_valuations():
+    """Matrix valuations of seeded matrices, and random integers on the
+    bases of their matroids, which are mostly not valuated matroids: on
+    those, which (basis, element) builds a vector decides its entries."""
+    rng = random.Random(1716)
+    for k, (d, n) in enumerate(((1, 4), (2, 5), (2, 6), (3, 6), (3, 7), (3, 7),
+                                (4, 8), (4, 12))):
+        rows = tuple(tuple(rng.randint(-3, 4) for _ in range(n)) for _ in range(d))
+        valuation = linear_valuated_matroid(IntMatrix(rows), (2, 3, 5)[k % 3])
+        yield valuation
+        matroid = valuation.matroid
+        yield Valuation(matroid, {b: rng.randint(0, 5) for b in matroid.bases})
+
+
+class TestFamiliesMatchReference:
+    def test_circuits(self):
+        count = 0
+        for valuation in _seeded_and_tampered_valuations():
+            got = valuated_circuit_family(valuation)
+            expected = reference_circuit_family(valuation)
+            assert got == expected
+            assert [c.support for c in got] == [c.support for c in expected]
+            count += 1
+        assert count == 16
+
+    def test_cocircuits_equal_the_dual_family(self):
+        count = 0
+        for valuation in _seeded_and_tampered_valuations():
+            got = cocircuits(valuation)
+            expected = reference_circuit_family(dual(valuation))
+            assert got == expected
+            assert [c.support for c in got] == [c.support for c in expected]
+            count += 1
+        assert count == 16
+
+    def test_fundamental_circuit_at_every_pair(self):
+        for valuation in _seeded_and_tampered_valuations():
+            matroid = valuation.matroid
+            for b in matroid.bases:
+                for v in set(range(matroid.n)) - b:
+                    support = matroid.fundamental_circuit(b, v)
+                    assert (fundamental_valuated_circuit(valuation, b, v)
+                            == reference_fundamental_valuated_circuit(
+                                valuation, b, v, support))
+            # the mask-keyed values are built once per valuation
+            assert valuation.by_mask() is valuation.by_mask()
+            assert valuation.by_mask() == {
+                sum(1 << e for e in b): valuation.value(b) for b in matroid.bases}
+
+
 class TestMinor:
     def test_identity_minor(self, nonfano):
         _, _, _, valuation = nonfano
