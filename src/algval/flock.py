@@ -26,7 +26,10 @@ class _Scores:
     every direction with entries in [min(entries), max(entries)], and its
     bumps by e_i and by the all-ones vector, leaves each field's top
     (guard) bit clear.  An indicator int has bit 0 of field k set for
-    each basis k of a family."""
+    each basis k of a family.
+
+    argmax scans the fields for their top; at_top marks the fields
+    equal to a top that is already known, with no scan."""
 
     def __init__(self, valuation: Valuation, entries):
         entries = list(entries)
@@ -52,6 +55,7 @@ class _Scores:
             sum(1 << (k * bits) for k, b in enumerate(self.bases) if i in b)
             for i in range(valuation.n)
         ]
+        self.rank = rank
         self.shift = rank * self.ones
 
     def score(self, alpha) -> int:
@@ -62,16 +66,21 @@ class _Scores:
 
     def argmax(self, s):
         """The largest field of s, and the indicator of the fields equal
-        to it: top - field plus guard - 1 carries into the guard bit
-        exactly when the field is below the top."""
+        to it."""
         raw = s.to_bytes(self.size, sys.byteorder)
         if self.format:
             top = max(memoryview(raw).cast(self.format))
         else:
             top = max(int.from_bytes(raw[k:k + self.width], sys.byteorder)
                       for k in range(0, self.size, self.width))
+        return top, self.at_top(s, top)
+
+    def at_top(self, s, top):
+        """The indicator of the fields of s equal to top, which no field
+        exceeds: top - field plus guard - 1 carries into the guard bit
+        exactly when the field is below the top."""
         below = top * self.ones - s + self.fill
-        return top, (self.guard & ~below) >> (self.bits - 1)
+        return (self.guard & ~below) >> (self.bits - 1)
 
     def family(self, indicator, items):
         """The items (bases or their masks) at the fields marked in an
@@ -139,20 +148,28 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
 
     Directions come from an explicit iterable or from the full box
     [-radius, radius]^n (default radius bounded by the evaluation
-    budget).  Every slice is the argmax of its own direction's packed
-    score vector.  The box is swept once, in reverse mixed-radix order
-    (side 2*radius+1), which reaches alpha+e_i and alpha+1 before
-    alpha, and each direction's slice goes into a table at its
-    position.  A neighbour inside the box is read from the table, since
-    score(alpha+e_i) = score(alpha) + indicators[i] exactly; only
-    neighbours past the box's upper face are scored on their own.
+    budget).  Every slice marks the fields of its own direction's packed
+    score vector that equal their top.  The box is swept once, in
+    reverse mixed-radix order (side 2*radius+1), which reaches alpha+e_i
+    and alpha+1 before alpha, and each direction's slice goes into a
+    table at its position.  A neighbour inside the box is read from the
+    table, since score(alpha+e_i) = score(alpha) + indicators[i]
+    exactly; only neighbours past the box's upper face are marked on
+    their own.  A top is scanned for only when it is not known: the
+    previous direction in a box row is alpha + e_{n-1}, and alpha's
+    top is that direction's, less 1 when its slice holds n-1 in every
+    basis; a bump by e_i adds 1 when the slice holds i in some basis,
+    and the all-ones bump adds the rank.  So argmax runs once per box
+    row, at alpha_{n-1} = radius, and once per listed direction.
     Equal slices are one shared int, so the table holds one reference
     per direction.  An explicit list is swept the same way with an
     empty table.  Each direction's violations are emitted in forward
     order, so the report is the one a forward sweep that rescored
     every neighbour gives.  Exchange verification runs on the basis
-    masks, once per distinct slice.  A negative radius is a ValueError:
-    its box holds no direction.
+    masks, once per distinct slice; the contraction/deletion and
+    all-ones identities hold for any weighting of the bases, so
+    exchange is the only check that can fail.  A negative radius is a
+    ValueError: its box holds no direction.
     """
     n = valuation.n
     report = FlockReport()
@@ -174,11 +191,15 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
             if len(alpha) != n:
                 raise ValueError(f"direction {alpha} must have length {n}")
         scores = _Scores(valuation, chain.from_iterable(alphas))
-        # no listed direction has a neighbour in the table
+        # no listed direction has a neighbour in the table, nor a
+        # previous direction to carry its score from
         strides, table, top = [0] * n, [], -math.inf
         directions = zip(repeat(0), reversed(alphas))
     elements = [(i, inside, scores.ones ^ inside, stride)
                 for i, (inside, stride) in enumerate(zip(scores.indicators, strides))]
+    # the element whose coordinate steps down along a box row; with no
+    # element every direction is () and starts its own row
+    row_inside, row_outside = elements[-1][1:3] if n else (0, 0)
     diagonal = sum(strides)
     # each distinct slice, exchange-checked when it first appears; the
     # table refers to these ints
@@ -187,8 +208,15 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     found_per_direction = []
 
     for idx, alpha in directions:
-        s = scores.score(alpha)
-        here = scores.argmax(s)[1]
+        if alpha and alpha[-1] < top:
+            # s, t and here still belong to alpha + e_{n-1}
+            s -= row_inside
+            if not here & row_outside:
+                t -= 1
+            here = scores.at_top(s, t)
+        else:
+            s = scores.score(alpha)
+            t, here = scores.argmax(s)
         known = slices.get(here)
         if known is None:
             slices[here] = known = here
@@ -201,19 +229,22 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
         if here in failing:
             found.append(f"slice at alpha={alpha} is not a matroid (exchange fails)")
         for a, (i, inside, outside, stride) in zip(alpha, elements):
-            bumped = table[idx + stride] if a < top else scores.argmax(s + inside)[1]
+            contracted = here & inside
+            if a < top:
+                bumped = table[idx + stride]
+            else:
+                bumped = scores.at_top(s + inside, t + 1 if contracted else t)
             # removing i is injective on the bases holding it and leaves
             # them one element short of the bases lacking it, so
             # slice(alpha)/i = slice(alpha+e_i)\i exactly when the slice's
             # bases holding i are all of the bumped slice, or, if none
             # holds i, the slice is the bumped slice's bases lacking i
-            contracted = here & inside
             if contracted != bumped if contracted else here != bumped & outside:
                 found.append(f"contraction/deletion mismatch at alpha={alpha}, i={i}")
         if max(alpha, default=top) < top:
             shifted = table[idx + diagonal]
         else:
-            shifted = scores.argmax(s + scores.shift)[1]
+            shifted = scores.at_top(s + scores.shift, t + scores.rank)
         if here != shifted:
             found.append(f"all-ones shift changes the slice at {alpha}")
         report.directions += 1

@@ -273,6 +273,18 @@ class TestVerifyCommand:
             assert capsys.readouterr().out == fh.read()
         assert code == 0
 
+    def test_box_three_matches_golden(self, capsys):
+        # radius 3 on the p = 3 matrix: 7^6 = 117,649 directions in 7^5
+        # box rows, so scores carried along a row and rows started at
+        # every level of the mixed-radix carry are pinned byte for byte
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        code = run(["verify", os.path.join(golden, "inputs", "p3-matrix.json"),
+                    "--box", "3", "--format", "json"])
+        with open(os.path.join(golden, "out", "p3-matrix.verify-box3.json"),
+                  encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+        assert code == 0
+
 
 class TestSeeded4x12Golden:
     """valuation --format json on a seeded 4x12 matrix (random.Random(4012),

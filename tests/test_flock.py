@@ -312,11 +312,28 @@ class TestPackedScoresMatchScan:
             self.assert_sweeps_agree(valuation, alphas=alphas)
             self.assert_slices_agree(valuation, alphas)
 
+    @pytest.mark.parametrize("n,bases", [(0, [set()]), (1, [{0}]), (1, [set()])])
+    def test_empty_and_one_element_ground_sets(self, n, bases):
+        # with n = 0 every direction is (), which has no last coordinate
+        # to step a box row along; with n = 1 every box row is the whole
+        # box
+        for value in (0, 5):
+            valuation = Valuation(Matroid(n, bases), {frozenset(bases[0]): value})
+            for radius in (0, 1, 2):
+                assert self.assert_sweeps_agree(valuation, radius=radius).directions \
+                    == (2 * radius + 1) ** n
+            for c in (-2, 0, 3):
+                listed = [(c,) * n] * 3 + [(c - 1,) * n, (c,) * n]
+                assert self.assert_sweeps_agree(valuation, alphas=listed).ok
+
 
 class TestBoxTable:
-    """The box sweep reads each in-box neighbour's slice from its table:
-    only neighbours past the box's upper face are scored on their own,
-    and the reports stay those of the sweep that rescored every one."""
+    """The box sweep reads each in-box neighbour's slice from its table
+    and derives every top it can from a known one: argmax scans the
+    fields only at the first direction of each box row, on the upper
+    face alpha_{n-1} = radius, and the reports stay those of the sweep
+    that rescored every neighbour.  The argmax counts pin a cost, not
+    an outcome."""
 
     def count_argmax(self, monkeypatch):
         calls = []
@@ -336,21 +353,22 @@ class TestBoxTable:
         calls = self.count_argmax(monkeypatch)
         report = check_flock_axioms(valuation, radius=radius)
         box = list(product(range(-radius, radius + 1), repeat=n))
-        bumps_past_face = sum(a == radius for alpha in box for a in alpha)
-        shifts_past_face = sum(max(alpha) == radius for alpha in box)
         assert report.directions == len(box)
-        assert len(calls) == len(box) + bumps_past_face + shifts_past_face
-        assert len(calls) < len(box) * (n + 2)
+        # one scan per box row, of the row's first direction's score
+        assert len(calls) == (2 * radius + 1) ** (n - 1)
+        scores = flock._Scores(valuation, (-radius, radius))
+        assert calls == [scores.score(alpha) for alpha in reversed(box)
+                         if alpha[-1] == radius]
 
-    def test_radius_zero_and_listed_directions_score_every_neighbour(
+    def test_radius_zero_and_listed_directions_scan_each_direction_once(
             self, monkeypatch, nonfano_valuation):
-        # a one-entry table is all face, and a list has no table
+        # a one-entry table is one row, and a list has no rows
         calls = self.count_argmax(monkeypatch)
         assert check_flock_axioms(nonfano_valuation, radius=0).directions == 1
-        assert len(calls) == 1 + 7 + 1
+        assert len(calls) == 1
         del calls[:]
         check_flock_axioms(nonfano_valuation, alphas=[(0,) * 7, ALPHA_MINUS] * 2)
-        assert len(calls) == 4 * (1 + 7 + 1)
+        assert len(calls) == 4
 
     def test_tampered_radius_three_keeps_violation_order(self):
         rng = random.Random(408)
@@ -400,3 +418,75 @@ class TestBoxTable:
             agree(valuation, alphas=listed + listed[:5])
             agree(valuation, alphas=sorted(listed, reverse=True))
         assert not agree(tampered, alphas=listed).ok
+
+
+class TestDerivedTops:
+    """Every slice the sweep marks at a known top, whether derived from
+    the previous direction in its box row, from a face bump or from the
+    all-ones shift, is the one a full scan of that direction's score
+    gives: the same score, top and slice as argmax(score(alpha))."""
+
+    def marked(self, monkeypatch, valuation, radius=None, alphas=None):
+        """The (score, top, slice) of every at_top call of one sweep."""
+        calls = []
+        at_top = flock._Scores.at_top
+
+        def recorded(scores, s, top):
+            here = at_top(scores, s, top)
+            calls.append((s, top, here))
+            return here
+
+        monkeypatch.setattr(flock._Scores, "at_top", recorded)
+        check_flock_axioms(valuation, radius=radius, alphas=alphas)
+        monkeypatch.undo()
+        return calls
+
+    def assert_tops_scanned(self, monkeypatch, valuation, radius=None, alphas=None):
+        n = valuation.n
+        if alphas is None:
+            scores = flock._Scores(valuation, (-radius, radius))
+            order = reversed(list(product(range(-radius, radius + 1), repeat=n)))
+            face = radius
+        else:
+            scores = flock._Scores(valuation, [a for alpha in alphas for a in alpha])
+            order, face = reversed(alphas), None
+        # the directions the sweep marks, in sweep order: each direction,
+        # then its bumps and its shift past the face (all of them for a
+        # list)
+        expected = []
+        for alpha in order:
+            expected.append(alpha)
+            expected += [tuple(b + (j == i) for j, b in enumerate(alpha))
+                         for i, a in enumerate(alpha) if face is None or a == face]
+            if face is None or max(alpha, default=face) == face:
+                expected.append(tuple(a + 1 for a in alpha))
+        calls = self.marked(monkeypatch, valuation, radius=radius, alphas=alphas)
+        assert len(calls) == len(expected)
+        for direction, (s, top, here) in zip(expected, calls):
+            assert s == scores.score(direction), direction
+            assert (top, here) == scores.argmax(s), direction
+        return scores
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_matrix_and_tampered_valuations(self, monkeypatch, radius):
+        rng = random.Random(420 + radius)
+        for d, n in [(2, 4), (3, 5)]:
+            valuation = _random_matrix_valuation(rng, d, n, 2)
+            tampered = _reweighted(valuation, rng, 4)
+            for v in (valuation, tampered):
+                self.assert_tops_scanned(monkeypatch, v, radius=radius)
+            listed = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
+            self.assert_tops_scanned(monkeypatch, tampered, alphas=listed + listed[:3])
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_sixteen_byte_fields(self, monkeypatch, radius):
+        rng = random.Random(430 + radius)
+        # the minor on columns 0 and 3 is 2, so some value is 1
+        base = linear_valuated_matroid(IntMatrix([[1, 0, 1, 1], [0, 1, 1, 2]]), 2)
+        scaled = Valuation(base.matroid, {
+            b: v * 2**70 for b, v in base.values.items()})
+        values = _reweighted(base, rng, 3).values
+        values[base.matroid.bases[0]] = 2**70
+        for v in (scaled, Valuation(base.matroid, values)):
+            scores = self.assert_tops_scanned(monkeypatch, v, radius=radius)
+            assert scores.format is None
