@@ -8,7 +8,10 @@ asks the oracle about subsets; circuits() reads the circuits off the
 basis family and takes each polynomial from that circuit's own
 elimination.  A Matroid rests on one exchange table of fundamental
 circuits and cocircuits, which its exchange check, its circuits and its
-dual share.  Elimination is by far the dominant cost, so the oracle
+dual share.  The table and the check are read off the neighbourhoods
+of the (r-1)-sets B - u: the elements that complete each to a basis,
+and the bases that meet those, so exchange at (B, u) is one dict
+lookup.  Elimination is by far the dominant cost, so the oracle
 decides a set before eliminating it where a certificate does: an input
 generator on the set proves it dependent, and the leading monomials of
 the Groebner bases earlier eliminations computed can prove it
@@ -34,44 +37,78 @@ def _mask(elements) -> int:
     return sum(1 << e for e in frozenset(elements))
 
 
-def exchange_table(n, masks):
-    """One pass over every (basis b, u in b, v outside b) of bases on
-    {0..n-1}, given as ints with bit e set for element e, that asks
-    whether b - u + v is a basis.  Row k of the table holds, for each e,
-    the fundamental circuit of e (e outside the k-th basis) or its
-    fundamental cocircuit (e inside).  Returns (rows, None), or (None,
-    (k1, k2, u)) for the first basis b1 and u in it, in order, whose
-    cocircuit misses a basis, and the first such b2: exchange holds
-    exactly when every basis meets every fundamental cocircuit."""
-    bits = [1 << e for e in range(n)]
+def _neighbourhoods(n, masks):
+    """The near sets of the (r-1)-sets of bases on {0..n-1}, given as
+    ints with bit e set for element e, and the exchange failure.  One
+    pass over every (basis b, u in b) with R = b - u sets bit u of
+    near[R], so near[R] ends up as every v with R + v a basis, and ORs
+    holding[u], the bases holding u, into reach[R], which ends up as
+    the bases that meet near[R].  The fundamental cocircuit of u in b
+    is near[b - u], so exchange holds at (b1, u) exactly when
+    reach[b1 - u] is every basis.  Returns (near, None), or (near, (k1,
+    k2, u)) for the first b1 and u in it, in order, that fail, and the
+    first basis b2 outside reach[b1 - u]."""
     holding = [0] * n
-    for k, m in enumerate(masks):
-        for e, b in enumerate(bits):
-            if m & b:
-                holding[e] |= 1 << k
-    known = set(masks)
+    k = 1
+    for m in masks:
+        while m:
+            b = m & -m
+            holding[b.bit_length() - 1] |= k
+            m ^= b
+        k <<= 1
+    near, reach = {}, {}
+    for m in masks:
+        x = m
+        while x:
+            b = x & -x
+            x ^= b
+            rest = m ^ b
+            near[rest] = near.get(rest, 0) | b
+            reach[rest] = reach.get(rest, 0) | holding[b.bit_length() - 1]
     everyone = (1 << len(masks)) - 1
-    rows = []
+    if min(reach.values(), default=everyone) == everyone:
+        return near, None
+    # some reach misses a basis: find the first (b1, u) in order
     for k1, m in enumerate(masks):
+        for u in range(n):
+            if m >> u & 1 and (ok := reach[m ^ 1 << u]) != everyone:
+                # the lowest clear bit of ok is the first b2
+                return near, (k1, (~ok & ok + 1).bit_length() - 1, u)
+
+
+def exchange_table(n, masks):
+    """The fundamental circuits and cocircuits of bases on {0..n-1},
+    given as ints with bit e set for element e.  Row k holds, for u in
+    the k-th basis b, its fundamental cocircuit near[b - u], and for v
+    outside b its fundamental circuit: v and every u whose near set
+    holds v, so the transpose visits only the exchanges that exist.
+    Returns (rows, None), or (None, failure) with the (k1, k2, u) of
+    _neighbourhoods when some basis misses some fundamental cocircuit."""
+    near, failure = _neighbourhoods(n, masks)
+    if failure is not None:
+        return None, failure
+    bits = [1 << e for e in range(n)]
+    rows = []
+    for m in masks:
         row = bits[:]
-        outside = [(v, b) for v, b in enumerate(bits) if not m & b]
-        for u, ubit in [(u, b) for u, b in enumerate(bits) if m & b]:
-            rest = m ^ ubit
-            ok = holding[u]
-            for v, vbit in outside:
-                if rest | vbit in known:
-                    row[u] |= vbit
-                    row[v] |= ubit
-                    ok |= holding[v]
-            if ok != everyone:  # the lowest clear bit of ok is the first b2
-                return None, (k1, (~ok & ok + 1).bit_length() - 1, u)
+        x = m
+        while x:
+            b = x & -x
+            x ^= b
+            row[b.bit_length() - 1] = y = near[m ^ b]
+            y ^= b
+            while y:
+                v = y & -y
+                y ^= v
+                row[v.bit_length() - 1] |= b
         rows.append(row)
     return rows, None
 
 
 def exchange_failure(n, masks):
-    """The (k1, k2, u) failure of exchange_table, or None."""
-    return exchange_table(n, masks)[1]
+    """The (k1, k2, u) failure of exchange_table, or None; no rows are
+    built."""
+    return _neighbourhoods(n, masks)[1]
 
 
 class Matroid:
@@ -130,7 +167,7 @@ class Matroid:
 
     def rank_of(self, subset) -> int:
         s = _mask(subset)
-        return max((m & s).bit_count() for m in self.masks)
+        return max([(m & s).bit_count() for m in self.masks])
 
     def circuits(self):
         """Minimal dependent sets, ascending by size then

@@ -18,6 +18,7 @@ circuit, or inconsistent circuit data).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -448,6 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first run in a process: parse_args
+    keeps no state between calls, and building costs about 25 times
+    what parsing does."""
+    return build_parser()
+
+
 def _merge_value_flags(argv):
     # lets "--alpha -1,0,..." survive argparse's option detection
     out = []
@@ -470,7 +479,7 @@ def run(argv=None) -> int:
     argv = _merge_value_flags(list(argv))
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # --help
             return exc.code or 0
         if args.command == "verify" and args.box is not None and args.box < 0:

@@ -84,8 +84,13 @@ class _Scores:
 
     def family(self, indicator, items):
         """The items (bases or their masks) at the fields marked in an
-        indicator."""
-        return [x for k, x in enumerate(items) if indicator >> (k * self.bits) & 1]
+        indicator, walking its set bits: field k holds bit k * bits."""
+        out = []
+        while indicator:
+            low = indicator & -indicator
+            out.append(items[(low.bit_length() - 1) // self.bits])
+            indicator ^= low
+        return out
 
 
 def _slice(valuation: Valuation, alpha):

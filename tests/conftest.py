@@ -121,6 +121,43 @@ def reference_exchange_failure(n, masks):
     return None
 
 
+def probe_exchange_table(n, masks):
+    """One pass over every (basis b, u in b, v outside b) of bases on
+    {0..n-1}, given as ints with bit e set for element e, that asks
+    whether b - u + v is a basis.  Row k of the table holds, for each e,
+    the fundamental circuit of e (e outside the k-th basis) or its
+    fundamental cocircuit (e inside).  Returns (rows, None), or (None,
+    (k1, k2, u)) for the first basis b1 and u in it, in order, whose
+    cocircuit misses a basis, and the first such b2: exchange holds
+    exactly when every basis meets every fundamental cocircuit.  The
+    reference for algmat.exchange_table, which reads the same table off
+    the near sets of the (r-1)-sets instead of probing each v."""
+    bits = [1 << e for e in range(n)]
+    holding = [0] * n
+    for k, m in enumerate(masks):
+        for e, b in enumerate(bits):
+            if m & b:
+                holding[e] |= 1 << k
+    known = set(masks)
+    everyone = (1 << len(masks)) - 1
+    rows = []
+    for k1, m in enumerate(masks):
+        row = bits[:]
+        outside = [(v, b) for v, b in enumerate(bits) if not m & b]
+        for u, ubit in [(u, b) for u, b in enumerate(bits) if m & b]:
+            rest = m ^ ubit
+            ok = holding[u]
+            for v, vbit in outside:
+                if rest | vbit in known:
+                    row[u] |= vbit
+                    row[v] |= ubit
+                    ok |= holding[v]
+            if ok != everyone:  # the lowest clear bit of ok is the first b2
+                return None, (k1, (~ok & ok + 1).bit_length() - 1, u)
+        rows.append(row)
+    return rows, None
+
+
 def frozenset_fundamental_circuit(known, b, v):
     """The circuit of v and every u with b - u + v in the set of bases
     known, on frozensets."""

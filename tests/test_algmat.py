@@ -28,6 +28,8 @@ from conftest import (
     frozenset_fundamental_circuit,
     frozenset_fundamental_circuits,
     minimal_dependent_sets,
+    minor_det,
+    probe_exchange_table,
     reference_exchange_failure,
 )
 
@@ -300,6 +302,65 @@ class TestExchangeTable:
     def test_failure_returns_no_rows(self):
         assert algmat.exchange_table(4, [0b0011, 0b1100]) == (None, (0, 1, 0))
         assert algmat.exchange_table(2, [0]) == ([[0b01, 0b10]], None)
+
+
+class TestNeighbourhoodsMatchProbe:
+    """exchange_table and exchange_failure, read off the near sets of
+    the (r-1)-sets, against the probe of every (basis, u in, v out):
+    the same rows and the same failure triple, in any basis order."""
+
+    @staticmethod
+    def same_as_probe(n, masks):
+        expected = probe_exchange_table(n, masks)
+        assert algmat.exchange_table(n, masks) == expected
+        assert exchange_failure(n, masks) == expected[1]
+        return expected[1] is None
+
+    def test_random_families_of_every_rank(self):
+        rng = random.Random(1901)
+        outcomes = set()
+        for n in range(10):
+            for r in range(n + 1):
+                subsets = [_mask_of(c) for c in combinations(range(n), r)]
+                for keep in (1.0, 0.8, 0.5, 0.2):
+                    masks = [m for m in subsets if rng.random() < keep]
+                    if not masks:
+                        continue
+                    if rng.random() < 0.5:
+                        rng.shuffle(masks)
+                    outcomes.add(self.same_as_probe(n, masks))
+        assert outcomes == {True, False}
+
+    def test_single_basis_families(self):
+        rng = random.Random(1902)
+        for n in range(10):
+            for r in range(n + 1):
+                basis = _mask_of(rng.sample(range(n), r))
+                assert self.same_as_probe(n, [basis])
+
+    def test_one_basis_away_from_a_matroid(self):
+        # column matroids with one basis dropped or one r-set added
+        rng = random.Random(1903)
+        outcomes = {"dropped": set(), "added": set()}
+        for _ in range(120):
+            n = rng.randint(2, 9)
+            r = rng.randint(1, min(n - 1, 4))
+            matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+            subsets = [_mask_of(c) for c in combinations(range(n), r)]
+            masks = [m for m, c in zip(subsets, combinations(range(n), r))
+                     if minor_det(matrix, range(r), c)]
+            if not masks:
+                continue
+            assert self.same_as_probe(n, masks)
+            if len(masks) > 1:
+                k = rng.randrange(len(masks))
+                outcomes["dropped"].add(self.same_as_probe(n, masks[:k] + masks[k + 1:]))
+            others = [m for m in subsets if m not in masks]
+            if others:
+                extra = rng.choice(others)
+                outcomes["added"].add(self.same_as_probe(n, sorted(masks + [extra])))
+                outcomes["added"].add(self.same_as_probe(n, [extra] + masks))
+        assert outcomes == {"dropped": {True, False}, "added": {True, False}}
 
 
 class TestIndependent:

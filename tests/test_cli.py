@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from algval import cli
 from algval.cli import (
     CliInputError,
     build_pipeline,
@@ -332,6 +333,34 @@ class TestCrossCheckCommand:
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_one_parser_answers_as_a_fresh_one(self, capsys, matrix_file):
+        # run builds its parser once per process; a bad flag, --help and
+        # valid commands in a row each answer as on a freshly built parser
+        commands = [
+            ["valuation", matrix_file, "--bogus"],
+            ["--help"],
+            ["verify", "--help"],
+            ["flock", matrix_file, "--alpha", "-1,0,1,0,-1,0,0", "--format", "json"],
+            ["verify", matrix_file, "--box", "-1"],
+            ["bases", matrix_file],
+        ]
+
+        def answer(argv):
+            code = run(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        fresh = []
+        for argv in commands:
+            cli._parser.cache_clear()
+            fresh.append(answer(argv))
+        assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 1, 0]
+        assert "unrecognized arguments: --bogus" in fresh[0][2]
+        assert "usage: algval" in fresh[1][1]
+        cli._parser.cache_clear()
+        assert [answer(argv) for argv in commands] == fresh
+        assert cli._parser.cache_info().misses == 1
 
     def test_input_error(self, capsys):
         assert run(["valuation", "/does/not/exist.json"]) == 1

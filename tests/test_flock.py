@@ -3,7 +3,14 @@ from itertools import combinations, product
 
 import pytest
 
-from algval.algmat import EliminationOracle, Matroid, bases, circuits
+from algval.algmat import (
+    EliminationOracle,
+    Matroid,
+    bases,
+    circuits,
+    exchange_failure,
+    exchange_table,
+)
 from algval.toric import IntMatrix, linear_valuated_matroid
 from algval.valmat import Valuation
 from algval import flock
@@ -16,7 +23,7 @@ from algval.flock import (
     g,
 )
 
-from conftest import NONFANO_A, S, exchange_holds
+from conftest import NONFANO_A, S, exchange_holds, probe_exchange_table
 
 ALPHA_MINUS = (-1, -1, -1, 0, 0, 0, -1)
 
@@ -210,6 +217,32 @@ def _reweighted(valuation, rng, top):
     })
 
 
+def _tampered_radius_three():
+    """Three reweighted 2x4 valuations whose radius-3 boxes hold slices
+    that fail exchange at many directions."""
+    rng = random.Random(408)
+    return [_reweighted(_random_matrix_valuation(rng, 2, 4, 2), rng, 6)
+            for _ in range(3)]
+
+
+def _sixteen_byte_valuations(radius):
+    """A 3x5 matrix valuation scaled by 2**70, and four reweightings of
+    it with one basis far above the rest: each needs 16-byte fields for
+    its box of the given radius."""
+    rng = random.Random(409 + radius)
+    base = _random_matrix_valuation(rng, 3, 5, 3)
+    scaled = Valuation(base.matroid, {
+        b: v * 2**70 for b, v in base.values.items()})
+    tampered = []
+    for _ in range(4):
+        # the box's slices come from the other bases, with small seeded
+        # values
+        values = _reweighted(base, rng, 3).values
+        values[base.matroid.bases[0]] = 2**70
+        tampered.append(Valuation(base.matroid, values))
+    return scaled, tampered
+
+
 class TestPackedScoresMatchScan:
     """check_flock_axioms, flock_slice and g against the per-basis scan."""
 
@@ -371,11 +404,9 @@ class TestBoxTable:
         assert len(calls) == 4
 
     def test_tampered_radius_three_keeps_violation_order(self):
-        rng = random.Random(408)
         agree = TestPackedScoresMatchScan().assert_sweeps_agree
         violations = 0
-        for _ in range(3):
-            valuation = _reweighted(_random_matrix_valuation(rng, 2, 4, 2), rng, 6)
+        for valuation in _tampered_radius_three():
             report = agree(valuation, radius=3)
             assert report.directions == 7**4
             assert not report.ok
@@ -389,20 +420,12 @@ class TestBoxTable:
     def test_sixteen_byte_fields(self, radius):
         # no struct format fits a 16-byte field, so argmax reads the
         # fields one by one
-        rng = random.Random(409 + radius)
         agree = TestPackedScoresMatchScan().assert_sweeps_agree
-        base = _random_matrix_valuation(rng, 3, 5, 3)
-        scaled = Valuation(base.matroid, {
-            b: v * 2**70 for b, v in base.values.items()})
+        scaled, tampered_boxes = _sixteen_byte_valuations(radius)
         assert flock._Scores(scaled, (-radius, radius)).format is None
         assert agree(scaled, radius=radius).ok
         violations = 0
-        for _ in range(4):
-            # one basis far above the rest widens the fields; the box's
-            # slices come from the others, with small seeded values
-            values = _reweighted(base, rng, 3).values
-            values[base.matroid.bases[0]] = 2**70
-            tampered = Valuation(base.matroid, values)
+        for tampered in tampered_boxes:
             assert flock._Scores(tampered, (-radius, radius)).format is None
             violations += len(agree(tampered, radius=radius).violations)
         assert violations
@@ -490,3 +513,70 @@ class TestDerivedTops:
         for v in (scaled, Valuation(base.matroid, values)):
             scores = self.assert_tops_scanned(monkeypatch, v, radius=radius)
             assert scores.format is None
+
+
+class TestSliceExchange:
+    """The exchange check the sweep runs once per distinct slice, against
+    the table pass and the probe of every (basis, u in, v out)."""
+
+    def slices(self, monkeypatch, valuation, radius):
+        """The (n, masks) of every distinct slice one sweep checks."""
+        seen = []
+        check = flock.exchange_failure
+
+        def recorded(n, masks):
+            seen.append((n, tuple(masks)))
+            return check(n, masks)
+
+        monkeypatch.setattr(flock, "exchange_failure", recorded)
+        check_flock_axioms(valuation, radius=radius)
+        monkeypatch.undo()
+        return seen
+
+    def test_tampered_boxes(self, monkeypatch):
+        boxes = [(v, 3) for v in _tampered_radius_three()]
+        for radius in (1, 2):
+            boxes += [(v, radius) for v in _sixteen_byte_valuations(radius)[1]]
+        outcomes = set()
+        for valuation, radius in boxes:
+            seen = self.slices(monkeypatch, valuation, radius)
+            assert len(seen) == len(set(seen))
+            for n, masks in seen:
+                failure = exchange_failure(n, masks)
+                assert failure == exchange_table(n, masks)[1]
+                assert failure == probe_exchange_table(n, masks)[1]
+                outcomes.add(failure is None)
+        assert outcomes == {True, False}
+
+
+class TestFamilyBySetBits:
+    """_Scores.family walks the set bits of an indicator; a scan of
+    every field reads the same items in the same order."""
+
+    @staticmethod
+    def scanned(scores, indicator, items):
+        return [x for k, x in enumerate(items) if indicator >> (k * scores.bits) & 1]
+
+    @pytest.mark.parametrize("top,width", [
+        (3, 1), (200, 2), (40_000, 4), (2**40, 8), (2**70, 16)])
+    def test_every_field_width(self, top, width):
+        rng = random.Random(440 + width)
+        base = _random_matrix_valuation(rng, 3, 6, 2)
+        values = {b: rng.randint(0, top) for b in base.values}
+        values[base.matroid.bases[0]] = top
+        scores = flock._Scores(Valuation(base.matroid, values), (-1, 1))
+        assert scores.width == width
+        assert (scores.format is None) == (width == 16)
+        fields = len(scores.bases)
+        marked = [0, scores.ones, 1, 1 << (fields - 1) * scores.bits]
+        marked += scores.indicators
+        marked += [scores.argmax(scores.score(alpha))[1]
+                   for alpha in product((-1, 1), repeat=6)]
+        marked += [sum(1 << k * scores.bits for k in range(fields) if rng.random() < 0.3)
+                   for _ in range(50)]
+        for indicator in marked:
+            for items in (scores.bases, scores.masks):
+                assert scores.family(indicator, items) == \
+                    self.scanned(scores, indicator, items)
+        assert scores.family(0, scores.bases) == []
+        assert scores.family(scores.ones, scores.masks) == list(scores.masks)
