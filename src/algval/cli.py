@@ -121,18 +121,21 @@ def problem_fingerprint(problem: ProblemInput) -> str:
 
 @dataclass
 class Pipeline:
-    """Everything the subcommands consume, computed on one route."""
+    """Everything the subcommands consume, computed on one route.  The
+    elimination route passes its circuits; otherwise they are read off
+    the basis values, as for cocircuits and minors, the first time a
+    document asks for them."""
 
     problem: ProblemInput
     fingerprint: str
     valuation: Valuation
-    vcircuits: list
+    _vcircuits: list = None
 
-
-def _matrix_route(matrix, p):
-    # the circuits are read off the basis values, as for cocircuits and minors
-    valuation = linear_valuated_matroid(matrix, p)
-    return valuation, valuated_circuit_family(valuation)
+    @property
+    def vcircuits(self) -> list:
+        if self._vcircuits is None:
+            self._vcircuits = valuated_circuit_family(self.valuation)
+        return self._vcircuits
 
 
 def _ideal_route(ideal, p, cache_dir, fingerprint):
@@ -168,16 +171,14 @@ def _check_elimination_field(p):
 def build_pipeline(problem, cache_dir=None) -> Pipeline:
     fingerprint = problem_fingerprint(problem)
     if problem.kind == "matrix":
-        valuation, vcircs = _matrix_route(problem.matrix, problem.p)
-    else:
-        _check_elimination_field(problem.p)
-        try:
-            ideal = Ideal.from_strings(
-                problem.p, problem.variables, problem.generators
-            )
-        except ValueError as exc:
-            raise CliInputError(f"bad generator: {exc}")
-        valuation, vcircs = _ideal_route(ideal, problem.p, cache_dir, fingerprint)
+        valuation = linear_valuated_matroid(problem.matrix, problem.p)
+        return Pipeline(problem, fingerprint, valuation)
+    _check_elimination_field(problem.p)
+    try:
+        ideal = Ideal.from_strings(problem.p, problem.variables, problem.generators)
+    except ValueError as exc:
+        raise CliInputError(f"bad generator: {exc}")
+    valuation, vcircs = _ideal_route(ideal, problem.p, cache_dir, fingerprint)
     return Pipeline(problem, fingerprint, valuation, vcircs)
 
 
@@ -233,8 +234,7 @@ def valuation_document(pipe: Pipeline, keys=DOCUMENT_KEYS["valuation"]) -> dict:
 
 def minor_document(pipe: Pipeline, delete, contract) -> dict:
     sub = minor(pipe.valuation, delete=delete, contract=contract)
-    subpipe = Pipeline(pipe.problem, pipe.fingerprint, sub,
-                       valuated_circuit_family(sub))
+    subpipe = Pipeline(pipe.problem, pipe.fingerprint, sub)
     return valuation_document(subpipe, DOCUMENT_KEYS["minor"])
 
 
@@ -252,6 +252,11 @@ def flock_document(pipe: Pipeline, alpha) -> dict:
 
 def verify_document(pipe: Pipeline, box_radius=None) -> dict:
     valuation = pipe.valuation
+    try:
+        # first, so that a box too large to index fails before any suite runs
+        flock = check_flock_axioms(valuation, radius=box_radius)
+    except ValueError as exc:
+        raise CliInputError(f"--box: {exc}")
     suites = []
 
     axioms = check_circuit_axioms(pipe.vcircuits, valuation.matroid)
@@ -279,7 +284,6 @@ def verify_document(pipe: Pipeline, box_radius=None) -> dict:
     orth = check_orthogonality(pipe.vcircuits, cocircs)
     suites.append(("orthogonality", orth.checked, orth.violations))
 
-    flock = check_flock_axioms(valuation, radius=box_radius)
     suites.append(("flock-axioms", flock.checked, flock.violations))
 
     return {
@@ -300,7 +304,7 @@ def cross_check(problem: ProblemInput, cache_dir=None) -> dict:
     fingerprint = problem_fingerprint(problem)
     p = problem.p
     _check_elimination_field(p)
-    direct, direct_circuits = _matrix_route(problem.matrix, p)
+    direct = linear_valuated_matroid(problem.matrix, p)
     ideal = toric_ideal(problem.matrix, p)
     derived, derived_circuits = _ideal_route(ideal, p, cache_dir, fingerprint)
     details = []
@@ -317,7 +321,7 @@ def cross_check(problem: ProblemInput, cache_dir=None) -> dict:
                     f"value of basis {sorted(i + 1 for i in b)}: "
                     f"determinant route {lhs}, elimination route {rhs}"
                 )
-    circuits_match = direct_circuits == derived_circuits
+    circuits_match = valuated_circuit_family(direct) == derived_circuits
     if not circuits_match:
         details.append("canonical circuit families differ between the routes")
     return {

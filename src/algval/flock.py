@@ -174,7 +174,8 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     masks, once per distinct slice; the contraction/deletion and
     all-ones identities hold for any weighting of the bases, so
     exchange is the only check that can fail.  A negative radius is a
-    ValueError: its box holds no direction.
+    ValueError: its box holds no direction.  So is a box with more
+    directions than a list can index, found before anything is built.
     """
     n = valuation.n
     report = FlockReport()
@@ -183,8 +184,11 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     if alphas is None:
         if radius is None:
             radius = default_box_radius(valuation)
-        scores = _Scores(valuation, (-radius, radius))
         side = 2 * radius + 1
+        if side**n > sys.maxsize:
+            raise ValueError(f"box radius {radius} gives {side}^{n} directions, "
+                             "more than a list can index")
+        scores = _Scores(valuation, (-radius, radius))
         strides = [side ** (n - 1 - i) for i in range(n)]
         table = [None] * side**n
         directions = zip(range(len(table) - 1, -1, -1),

@@ -11,10 +11,12 @@ checked against every row; valued entrywise by val_p, these vectors are
 the reference for those circuits.  This is both a standalone input
 mode and an independent oracle for the elimination route.
 
-All linear algebra is exact over unbounded Python integers: the minor
-table by division-free row expansion, or by one fraction-free (Bareiss)
-elimination per column set where that costs less, and kernel lattice
-bases by unimodular column reduction.
+All linear algebra is exact over unbounded Python integers.  One
+fraction-free (Bareiss) elimination gives the rank (its pivot count),
+the row basis (the pivot columns of the transpose) and determinants.
+The minor table comes from division-free row expansion, or from one
+such elimination per column set where that costs less, and kernel
+lattice bases from unimodular column reduction.
 """
 
 from __future__ import annotations
@@ -51,77 +53,54 @@ class IntMatrix:
     def n(self):
         return len(self.rows[0])
 
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
     def submatrix(self, row_indices, col_indices):
         return [[self.rows[i][j] for j in col_indices] for i in row_indices]
 
 
+def _bareiss(matrix):
+    """Fraction-free (Bareiss) elimination, column by column, on the first
+    nonzero entry at or below the next pivot row.  Returns the pivot
+    columns, which are the columns outside the span of the columns before
+    them, and the last pivot times the sign of the row swaps: the
+    determinant when the matrix is square and every column has a pivot."""
+    a = [list(row) for row in matrix]
+    cols = len(a[0]) if a else 0
+    pivots, sign, prev = [], 1, 1
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        for i in range(r + 1, len(a)):
+            for j in range(col + 1, cols):
+                a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
+        prev = a[r][col]
+        pivots.append(col)
+        if r + 1 == len(a):
+            break
+    return pivots, sign * prev
+
+
 def bareiss_determinant(matrix) -> int:
     """Fraction-free determinant of a square integer matrix."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, det = _bareiss(matrix)
+    return det if len(pivots) == len(matrix) else 0
 
 
 def integer_rank(matrix) -> int:
-    """Rank of an integer matrix by fraction-free elimination with full
-    pivot search."""
-    a = [list(row) for row in matrix]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if a[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        for i in range(rank + 1, rows):
-            for j in range(col + 1, cols):
-                a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
-            a[i][col] = 0
-        prev = a[rank][col]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of an integer matrix: its number of pivot columns."""
+    return len(_bareiss(matrix)[0])
 
 
 def row_basis(matrix: IntMatrix):
-    """First row subset, in order, spanning the row space."""
-    chosen = []
-    for i in range(matrix.d):
-        candidate = chosen + [i]
-        if integer_rank([matrix.rows[r] for r in candidate]) == len(candidate):
-            chosen.append(i)
-    return chosen
+    """First row subset, in order, spanning the row space: the pivot
+    columns of the transpose."""
+    return _bareiss(zip(*matrix.rows))[0]
 
 
 def kernel_basis(matrix: IntMatrix):

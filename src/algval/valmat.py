@@ -121,13 +121,10 @@ def _table_vector(n, value, mask, v, circuit) -> CircuitVector:
     return CircuitVector.trusted(entries, frozenset(near))
 
 
-def fundamental_valuated_circuit(valuation: Valuation, basis, v,
-                                 support=None) -> CircuitVector:
+def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVector:
     """Canonical circuit vector supported on the unique circuit inside
-    basis + {v}, rebuilt from basis values via the exchange identity;
-    a caller that holds that circuit passes it as `support`."""
-    if support is None:
-        support = valuation.matroid.fundamental_circuit(basis, v)
+    basis + {v}, rebuilt from basis values via the exchange identity."""
+    support = valuation.matroid.fundamental_circuit(basis, v)
     return _table_vector(valuation.n, valuation.by_mask(), sum(1 << e for e in basis),
                          v, sum(1 << e for e in support))
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from algval import algmat, cli
+from algval import algmat
 from algval.algmat import (
     CircuitRecord,
     EliminationOracle,
@@ -16,8 +16,10 @@ from algval.algmat import (
 )
 from algval.ffpoly import PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
-from algval.toric import IntMatrix, _minor_table, integer_rank, toric_ideal
-from algval.valmat import cocircuits, valuation_from_circuits
+from algval.toric import (
+    IntMatrix, _minor_table, integer_rank, linear_valuated_matroid, toric_ideal,
+)
+from algval.valmat import cocircuits, valuated_circuit_family, valuation_from_circuits
 
 from conftest import (
     NONFANO_A,
@@ -293,7 +295,8 @@ class TestExchangeTable:
             return table(n, masks)
 
         monkeypatch.setattr(algmat, "exchange_table", counted)
-        valuation, vcircs = cli._matrix_route(IntMatrix(NONFANO_A), 2)
+        valuation = linear_valuated_matroid(IntMatrix(NONFANO_A), 2)
+        vcircs = valuated_circuit_family(valuation)
         valuation.matroid.circuits()
         assert valuation_from_circuits(valuation.matroid, vcircs) == valuation
         cocircuits(valuation)

@@ -253,6 +253,22 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: --box must be at least 0, got -1\n"
 
+    def test_box_too_large_to_index_is_input_error(self, capsys, monkeypatch):
+        # 200001^7 directions overflow a list index; the box is refused
+        # before any suite runs or the flock scores are built
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran before refusing the box")
+
+        monkeypatch.setattr(cli, "check_circuit_axioms", refuse)
+        monkeypatch.setattr("algval.flock._Scores", refuse)
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        path = os.path.join(golden, "inputs", "nonfano-matrix.json")
+        assert run(["verify", path, "--box", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --box: box radius 100000 gives 200001^7 "
+                                "directions, more than a list can index\n")
+
     def test_box_zero_checks_one_direction(self, capsys, matrix_file):
         code, doc = run_json(capsys, "verify", matrix_file, "--box", "0")
         assert code == 0
@@ -570,11 +586,44 @@ class TestCache:
         assert capsys.readouterr().out == first
 
 
+def counted_families(monkeypatch):
+    """The sizes of the valuations the CLI reads a circuit family off."""
+    built, real = [], cli.valuated_circuit_family
+
+    def counted(valuation):
+        built.append(valuation.n)
+        return real(valuation)
+
+    monkeypatch.setattr(cli, "valuated_circuit_family", counted)
+    return built
+
+
 class TestPipelineHelpers:
-    def test_build_pipeline_matrix(self, matrix_file):
+    def test_build_pipeline_matrix(self, matrix_file, monkeypatch):
+        # the matrix route reads its circuits off the basis values on
+        # first use, once
+        built = counted_families(monkeypatch)
         pipe = build_pipeline(load_problem(matrix_file))
         assert pipe.valuation.matroid.rank == 3
+        assert built == []
         assert len(pipe.vcircuits) == 17
+        assert pipe.vcircuits is pipe.vcircuits
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command, extra, families", [
+        ("bases", (), 0), ("cocircuits", (), 0),
+        ("flock", ("--alpha", "0,0,0,0,0,0,0"), 0),
+        ("valuation", (), 1), ("circuits", (), 1), ("verify", ("--box", "0"), 1),
+        ("minor", ("--delete", "2", "--contract", "5"), 1), ("cross-check", (), 1),
+    ])
+    def test_matrix_circuits_built_when_printed(self, capsys, matrix_file, monkeypatch,
+                                                 command, extra, families):
+        # only documents that print or check the circuits build them, and
+        # verify, which uses them three times, builds them once
+        built = counted_families(monkeypatch)
+        assert run([command, matrix_file, *extra]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == families
 
     def test_cross_check_requires_matrix(self, ideal_file):
         with pytest.raises(CliInputError):

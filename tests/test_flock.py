@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -118,6 +119,22 @@ class TestFlockAxioms:
         with pytest.raises(ValueError, match="box radius must be at least 0"):
             check_flock_axioms(nonfano_valuation, radius=-1)
         assert check_flock_axioms(nonfano_valuation, radius=0).directions == 1
+
+    def test_box_too_large_to_index_rejected(self, nonfano_valuation, monkeypatch):
+        # the largest radius whose box a list can index passes the check
+        # and reaches the scores; one more fails before they are built
+        def refuse(*args, **kwargs):
+            raise AssertionError("scores built")
+
+        monkeypatch.setattr(flock, "_Scores", refuse)
+        radius = 0
+        while (2 * radius + 3) ** 7 <= sys.maxsize:
+            radius += 1
+        with pytest.raises(AssertionError, match="scores built"):
+            check_flock_axioms(nonfano_valuation, radius=radius)
+        for too_large in (radius + 1, 100000):
+            with pytest.raises(ValueError, match="more than a list can index"):
+                check_flock_axioms(nonfano_valuation, radius=too_large)
 
     def test_explicit_direction_list(self, nonfano_valuation):
         report = check_flock_axioms(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -63,6 +64,123 @@ class TestExactLinearAlgebra:
     def test_row_basis_spans(self):
         m = IntMatrix(((1, 2, 3), (2, 4, 6), (0, 1, 1)))
         assert row_basis(m) == [0, 2]
+
+
+def fraction_elimination(rows):
+    """Rank and, for a square matrix, determinant by Gaussian elimination
+    over the rationals, column by column."""
+    a = [[Fraction(e) for e in row] for row in rows]
+    cols = len(a[0]) if a else 0
+    rank, det = 0, Fraction(1)
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            det = -det
+        det *= a[rank][col]
+        for i in range(rank + 1, len(a)):
+            factor = a[i][col] / a[rank][col]
+            for j in range(col, cols):
+                a[i][j] -= factor * a[rank][j]
+        rank += 1
+    return rank, det
+
+
+def prefix_rank_row_basis(rows):
+    """Each row in turn, kept when it raises the rank of those kept."""
+    chosen = []
+    for i in range(len(rows)):
+        candidate = chosen + [i]
+        if fraction_elimination([rows[r] for r in candidate])[0] == len(candidate):
+            chosen.append(i)
+    return chosen
+
+
+def seeded_eliminations():
+    """Matrices up to 6x8, tall, square and wide: random ones, and ones
+    with a row that combines the others, a zero column, or a column that
+    combines the columns before it."""
+    rng = random.Random(1968)
+    for d in range(1, 7):
+        for n in range(1, 9):
+            for shape in ("random", "row", "zero", "column", "column"):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+                if shape == "row" and d > 1:
+                    i = rng.randrange(d)
+                    coeffs = [rng.randint(-2, 2) for _ in range(d - 1)]
+                    others = rows[:i] + rows[i + 1:]
+                    rows[i] = [sum(c * e for c, e in zip(coeffs, column))
+                               for column in zip(*others)]
+                elif shape == "zero":
+                    j = rng.randrange(n)
+                    for row in rows:
+                        row[j] = 0
+                elif shape == "column":
+                    j = rng.randrange(n)
+                    coeffs = [rng.randint(-2, 2) for _ in range(j)]
+                    for row in rows:
+                        row[j] = sum(c * e for c, e in zip(coeffs, row))
+                yield rows
+
+
+class TestOneElimination:
+    """Rank, row basis and determinant all come from one fraction-free
+    elimination; rational elimination and the prefix-rank row basis are
+    the references."""
+
+    def test_seeded_matrices(self):
+        squares = singular = 0
+        for rows in seeded_eliminations():
+            rank, det = fraction_elimination(rows)
+            assert integer_rank(rows) == rank
+            basis = row_basis(IntMatrix(tuple(map(tuple, rows))))
+            assert basis == prefix_rank_row_basis(rows)
+            if len(rows) == len(rows[0]):
+                assert bareiss_determinant(rows) == det
+                squares, singular = squares + 1, singular + (det == 0)
+            else:
+                with pytest.raises(ValueError, match="square"):
+                    bareiss_determinant(rows)
+        assert squares == 30 and 10 < singular < 30
+
+    def test_dependent_row_in_every_position(self):
+        rng = random.Random(22)
+        for d, n in ((2, 3), (4, 6), (6, 8), (6, 4)):
+            for i in range(d):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+                rows[i] = [sum(row[j] for k, row in enumerate(rows) if k != i)
+                           for j in range(n)]
+                basis = row_basis(IntMatrix(tuple(map(tuple, rows))))
+                assert basis == prefix_rank_row_basis(rows)
+                assert len(basis) == fraction_elimination(rows)[0] < d
+
+    def test_singular_square_with_middle_column_pivotless(self):
+        rng = random.Random(68)
+        for k in range(3, 7):
+            for j in range(1, k - 1):
+                rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+                for row in rows:
+                    row[j] = 2 * row[0] - row[j - 1]
+                assert bareiss_determinant(rows) == 0
+                assert minor_det(rows, range(k), range(k)) == 0
+                assert integer_rank(rows) == fraction_elimination(rows)[0]
+                transpose = tuple(zip(*rows))
+                assert row_basis(IntMatrix(transpose)) == prefix_rank_row_basis(transpose)
+
+    def test_row_basis_runs_one_elimination(self, monkeypatch):
+        real, calls = toric._bareiss, []
+
+        def counted(matrix):
+            calls.append(1)
+            return real(matrix)
+
+        monkeypatch.setattr(toric, "_bareiss", counted)
+        matrix = IntMatrix(((1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4)))
+        assert row_basis(matrix) == [0, 2]
+        assert calls == [1]
 
 
 def bareiss_minor_table(matrix):
