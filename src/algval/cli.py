@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from algval.algmat import EliminationOracle, bases, circuits
 from algval.ffpoly import INF, PrimeField, is_prime
@@ -41,7 +42,7 @@ from algval.valmat import (
     valuated_circuits,
     valuation_from_circuits,
 )
-from algval.flock import check_flock_axioms, flock_slice
+from algval.flock import check_box_radius, check_flock_axioms, flock_slice
 
 
 class CliInputError(Exception):
@@ -185,22 +186,14 @@ def build_pipeline(problem, cache_dir=None) -> Pipeline:
 # -- documents ---------------------------------------------------------------
 
 
-def _entry(e):
-    return "inf" if e == INF else e
-
-
 def _vector_doc(vec):
-    return {"entries": [_entry(e) for e in vec.entries]}
-
-
-def _labelled(valuation, basis):
-    return sorted(valuation.labels[i] + 1 for i in basis)
+    return {"entries": ["inf" if e == INF else e for e in vec.entries]}
 
 
 def _bases_doc(valuation):
-    return [
-        {"set": _labelled(valuation, b), "value": v} for b, v in valuation.items()
-    ]
+    labels = valuation.labels
+    return [{"set": sorted(labels[i] + 1 for i in b), "value": v}
+            for b, v in valuation.items()]
 
 
 # the keys each subcommand prints, in order
@@ -252,11 +245,6 @@ def flock_document(pipe: Pipeline, alpha) -> dict:
 
 def verify_document(pipe: Pipeline, box_radius=None) -> dict:
     valuation = pipe.valuation
-    try:
-        # first, so that a box too large to index fails before any suite runs
-        flock = check_flock_axioms(valuation, radius=box_radius)
-    except ValueError as exc:
-        raise CliInputError(f"--box: {exc}")
     suites = []
 
     axioms = check_circuit_axioms(pipe.vcircuits, valuation.matroid)
@@ -284,6 +272,7 @@ def verify_document(pipe: Pipeline, box_radius=None) -> dict:
     orth = check_orthogonality(pipe.vcircuits, cocircs)
     suites.append(("orthogonality", orth.checked, orth.violations))
 
+    flock = check_flock_axioms(valuation, radius=box_radius)
     suites.append(("flock-axioms", flock.checked, flock.violations))
 
     return {
@@ -391,9 +380,37 @@ def render_text(doc: dict, stream) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the encoders of the JSON atoms, by exact class
+_ATOMS = {str: encode_basestring_ascii, int: int.__repr__,
+          bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json(value, indent="\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for a value built of
+    dicts with str keys, lists, str, int, bool and None: each list's atoms
+    are encoded in one pass and joined once, and only containers recurse."""
+    atom = _ATOMS.get(type(value))
+    if atom is not None:
+        return atom(value)
+    inner = indent + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        parts = [_ATOMS[type(x)](x) if type(x) in _ATOMS else _json(x, inner)
+                 for x in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        parts = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(doc: dict, fmt: str, stream) -> None:
     if fmt == "json":
-        stream.write(json.dumps(doc, indent=2) + "\n")
+        stream.write(_json(doc) + "\n")
     else:
         stream.write(render_text(doc, stream))
 
@@ -489,6 +506,13 @@ def run(argv=None) -> int:
         if args.command == "verify" and args.box is not None and args.box < 0:
             raise CliInputError(f"--box must be at least 0, got {args.box}")
         problem = load_problem(args.input)
+        if args.command == "verify" and args.box is not None:
+            # refused before the valuation is built, from the ground set's size
+            n = problem.matrix.n if problem.kind == "matrix" else len(problem.variables)
+            try:
+                check_box_radius(n, args.box)
+            except ValueError as exc:
+                raise CliInputError(f"--box: {exc}")
         if args.command == "cross-check":
             doc = cross_check(problem, cache_dir=args.cache)
             emit(doc, args.format, sys.stdout)

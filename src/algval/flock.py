@@ -145,6 +145,18 @@ def default_box_radius(valuation: Valuation) -> int:
     return radius
 
 
+def check_box_radius(n, radius) -> None:
+    """Refuse, as a ValueError, a box [-radius, radius]^n that holds no
+    direction or more directions than a list can index; n is all it
+    needs, so a caller can refuse a box before computing a valuation."""
+    if radius < 0:
+        raise ValueError(f"box radius must be at least 0, got {radius}")
+    side = 2 * radius + 1
+    if side**n > sys.maxsize:
+        raise ValueError(f"box radius {radius} gives {side}^{n} directions, "
+                         "more than a list can index")
+
+
 def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockReport:
     """Verify, per direction alpha: the slice's basis family satisfies
     basis exchange (each slice must itself be a matroid),
@@ -173,21 +185,18 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     every neighbour gives.  Exchange verification runs on the basis
     masks, once per distinct slice; the contraction/deletion and
     all-ones identities hold for any weighting of the bases, so
-    exchange is the only check that can fail.  A negative radius is a
-    ValueError: its box holds no direction.  So is a box with more
-    directions than a list can index, found before anything is built.
+    exchange is the only check that can fail.  A radius that
+    check_box_radius refuses is a ValueError, raised before anything is
+    built.
     """
     n = valuation.n
     report = FlockReport()
-    if radius is not None and radius < 0:
-        raise ValueError(f"box radius must be at least 0, got {radius}")
+    if radius is not None:
+        check_box_radius(n, radius)
     if alphas is None:
         if radius is None:
             radius = default_box_radius(valuation)
         side = 2 * radius + 1
-        if side**n > sys.maxsize:
-            raise ValueError(f"box radius {radius} gives {side}^{n} directions, "
-                             "more than a list can index")
         scores = _Scores(valuation, (-radius, radius))
         strides = [side ** (n - 1 - i) for i in range(n)]
         table = [None] * side**n

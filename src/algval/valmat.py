@@ -114,11 +114,20 @@ def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
 
 def _table_vector(n, value, mask, v, circuit) -> CircuitVector:
     """Canonical circuit vector on circuit, an int mask holding v, from the
-    basis mask: entry u is value[mask ^ {u, v}] less the least such value."""
-    near = {u: value[mask ^ (1 << u ^ 1 << v)] for u in range(n) if circuit >> u & 1}
-    low = min(near.values())
-    entries = tuple(near[u] - low if u in near else INF for u in range(n))
-    return CircuitVector.trusted(entries, frozenset(near))
+    basis mask: entry u is value[mask ^ {u, v}] less the least such value,
+    one lookup per set bit of circuit."""
+    entries, support, swapped = [INF] * n, [], mask ^ 1 << v
+    while circuit:
+        bit = circuit & -circuit
+        u = bit.bit_length() - 1
+        entries[u] = value[swapped ^ bit]
+        support.append(u)
+        circuit ^= bit
+    low = min(entries)
+    if low:
+        for u in support:
+            entries[u] -= low
+    return CircuitVector.trusted(tuple(entries), frozenset(support))
 
 
 def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVector:

@@ -1,20 +1,29 @@
+import io
 import json
 import os
+import random
 
 import pytest
 
 from algval import cli
 from algval.cli import (
+    DOCUMENT_KEYS,
     CliInputError,
     build_pipeline,
     cross_check,
+    emit,
+    flock_document,
     load_problem,
+    minor_document,
     problem_fingerprint,
     run,
+    valuation_document,
+    verify_document,
 )
 from algval.flock import FlockReport
 
 from conftest import NONFANO_A, NONFANO_GENERATORS, NONFANO_VARS
+from test_golden import ALPHA, GOLDEN, INPUTS
 
 MATRIX_DOC = {
     "kind": "matrix",
@@ -263,6 +272,22 @@ class TestVerifyCommand:
         monkeypatch.setattr("algval.flock._Scores", refuse)
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         path = os.path.join(golden, "inputs", "nonfano-matrix.json")
+        assert run(["verify", path, "--box", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --box: box radius 100000 gives 200001^7 "
+                                "directions, more than a list can index\n")
+
+    def test_box_too_large_refused_before_eliminating(self, capsys, monkeypatch):
+        # on an ideal input n is the length of the variable list, so the
+        # box is refused before the elimination route runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("eliminated before refusing the box")
+
+        monkeypatch.setattr("algval.groebner.eliminate", refuse)
+        monkeypatch.setattr("algval.algmat.eliminate", refuse)
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        path = os.path.join(golden, "inputs", "nonfano-ideal.json")
         assert run(["verify", path, "--box", "100000"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -662,3 +687,74 @@ class TestPipelineHelpers:
         for (path, command), out in expected.items():
             assert run([command, path, "--format", "json"]) == 0
             assert capsys.readouterr().out == out
+
+
+@pytest.fixture(scope="module")
+def golden_documents():
+    """Every kind of document, built from the four golden inputs."""
+    docs = []
+    for name in INPUTS:
+        problem = load_problem(os.path.join(GOLDEN, "inputs", f"{name}.json"))
+        pipe = build_pipeline(problem)
+        docs += [valuation_document(pipe, keys) for keys in DOCUMENT_KEYS.values()]
+        docs.append(minor_document(pipe, frozenset({1}), frozenset({4})))
+        docs.append(flock_document(pipe, tuple(map(int, ALPHA[name].split(",")))))
+        docs.append(verify_document(pipe, box_radius=1))
+        if problem.kind == "matrix":
+            docs.append(cross_check(problem))
+    return docs
+
+
+def _random_text(rng):
+    alphabet = ["a", "Z", "0", " ", "\u221e", "\u00e9", '"', "\\", "/", "\n",
+                "\t", "\x00", "\x1f", "\x7f", "\U0001d53d"]
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+
+def _random_value(rng, depth):
+    """A JSON value of the kinds documents hold, nested at most depth deep."""
+    kind = rng.randrange(7 if depth else 5)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice((0, 1, -1, 2**64 + 1, -(2**64) - 1, 3**50,
+                           rng.randint(-10**6, 10**6)))
+    if kind == 2:
+        return rng.choice((True, False))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice(([], {}))
+    if kind == 5:
+        return [_random_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return {_random_text(rng): _random_value(rng, depth - 1)
+            for _ in range(rng.randint(0, 4))}
+
+
+class TestJsonWriter:
+    """emit writes json.dumps(doc, indent=2) and a newline, byte for byte."""
+
+    @staticmethod
+    def written(doc):
+        stream = io.StringIO()
+        emit(doc, "json", stream)
+        return stream.getvalue()
+
+    def test_golden_documents(self, golden_documents):
+        assert len(golden_documents) == 4 * 8 + 2
+        for doc in golden_documents:
+            assert self.written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_random_values(self):
+        rng = random.Random(2021)
+        for _ in range(500):
+            value = _random_value(rng, 4)
+            assert cli._json(value) == json.dumps(value, indent=2)
+        for value in ({}, [], [[[{}]]], {"": {"": []}}, "\u221e", 2**64, -(2**64) - 1):
+            assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, [0, (1,)], {"a": {0.5}},
+                                       {"a": [[float("inf")]]}, {1: "int key"}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)

@@ -278,6 +278,48 @@ class TestFamiliesMatchReference:
                 sum(1 << e for e in b): valuation.value(b) for b in matroid.bases}
 
 
+def exchange_reference_families(valuation):
+    """Circuits and cocircuits from every (basis, element) pair, with no
+    matroid method: for v outside b the circuit is v and each u in b with
+    b - u + v a basis; for u in b the cocircuit is u and each v outside b
+    with b - u + v a basis; either way entry x is value(b - u + v) at its
+    swap, canonical, deduplicated and sorted as the families are.  Also
+    returns whether some vector's least raw value was nonzero."""
+    values, ground = valuation.values, frozenset(range(valuation.n))
+    found, shifted = ({}, {}), False
+    for b in valuation.matroid.bases:
+        for x in ground:
+            inside = x in b
+            swaps = ({x: b} | {y: b - {x} | {y} for y in ground - b} if inside
+                     else {x: b} | {u: b - {u} | {x} for u in b})
+            near = {y: values[swap] for y, swap in swaps.items() if swap in values}
+            shifted |= min(near.values()) != 0
+            entries = [near.get(y, INF) for y in range(valuation.n)]
+            vector = CircuitVector(entries).canonical()
+            found[inside][vector] = vector.support
+    families = [sorted(f, key=CircuitVector.sort_key) for f in found]
+    for f in found:
+        # one canonical vector per support on a valuated matroid
+        assert len(set(f.values())) == len(f)
+    return families[0], families[1], shifted
+
+
+class TestTableFamiliesByExchange:
+    def test_families_match_every_pair(self):
+        rng = random.Random(2117)
+        shifted_any = False
+        for k, (d, n) in enumerate(((3, 6), (3, 7), (3, 8), (4, 8), (4, 9))):
+            rows = tuple(tuple(rng.randint(-3, 4) for _ in range(n)) for _ in range(d))
+            valuation = linear_valuated_matroid(IntMatrix(rows), (2, 3)[k % 2])
+            for v in (valuation, dual(valuation)):
+                circs, cocircs, shifted = exchange_reference_families(v)
+                assert valuated_circuit_family(v) == circs
+                assert cocircuits(v) == cocircs
+                shifted_any |= shifted
+        # some table vector had a nonzero least value, so the shift ran
+        assert shifted_any
+
+
 class TestMinor:
     def test_identity_minor(self, nonfano):
         _, _, _, valuation = nonfano
