@@ -15,8 +15,10 @@ lookup.  Elimination is by far the dominant cost, so the oracle
 decides a set before eliminating it where a certificate does: an input
 generator on the set proves it dependent, and the leading monomials of
 the Groebner bases earlier eliminations computed can prove it
-independent.  Answers are memoized and can optionally persist to an
-on-disk cache shared between runs.
+independent.  Each elimination it runs removes one variable from an
+ideal it has already restricted, so no block of the order holds more
+than one eliminated variable.  Answers are memoized and can optionally
+persist to an on-disk cache shared between runs.
 """
 
 from __future__ import annotations
@@ -255,14 +257,23 @@ class EliminationOracle:
     """Memoized elimination queries against a fixed ideal, answered from
     certificates where it can.
 
+    The ideal on a set K, I meet F_p[x_K], is eliminated from the
+    memoized ideal on K + {y}, y the least index missing from K, which
+    removes y alone; the whole ideal is the root.  So the ideals on the
+    larger sets are shared by all the sets below them, and the answer
+    is still the reduced basis of I meet F_p[x_K] under
+    BlockElimination(E - K, n), which is unique: the same generators
+    as eliminating E - K at once.  These steps leave no cache file.
+
     A set that holds the support of an input generator is dependent.  A
     set that holds the support of no leading monomial of a reduced
-    Groebner basis of the ideal, under any order, meets the ideal in
-    zero (Kredel-Weispfenning): the leading monomial of a nonzero
-    polynomial on the set would be divisible by one of them.  The
-    oracle keeps the leading monomials of every basis its eliminations
-    compute, and eliminates only the sets that neither certificate
-    decides.
+    Groebner basis of an ideal J, under any order, meets J in zero
+    (Kredel-Weispfenning): the leading monomial of a nonzero polynomial
+    on the set would be divisible by one of them.  Each J is I meet
+    F_p[x_G] for the ground set G of its step, and meeting it in zero
+    says the same of I only for subsets of G, so the oracle keeps the
+    leading monomials of every basis its eliminations compute tagged
+    with G, and eliminates only the sets that no certificate decides.
 
     With a cache directory, each elimination result is persisted as a
     JSON file keyed by (ideal fingerprint, subset); files are written to
@@ -280,6 +291,7 @@ class EliminationOracle:
     def __init__(self, ideal: Ideal, cache_dir=None, fingerprint=None):
         self.ideal = ideal
         self._memo = {}
+        self._steps = {}
         self._matroid = None
         self._leads = []
         self._supports = [_mask(g.support()) for g in ideal.generators]
@@ -319,11 +331,7 @@ class EliminationOracle:
             else:
                 self._memo[subset] = gens
                 return gens
-        s = _mask(subset)
-        if any(all(m & ~s for m in leads) for leads in self._leads):
-            gens = ()
-        else:
-            gens = tuple(eliminate(self.ideal, subset, self._leads))
+        gens = self._restriction(subset)
         self._memo[subset] = gens
         if self.cache_dir is not None:
             payload = json.dumps({"generators": [str(g) for g in gens]})
@@ -335,6 +343,31 @@ class EliminationOracle:
             except BaseException:
                 os.unlink(tmp)
                 raise
+        return gens
+
+    def _restriction(self, keep):
+        """The reduced generators of the ideal meet F_p[x_keep], as a
+        memoized step: the whole ideal's for the full set, and otherwise
+        the step of keep + {y}, y the least index outside keep, with y
+        eliminated."""
+        if keep in self._steps:
+            return self._steps[keep]
+        s = _mask(keep)
+        if any(not s & ~ground and all(m & ~s for m in leads)
+               for ground, leads in self._leads):
+            gens = ()
+        else:
+            y = next((i for i in range(self.ideal.n) if i not in keep), None)
+            if y is None:
+                ground, gens = s, self.ideal.generators
+            else:
+                ground, gens = s | 1 << y, self._restriction(keep | {y})
+            if gens:
+                leads = []
+                gens = tuple(eliminate(Ideal(self.ideal.field, self.ideal.vars, gens),
+                                       keep, leads))
+                self._leads.append((ground, leads[0]))
+        self._steps[keep] = gens
         return gens
 
     def independent(self, subset) -> bool:

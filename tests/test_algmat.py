@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from algval.algmat import (
     exchange_failure,
     rank,
 )
-from algval.ffpoly import PrimeField, parse_polynomial
+from algval.ffpoly import Polynomial, PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
 from algval.toric import (
     IntMatrix, _minor_table, integer_rank, linear_valuated_matroid, toric_ideal,
@@ -435,23 +436,110 @@ class TestCertificates:
 
         monkeypatch.setattr(algmat, "eliminate", counted)
         cold = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        queried, elimination = set(), cold.elimination
+
+        def asked(subset):
+            queried.add(frozenset(subset))
+            return elimination(subset)
+
+        cold.elimination = asked
         matroid = bases(nonfano_ideal, oracle=cold)
         records = circuits(nonfano_ideal, oracle=cold)
         files = sorted(tmp_path.iterdir())
-        # every elimination leaves a file, and certified sets leave more
-        assert len(set(calls)) == len(calls) < len(files)
+        # every queried set leaves a file, the steps between them leave
+        # none, and no keep set is eliminated twice
+        written = set()
+        assert len(set(calls)) == len(calls)
         for path in files:
             mask = int(path.name.removeprefix("fp-elim-").removesuffix(".json"), 16)
             subset = frozenset(e for e in range(nonfano_ideal.n) if mask >> e & 1)
+            written.add(subset)
             assert path.name == f"fp-elim-{mask:x}.json"
             gens = [str(g) for g in eliminate(nonfano_ideal, subset)]
             assert path.read_text(encoding="utf-8") == json.dumps({"generators": gens})
+        assert written == queried
 
         calls.clear()
         warm = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
         assert bases(nonfano_ideal, oracle=warm) == matroid
         assert circuits(nonfano_ideal, oracle=warm) == records
         assert calls == []
+
+
+def _golden_ideal(name):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden", "inputs", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        problem = json.load(fh)
+    return Ideal.from_strings(problem["p"], problem["vars"], problem["generators"])
+
+
+class TestOneVariableSteps:
+    """Each elimination the oracle runs removes at most one variable
+    from the ideal it is given, and no keep set is eliminated twice."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+
+        def counted(ideal, keep, leads=None):
+            used = frozenset().union(*(g.support() for g in ideal.generators))
+            calls.append((frozenset(keep), used - frozenset(keep)))
+            return eliminate(ideal, keep, leads)
+
+        monkeypatch.setattr(algmat, "eliminate", counted)
+        return calls
+
+    @staticmethod
+    def check(calls):
+        assert calls
+        assert all(len(outside) <= 1 for _, outside in calls), calls
+        keeps = [keep for keep, _ in calls]
+        assert len(set(keeps)) == len(keeps)
+
+    @pytest.mark.parametrize("name", ["nonfano-ideal", "p3-ideal"])
+    def test_golden_circuits(self, steps, name):
+        circuits(_golden_ideal(name))
+        self.check(steps)
+
+    @pytest.mark.parametrize("make_ideal", [*_certificate_ideals()])
+    def test_every_subset(self, steps, make_ideal):
+        ideal = make_ideal()
+        subsets = [frozenset(c) for r in range(ideal.n + 1)
+                   for c in combinations(range(ideal.n), r)]
+        random.Random(ideal.n).shuffle(subsets)
+        oracle = EliminationOracle(ideal)
+        for s in subsets:
+            oracle.elimination(s)
+        self.check(steps)
+
+
+class TestLexStallGraph:
+    """A graph ideal whose elimination of every variable but x3, x4 at
+    once under a lex block ran for minutes; one variable at a time it
+    takes about two seconds."""
+
+    def test_circuits_vanish_on_the_graph(self):
+        ideal = _golden_ideal("lex-stall-graph")
+        found = circuits(ideal)
+        degrees = [max(map(sum, rec.polynomial.terms)) for rec in found]
+        assert degrees == [6, 6, 18, 20]
+        # x3 and x4 as polynomials in x1, x2, checked by + and * alone
+        field, names = ideal.field, ideal.vars
+        minus = Polynomial.constant(field, names, -1)
+        image = [Polynomial.variable(field, names, 0),
+                 Polynomial.variable(field, names, 1),
+                 minus * parse_polynomial("x1^3 + 2*x1*x2^3 + 2*x1^2*x2^4", names, 3),
+                 minus * parse_polynomial("x1^4*x2^2", names, 3)]
+        for rec in found:
+            total = Polynomial.zero(field, names)
+            for expo, c in rec.polynomial.terms.items():
+                term = Polynomial.constant(field, names, c)
+                for i, e in enumerate(expo):
+                    for _ in range(e):
+                        term = term * image[i]
+                total = total + term
+            assert total.is_zero(), rec.polynomial
 
 
 class TestRank:
