@@ -5,17 +5,21 @@ parameters.  Their algebraic relations form a binomial prime ideal, and
 the valuated matroid can be read off directly from the matrix.  One
 table of the nonzero maximal minors on a fixed row basis gives it: its
 keys are the bases and their p-adic valuations are the basis values,
-from which valmat reads the valuated circuits.  The same table gives
-each circuit's minimal-support integer kernel vector by Cramer's rule,
-checked against every row; valued entrywise by val_p, these vectors are
-the reference for those circuits.  This is both a standalone input
-mode and an independent oracle for the elimination route.
+from which valmat reads the valuated circuits.  Row expansion builds
+it through every column set up to the rank r, so above rank n/2 the
+kernel lattice's table, of rank n - r, is built instead: its minor on
+E - B is c det A_B up to sign, one rational c for every basis B
+(Dress-Wenzel), so the dual of its valuated matroid is A's.  Cramer's
+rule on A's own table gives each circuit's minimal-support integer
+kernel vector, checked against every row: the tests' reference.  This
+is both an input mode and an oracle for the elimination route, though
+above rank n/2 both read kernel_basis, as toric_ideal takes its
+generators from it.
 
 All linear algebra is exact over unbounded Python integers.  One
 fraction-free (Bareiss) elimination gives the rank (its pivot count),
 the row basis (the pivot columns of the transpose) and determinants.
-The minor table comes from division-free row expansion, or from one
-such elimination per column set where that costs less, and kernel
+The minor table comes from division-free row expansion, and kernel
 lattice bases from unimodular column reduction.
 """
 
@@ -23,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 
 from algval.algmat import Matroid
 from algval.ffpoly import INF, CircuitVector, Polynomial, PrimeField, p_adic_valuation
 from algval.groebner import Ideal, saturate
-from algval.valmat import Valuation
+from algval.valmat import Valuation, dual
 
 
 @dataclass(frozen=True)
@@ -174,24 +178,20 @@ def _minor_table(matrix: IntMatrix):
     fixed row basis (chosen once; its size d is the rank), keyed by column
     set: the keys are the bases.  Row expansion builds level k, the minors
     of the first k basis rows on all k-sets of columns, from level k - 1
-    in about sum k C(n, k) steps, which peak at C(n, n/2) sets; Bareiss
-    on each d-set takes about C(n, d) d^3.  The cheaper count runs."""
+    in about sum k C(n, k) steps, which peak at C(n, n/2) sets: the
+    valuation comes here only at rank n/2 or less."""
     rows, n = row_basis(matrix), matrix.n
-    d, combos = len(rows), list(combinations(range(n), len(rows)))
-    if 4 * sum(k * comb(n, k) for k in range(1, d + 1)) > len(combos) * d ** 3:
-        dets = [bareiss_determinant(matrix.submatrix(rows, c)) for c in combos]
-    else:
-        bits, level = [1 << j for j in range(n)], {0: 1}
-        for k, i in enumerate(rows):
-            row, nxt = matrix.rows[i], {}
-            for combo in combinations(range(n), k + 1):
-                mask, det = sum(map(bits.__getitem__, combo)), 0
-                for c in combo:  # sign (-1)^(k + j) on the j-th column
-                    det = row[c] * level[mask ^ bits[c]] - det
-                nxt[mask] = det
-            level = nxt
-        dets = level.values()
-    minors = {frozenset(c): det for c, det in zip(combos, dets) if det}
+    bits, level = [1 << j for j in range(n)], {0: 1}
+    for k, i in enumerate(rows):
+        row, nxt = matrix.rows[i], {}
+        for combo in combinations(range(n), k + 1):
+            mask, det = sum(map(bits.__getitem__, combo)), 0
+            for c in combo:  # sign (-1)^(k + j) on the j-th column
+                det = row[c] * level[mask ^ bits[c]] - det
+            nxt[mask] = det
+        level = nxt
+    combos = combinations(range(n), len(rows))
+    minors = {frozenset(c): det for c, det in zip(combos, level.values()) if det}
     return Matroid(n, minors), minors
 
 
@@ -233,16 +233,12 @@ def toric_valuated_circuit(circuit: KernelCircuit, p: int) -> CircuitVector:
     return CircuitVector(entries).canonical()
 
 
-def default_variables(n):
-    return tuple(f"x{i}" for i in range(1, n + 1))
-
-
 def toric_ideal(matrix: IntMatrix, p: int) -> Ideal:
     """The prime binomial ideal of relations among the monomials with
     exponent columns from the matrix: lattice-basis binomials, saturated
     at the product of all variables."""
     field = PrimeField(p)
-    vars = default_variables(matrix.n)
+    vars = tuple(f"x{i}" for i in range(1, matrix.n + 1))
     basis = kernel_basis(matrix)
     if not basis:
         return Ideal(field, vars, ())
@@ -270,7 +266,11 @@ def determinant_valuation(matrix: IntMatrix, column_subset, p: int):
 
 def linear_valuated_matroid(matrix: IntMatrix, p: int) -> Valuation:
     """Column bases valued by the p-adic valuation of their maximal
-    minors in the minor table, shifted to distinguished form."""
+    minors, shifted to distinguished form; above rank n/2, the dual of
+    the kernel lattice's, an empty kernel being one zero row."""
+    if 2 * len(row_basis(matrix)) > matrix.n:
+        kernel = kernel_basis(matrix) or [(0,) * matrix.n]
+        return dual(linear_valuated_matroid(IntMatrix(kernel), p))
     matroid, minors = _minor_table(matrix)
     return Valuation(
         matroid, {b: p_adic_valuation(abs(det), p) for b, det in minors.items()}

@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 
 import algval.toric as toric
-from algval.algmat import EliminationOracle, bases, circuits
-from algval.ffpoly import INF, circuit_vector
+from algval.algmat import EliminationOracle, Matroid, bases, circuits
+from algval.ffpoly import INF, circuit_vector, p_adic_valuation
 from algval.groebner import Ideal, buchberger, GradedLex
 from algval.toric import (
     IntMatrix,
@@ -24,6 +24,7 @@ from algval.toric import (
     toric_valuated_circuit,
 )
 from algval.valmat import (
+    Valuation,
     valuated_circuit_family,
     valuated_circuits,
     valuation_from_circuits,
@@ -232,24 +233,26 @@ class TestMinorTable:
         assert row_basis(IntMatrix(tuple(map(tuple, rows)))) == [1, 2]
         assert len(self.assert_matches_bareiss(rows)) == 6
 
-    @pytest.mark.parametrize("d, n, eliminations", [
-        (4, 12, 0), (5, 7, 0), (11, 14, 0), (12, 14, 91), (20, 22, 231)])
-    def test_cheaper_side_runs(self, d, n, eliminations, monkeypatch):
+    @pytest.mark.parametrize("d, n", [
+        (4, 12), (5, 7), (11, 14), (12, 14), (20, 22), (13, 13)])
+    def test_table_side_has_low_rank(self, d, n, monkeypatch):
         # row expansion holds every k-set of columns for k up to the
-        # rank, C(22, 11) = 705,432 of them on 20x22; a near-square matrix
-        # takes one Bareiss elimination per column set instead
-        real, calls = toric.bareiss_determinant, []
+        # table's rank, C(22, 11) = 705,432 of them at rank 20 on 20x22;
+        # above rank n/2 the valuation tables the kernel lattice instead,
+        # of rank n - d, which is 0 for the full-rank 13x13
+        real, seen = toric._minor_table, []
 
-        def counted(rows):
-            calls.append(len(rows))
-            return real(rows)
+        def recorded(matrix):
+            seen.append((integer_rank(matrix.rows), matrix.n))
+            return real(matrix)
 
-        monkeypatch.setattr(toric, "bareiss_determinant", counted)
+        monkeypatch.setattr(toric, "_minor_table", recorded)
         rng = random.Random(1000 * d + n)
         rows = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(d)]
-        assert len(row_basis(IntMatrix(tuple(map(tuple, rows))))) == d
-        self.assert_matches_bareiss(rows)
-        assert calls == [d] * eliminations
+        assert integer_rank(rows) == d
+        linear_valuated_matroid(IntMatrix(tuple(map(tuple, rows))), 2)
+        assert seen == [(min(d, n - d), n)]
+        assert all(2 * rank <= cols for rank, cols in seen)
 
 
 class TestKernelBasis:
@@ -500,6 +503,57 @@ class TestLinearValuatedMatroid:
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
             mixed = IntMatrix(tuple(map(tuple, rows)))
             assert linear_valuated_matroid(mixed, 2) == linear_valuated_matroid(A7, 2)
+
+
+class TestGaleSide:
+    """Above rank n/2 the valuation is the dual of the kernel lattice's;
+    the reference is A's own minor table, with no kernel and no dual."""
+
+    @staticmethod
+    def seeded():
+        # every rank 0..n for n <= 9, as a product of d x r and r x n
+        # factors, so rows beyond the rank are dependent and d runs from
+        # 1 to n + 2: wide, square and tall
+        rng = random.Random(1992)
+        for n in range(1, 10):
+            for r in range(n + 1):
+                for _ in range(2):
+                    d = rng.randint(max(r, 1), n + 2)
+                    while True:
+                        left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(d)]
+                        right = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(r)]
+                        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                                for row in left] if r else [[0] * n for _ in range(d)]
+                        if integer_rank(rows) == r:
+                            yield rows
+                            break
+        yield [[0] * 4] * 3
+        yield [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+        yield [[4, 0], [0, 9], [2, 3]]
+
+    def test_equals_the_direct_table(self, monkeypatch):
+        real, kernels = toric.kernel_basis, []
+
+        def recorded(matrix):
+            kernels.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(toric, "kernel_basis", recorded)
+        ranks = []
+        for k, rows in enumerate(self.seeded()):
+            matrix, p = IntMatrix(tuple(map(tuple, rows))), (2, 3, 5)[k % 3]
+            matroid, minors = _minor_table(matrix)
+            expected = Valuation(
+                matroid, {b: p_adic_valuation(abs(det), p) for b, det in minors.items()})
+            got = linear_valuated_matroid(matrix, p)
+            assert got == expected
+            assert got.matroid.bases == matroid.bases
+            assert got.matroid.masks == matroid.masks
+            assert got.matroid.rows() == Matroid(matrix.n, matroid.bases).rows()
+            ranks.append((matroid.rank, matrix.n))
+        # the kernel side ran exactly on the matrices of rank above n/2
+        assert len(kernels) == sum(2 * r > n for r, n in ranks) > 50
+        assert {r for r, n in ranks if n == 9} == set(range(10))
 
 
 class TestOracleEquivalence:
