@@ -18,7 +18,8 @@ the Groebner bases earlier eliminations computed can prove it
 independent.  Each elimination it runs removes one variable from an
 ideal it has already restricted, so no block of the order holds more
 than one eliminated variable.  Answers are memoized and can optionally
-persist to an on-disk cache shared between runs.
+persist between runs in one cache file per input, which the oracle reads
+at most once and its save() writes once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from itertools import combinations
 
 from algval.ffpoly import Polynomial, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
+
+CACHE_FORMAT = 2  # the version of the elimination cache file
 
 
 def _mask(elements) -> int:
@@ -263,7 +266,7 @@ class EliminationOracle:
     larger sets are shared by all the sets below them, and the answer
     is still the reduced basis of I meet F_p[x_K] under
     BlockElimination(E - K, n), which is unique: the same generators
-    as eliminating E - K at once.  These steps leave no cache file.
+    as eliminating E - K at once.  These steps leave no cache entry.
 
     A set that holds the support of an input generator is dependent.  A
     set that holds the support of no leading monomial of a reduced
@@ -275,17 +278,25 @@ class EliminationOracle:
     leading monomials of every basis its eliminations compute tagged
     with G, and eliminates only the sets that no certificate decides.
 
-    With a cache directory, each elimination result is persisted as a
-    JSON file keyed by (ideal fingerprint, subset); files are written to
-    a temporary name and renamed into place, so concurrent runs that
-    compute identical content can share a directory safely.  The
-    directory is created if missing; one that cannot be created or
-    written raises OSError on construction.  A missing, unreadable or
-    corrupt entry is a miss and is rewritten; a write that fails later
-    (a full disk, say) raises OSError from elimination and leaves no
-    temporary file.  The oracle also keeps the
-    matroid that bases() builds, so the callers sharing an oracle build
-    and exchange-check the basis family once.
+    With a cache directory, the answers persist in one JSON file per
+    input fingerprint, <fingerprint>-elim.json: {"format": 2,
+    "eliminations": {subset mask in hex: generator texts}}.  The file is
+    read at most once, at the first query the memo misses, and an entry
+    is parsed only when its set is queried.  An unreadable or corrupt
+    file, one of another format, and an entry that is not a list of
+    texts or does not parse are misses, each counted in rejected.  Each
+    queried set that is eliminated or certified independent goes into
+    the table that save() writes; the sets proved dependent by an input
+    generator and the steps between queried sets do not.  save() keeps
+    the entries the file holds by then that this run lacks and renames
+    a temporary file into place, so runs that save at once may drop each
+    other's entries but never leave a partial file; with no new answers
+    it writes nothing.  The directory is created if missing; one that
+    cannot be created or written raises OSError on construction, and a
+    write that fails later (a full disk, say) raises OSError from save()
+    and leaves no temporary file.  The oracle also keeps the matroid
+    that bases() builds, so the callers sharing an oracle build and
+    exchange-check the basis family once.
     """
 
     def __init__(self, ideal: Ideal, cache_dir=None, fingerprint=None):
@@ -296,7 +307,9 @@ class EliminationOracle:
         self._leads = []
         self._supports = [_mask(g.support()) for g in ideal.generators]
         self.cache_dir = cache_dir
-        self.fingerprint = fingerprint
+        self.rejected = 0
+        self._stored = None
+        self._fresh = {}
         if cache_dir is not None:
             if fingerprint is None:
                 raise ValueError("a cache directory needs an input fingerprint")
@@ -304,46 +317,71 @@ class EliminationOracle:
             if not os.access(cache_dir, os.W_OK | os.X_OK):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
                                       cache_dir)
+            self._path = os.path.join(cache_dir, f"{fingerprint}-elim.json")
 
-    def _cache_path(self, subset):
-        mask = sum(1 << i for i in subset)
-        return os.path.join(self.cache_dir, f"{self.fingerprint}-elim-{mask:x}.json")
+    def _read_cache(self):
+        """The entries of the cache file, unparsed, and whether the file
+        was rejected; a missing file has no entries and is not."""
+        try:
+            with open(self._path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except FileNotFoundError:
+            return {}, False
+        except (OSError, ValueError, RecursionError):
+            # ValueError covers undecodable JSON and text, RecursionError
+            # JSON nested too deep to decode
+            return {}, True
+        if (not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT
+                or not isinstance(entries := doc.get("eliminations"), dict)):
+            return {}, True
+        return entries, False
+
+    def _cached(self, key):
+        """The parsed generators the cache file holds under key, or None."""
+        if self._stored is None:
+            self._stored, rejected = self._read_cache()
+            self.rejected += rejected
+        if key not in self._stored:
+            return None
+        texts = self._stored[key]
+        if isinstance(texts, list) and all(isinstance(t, str) for t in texts):
+            try:
+                return tuple(parse_polynomial(t, self.ideal.vars, self.ideal.field.p)
+                             for t in texts)
+            except ValueError:
+                pass
+        self.rejected += 1
+        return None
 
     def elimination(self, subset):
         subset = frozenset(subset)
         if subset in self._memo:
             return self._memo[subset]
-        if self.cache_dir is not None:
-            try:
-                with open(self._cache_path(subset), encoding="utf-8") as fh:
-                    texts = json.load(fh)["generators"]
-                if not isinstance(texts, list):
-                    raise TypeError("cached generators are not a list")
-                gens = tuple(
-                    parse_polynomial(t, self.ideal.vars, self.ideal.field.p)
-                    for t in texts
-                )
-            except (OSError, KeyError, TypeError, ValueError):
-                # a missing, unreadable or corrupt entry is a miss and gets
-                # rewritten; ValueError covers undecodable JSON or text and
-                # ParseError
-                pass
-            else:
-                self._memo[subset] = gens
-                return gens
-        gens = self._restriction(subset)
+        key = f"{_mask(subset):x}"
+        gens = self._cached(key) if self.cache_dir is not None else None
+        if gens is None:
+            gens = self._restriction(subset)
+            if self.cache_dir is not None:
+                self._fresh[key] = [str(g) for g in gens]
         self._memo[subset] = gens
-        if self.cache_dir is not None:
-            payload = json.dumps({"generators": [str(g) for g in gens]})
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                os.replace(tmp, self._cache_path(subset))
-            except BaseException:
-                os.unlink(tmp)
-                raise
         return gens
+
+    def save(self):
+        """Write the answers this run computed into the cache file, with
+        every other entry the file holds now; nothing when there are
+        none."""
+        if not self._fresh:
+            return
+        entries = {**self._read_cache()[0], **self._fresh}
+        payload = json.dumps({"format": CACHE_FORMAT, "eliminations": entries})
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            os.replace(tmp, self._path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _restriction(self, keep):
         """The reduced generators of the ideal meet F_p[x_keep], as a

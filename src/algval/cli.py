@@ -152,8 +152,9 @@ def _ideal_route(ideal, p, cache_dir, fingerprint):
         # the oracle keeps the matroid, so circuits() reuses this one
         matroid = bases(ideal, oracle=oracle)
         vcircs = valuated_circuits(circuits(ideal, oracle=oracle))
+        oracle.save()
     except OSError as exc:
-        # the oracle reads an unusable entry as a miss, so only a write fails
+        # the oracle reads an unusable file as a miss, so only save() fails
         raise CliInputError(
             f"cannot write cache directory {cache_dir}: {exc.strerror or exc}"
         )

@@ -173,14 +173,14 @@ def _primitive(vector):
     return tuple(vector)
 
 
-def _minor_table(matrix: IntMatrix):
+def _minor_table(matrix: IntMatrix, rows):
     """The column matroid and its table of nonzero maximal minors on the
-    fixed row basis (chosen once; its size d is the rank), keyed by column
-    set: the keys are the bases.  Row expansion builds level k, the minors
+    given row basis (its size d is the rank), keyed by column set: the
+    keys are the bases.  Row expansion builds level k, the minors
     of the first k basis rows on all k-sets of columns, from level k - 1
     in about sum k C(n, k) steps, which peak at C(n, n/2) sets: the
     valuation comes here only at rank n/2 or less."""
-    rows, n = row_basis(matrix), matrix.n
+    n = matrix.n
     bits, level = [1 << j for j in range(n)], {0: 1}
     for k, i in enumerate(rows):
         row, nxt = matrix.rows[i], {}
@@ -204,7 +204,7 @@ def integer_kernel_circuits(matrix: IntMatrix):
     entry u in C - v is -(-1)^k det(B - u + v), where k counts the
     elements of B strictly between u and v.  A x = 0 is checked on every
     row."""
-    matroid, minors = _minor_table(matrix)
+    matroid, minors = _minor_table(matrix, row_basis(matrix))
     found = []
     for s, (b, v) in matroid.fundamental_circuits().items():
         vector = [0] * matrix.n
@@ -268,10 +268,11 @@ def linear_valuated_matroid(matrix: IntMatrix, p: int) -> Valuation:
     """Column bases valued by the p-adic valuation of their maximal
     minors, shifted to distinguished form; above rank n/2, the dual of
     the kernel lattice's, an empty kernel being one zero row."""
-    if 2 * len(row_basis(matrix)) > matrix.n:
+    rows = row_basis(matrix)
+    if 2 * len(rows) > matrix.n:
         kernel = kernel_basis(matrix) or [(0,) * matrix.n]
         return dual(linear_valuated_matroid(IntMatrix(kernel), p))
-    matroid, minors = _minor_table(matrix)
+    matroid, minors = _minor_table(matrix, rows)
     return Valuation(
         matroid, {b: p_adic_valuation(abs(det), p) for b, det in minors.items()}
     )

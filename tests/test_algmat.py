@@ -18,7 +18,8 @@ from algval.algmat import (
 from algval.ffpoly import Polynomial, PrimeField, parse_polynomial
 from algval.groebner import Ideal, NotPrincipalError, eliminate, principal_generator
 from algval.toric import (
-    IntMatrix, _minor_table, integer_rank, linear_valuated_matroid, toric_ideal,
+    IntMatrix, _minor_table, integer_rank, linear_valuated_matroid, row_basis,
+    toric_ideal,
 )
 from algval.valmat import cocircuits, valuated_circuit_family, valuation_from_circuits
 
@@ -43,6 +44,23 @@ def P(text, variables=("x1", "x2"), p=2):
 
 def I(texts, variables=("x1", "x2"), p=2):
     return Ideal.from_strings(p, variables, texts)
+
+
+def _counted_eliminations(monkeypatch):
+    calls = []
+
+    def counted(ideal, keep, leads=None):
+        calls.append(frozenset(keep))
+        return eliminate(ideal, keep, leads)
+
+    monkeypatch.setattr(algmat, "eliminate", counted)
+    return calls
+
+
+def _entries(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["format"] == 2
+    return doc["eliminations"]
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +241,7 @@ class TestMaskSweepMatchesFrozensetSweep:
 
     def test_benchmark_matrices_and_their_duals(self):
         for matrix in _benchmark_4x12_matrices(1):
-            m = _minor_table(matrix)[0]
+            m = _minor_table(matrix, row_basis(matrix))[0]
             self.assert_sweeps_agree(m)
             self.assert_sweeps_agree(m.dual())
 
@@ -428,13 +446,7 @@ class TestCertificates:
 
     def test_cache_files_match_plain_elimination(self, nonfano_ideal, tmp_path,
                                                   monkeypatch):
-        calls = []
-
-        def counted(ideal, keep, leads=None):
-            calls.append(frozenset(keep))
-            return eliminate(ideal, keep, leads)
-
-        monkeypatch.setattr(algmat, "eliminate", counted)
+        calls = _counted_eliminations(monkeypatch)
         cold = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
         queried, elimination = set(), cold.elimination
 
@@ -445,18 +457,19 @@ class TestCertificates:
         cold.elimination = asked
         matroid = bases(nonfano_ideal, oracle=cold)
         records = circuits(nonfano_ideal, oracle=cold)
-        files = sorted(tmp_path.iterdir())
-        # every queried set leaves a file, the steps between them leave
-        # none, and no keep set is eliminated twice
-        written = set()
+        assert list(tmp_path.iterdir()) == []
+        cold.save()
+        # the one file holds an entry for every queried set and none for
+        # the steps between them, and no keep set is eliminated twice
         assert len(set(calls)) == len(calls)
-        for path in files:
-            mask = int(path.name.removeprefix("fp-elim-").removesuffix(".json"), 16)
+        assert [path.name for path in tmp_path.iterdir()] == ["fp-elim.json"]
+        written = set()
+        for key, texts in _entries(tmp_path / "fp-elim.json").items():
+            mask = int(key, 16)
+            assert key == f"{mask:x}"
             subset = frozenset(e for e in range(nonfano_ideal.n) if mask >> e & 1)
             written.add(subset)
-            assert path.name == f"fp-elim-{mask:x}.json"
-            gens = [str(g) for g in eliminate(nonfano_ideal, subset)]
-            assert path.read_text(encoding="utf-8") == json.dumps({"generators": gens})
+            assert texts == [str(g) for g in eliminate(nonfano_ideal, subset)]
         assert written == queried
 
         calls.clear()
@@ -464,6 +477,7 @@ class TestCertificates:
         assert bases(nonfano_ideal, oracle=warm) == matroid
         assert circuits(nonfano_ideal, oracle=warm) == records
         assert calls == []
+        assert warm.rejected == 0
 
 
 def _golden_ideal(name):
@@ -779,29 +793,167 @@ class TestCircuitRecord:
 
 
 class TestDiskCache:
-    def test_cache_roundtrip(self, tmp_path):
-        idl = I(["x4 - x1*x2"], ("x1", "x2", "x3", "x4"))
+    IDEAL = (["x4 - x1*x2"], ("x1", "x2", "x3", "x4"))
+
+    def test_cache_roundtrip(self, tmp_path, monkeypatch):
+        idl = I(*self.IDEAL)
         first = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
         m1 = bases(idl, oracle=first)
+        first.save()
         files = list(tmp_path.iterdir())
-        assert files
-        # a fresh oracle over the same directory must reuse the files
+        assert [f.name for f in files] == ["t1-elim.json"]
+        content = files[0].read_bytes()
+        # a fresh oracle over the same directory must reuse the file, and
+        # having computed nothing, leave it as it is
+        calls = _counted_eliminations(monkeypatch)
         second = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
         m2 = bases(idl, oracle=second)
+        second.save()
         assert m1 == m2
+        assert calls == []
         assert list(tmp_path.iterdir()) == files
+        assert files[0].read_bytes() == content
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        idl = I(["x4 - x1*x2"], ("x1", "x2", "x3", "x4"))
+        idl = I(*self.IDEAL)
         oracle = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
 
         def broken_replace(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr("algval.algmat.os.replace", broken_replace)
+        oracle.elimination({0, 1})
         with pytest.raises(OSError):
-            oracle.elimination({0, 1})
+            oracle.save()
         assert list(tmp_path.iterdir()) == []
+
+    def test_warm_run_reads_the_file_once(self, nonfano_ideal, tmp_path, monkeypatch):
+        cold = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        records = circuits(nonfano_ideal, oracle=cold)
+        cold.save()
+        path = tmp_path / "fp-elim.json"
+        entries, content = _entries(path), path.read_bytes()
+        opened, parsed = [], []
+
+        def counted_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        def counted_parse(text, *args):
+            parsed.append(text)
+            return parse_polynomial(text, *args)
+
+        monkeypatch.setattr(algmat, "open", counted_open, raising=False)
+        monkeypatch.setattr(algmat, "parse_polynomial", counted_parse)
+        calls = _counted_eliminations(monkeypatch)
+        warm = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        assert circuits(nonfano_ideal, oracle=warm) == records
+        warm.save()
+        assert calls == [] and warm.rejected == 0
+        assert opened == [os.path.join(tmp_path, "fp-elim.json")]
+        assert sorted(parsed) == sorted(t for texts in entries.values() for t in texts)
+        assert path.read_bytes() == content
+        # a query parses its own entry and no other
+        key, texts = next((k, t) for k, t in entries.items() if t)
+        parsed.clear()
+        one = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        subset = frozenset(e for e in range(nonfano_ideal.n) if int(key, 16) >> e & 1)
+        assert [str(g) for g in one.elimination(subset)] == texts
+        assert parsed == texts
+
+    def test_saves_keep_each_others_entries(self, tmp_path, monkeypatch):
+        idl = I(*self.IDEAL)
+        a = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        b = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        # b reads the cache before a saves, and saves after it
+        b.elimination({2, 3})
+        a.elimination({0, 1})
+        a.save()
+        b.save()
+        entries = _entries(tmp_path / "t1-elim.json")
+        assert entries == {f"{0b11:x}": [], f"{0b1100:x}": []}
+        calls = _counted_eliminations(monkeypatch)
+        c = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        assert c.elimination({0, 1}) == c.elimination({2, 3}) == ()
+        assert calls == []
+
+    def test_old_format_files_are_ignored_and_kept(self, tmp_path, monkeypatch):
+        idl = I(*self.IDEAL)
+        # one file per set, the earlier layout; read, this false entry
+        # would make {x1, x2} dependent
+        old = tmp_path / f"t1-elim-{0b11:x}.json"
+        old.write_text(json.dumps({"generators": ["x1 + x2"]}), encoding="utf-8")
+        calls = _counted_eliminations(monkeypatch)
+        oracle = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        assert oracle.elimination({0, 1}) == ()
+        assert calls and oracle.rejected == 0
+        oracle.save()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [old.name, "t1-elim.json"]
+        assert json.loads(old.read_text(encoding="utf-8")) == {"generators": ["x1 + x2"]}
+
+    def test_truncated_file_is_rewritten_whole(self, nonfano_ideal, tmp_path,
+                                               monkeypatch):
+        calls = _counted_eliminations(monkeypatch)
+        cold = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        records = circuits(nonfano_ideal, oracle=cold)
+        cold.save()
+        cold_calls = list(calls)
+        path = tmp_path / "fp-elim.json"
+        intact = path.read_text(encoding="utf-8")
+        path.write_text(intact[: len(intact) // 2], encoding="utf-8")
+        calls.clear()
+        warm = EliminationOracle(nonfano_ideal, cache_dir=tmp_path, fingerprint="fp")
+        assert circuits(nonfano_ideal, oracle=warm) == records
+        assert calls == cold_calls and warm.rejected == 1
+        warm.save()
+        assert json.loads(path.read_text(encoding="utf-8")) == json.loads(intact)
+        assert [p.name for p in tmp_path.iterdir()] == ["fp-elim.json"]
+
+    @pytest.mark.parametrize("entry", [
+        "x1 + x2", None, {"x1": 1}, [3], ["x1 +* x2"], ["y9"], [["x1"]]])
+    def test_rejected_entry_is_counted_and_recomputed(self, tmp_path, monkeypatch,
+                                                     entry):
+        idl = I(*self.IDEAL)
+        first = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        records = circuits(idl, oracle=first)
+        first.save()
+        path = tmp_path / "t1-elim.json"
+        entries = _entries(path)
+        key = f"{0b1011:x}"  # {x1, x2, x4}: the circuit
+        assert entries[key] == [str(g) for g in eliminate(idl, {0, 1, 3})]
+        tampered = {**entries, key: entry}
+        path.write_text(json.dumps({"format": 2, "eliminations": tampered}),
+                        encoding="utf-8")
+        calls = _counted_eliminations(monkeypatch)
+        second = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        assert circuits(idl, oracle=second) == records
+        # the steps from the whole ideal down to the circuit, and no more
+        assert calls == [frozenset({0, 1, 2, 3}), frozenset({0, 1, 3})]
+        assert second.rejected == 1
+        second.save()
+        assert _entries(path) == entries
+
+    @pytest.mark.parametrize("content", [
+        "{", "", "\xff", "[]", "null", '{"eliminations": {}}',
+        '{"format": 1, "eliminations": {}}', '{"format": "2", "eliminations": {}}',
+        '{"format": 2}', '{"format": 2, "eliminations": []}',
+        pytest.param("[" * 100000, id="nested-too-deep")])
+    def test_rejected_file_is_counted_once_and_recomputed(self, tmp_path, monkeypatch,
+                                                         content):
+        idl = I(*self.IDEAL)
+        first = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        m1 = bases(idl, oracle=first)
+        first.save()
+        path = tmp_path / "t1-elim.json"
+        entries = _entries(path)
+        path.write_bytes(content.encode("latin-1"))
+        calls = _counted_eliminations(monkeypatch)
+        second = EliminationOracle(idl, cache_dir=str(tmp_path), fingerprint="t1")
+        assert bases(idl, oracle=second) == m1
+        assert len(calls) == len(set(calls)) > 0
+        assert second.rejected == 1
+        second.save()
+        assert _entries(path) == entries
 
     def test_missing_fingerprint_creates_no_directory(self, tmp_path):
         idl = I(["x4 - x1*x2"], ("x1", "x2", "x3", "x4"))

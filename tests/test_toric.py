@@ -208,7 +208,7 @@ class TestMinorTable:
 
     def assert_matches_bareiss(self, rows):
         matrix = IntMatrix(tuple(map(tuple, rows)))
-        matroid, minors = _minor_table(matrix)
+        matroid, minors = _minor_table(matrix, row_basis(matrix))
         assert list(minors.items()) == list(bareiss_minor_table(matrix).items())
         assert set(matroid.bases) == set(minors)
         return minors
@@ -239,19 +239,27 @@ class TestMinorTable:
         # row expansion holds every k-set of columns for k up to the
         # table's rank, C(22, 11) = 705,432 of them at rank 20 on 20x22;
         # above rank n/2 the valuation tables the kernel lattice instead,
-        # of rank n - d, which is 0 for the full-rank 13x13
-        real, seen = toric._minor_table, []
+        # of rank n - d, which is 0 for the full-rank 13x13; each side's
+        # row basis is computed once
+        real, seen, based = toric._minor_table, [], []
 
-        def recorded(matrix):
+        def recorded(matrix, rows):
             seen.append((integer_rank(matrix.rows), matrix.n))
-            return real(matrix)
+            assert rows == row_basis(matrix)
+            return real(matrix, rows)
+
+        def counted(matrix):
+            based.append(matrix)
+            return row_basis(matrix)
 
         monkeypatch.setattr(toric, "_minor_table", recorded)
+        monkeypatch.setattr(toric, "row_basis", counted)
         rng = random.Random(1000 * d + n)
         rows = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(d)]
         assert integer_rank(rows) == d
         linear_valuated_matroid(IntMatrix(tuple(map(tuple, rows))), 2)
         assert seen == [(min(d, n - d), n)]
+        assert len(based) == (1 if 2 * d <= n else 2)
         assert all(2 * rank <= cols for rank, cols in seen)
 
 
@@ -542,7 +550,7 @@ class TestGaleSide:
         ranks = []
         for k, rows in enumerate(self.seeded()):
             matrix, p = IntMatrix(tuple(map(tuple, rows))), (2, 3, 5)[k % 3]
-            matroid, minors = _minor_table(matrix)
+            matroid, minors = _minor_table(matrix, row_basis(matrix))
             expected = Valuation(
                 matroid, {b: p_adic_valuation(abs(det), p) for b, det in minors.items()})
             got = linear_valuated_matroid(matrix, p)
