@@ -136,6 +136,17 @@ class TestFlockAxioms:
             with pytest.raises(ValueError, match="more than a list can index"):
                 check_flock_axioms(nonfano_valuation, radius=too_large)
 
+    def test_radius_and_direction_list_rejected(self, nonfano_valuation, monkeypatch):
+        # a sweep of the list would leave the radius unused; both are
+        # refused before the scores are built
+        def refuse(*args, **kwargs):
+            raise AssertionError("scores built")
+
+        monkeypatch.setattr(flock, "_Scores", refuse)
+        for radius, alphas in [(1, [(0,) * 7]), (0, []), (100000, [ALPHA_MINUS])]:
+            with pytest.raises(ValueError, match="not both"):
+                check_flock_axioms(nonfano_valuation, radius=radius, alphas=alphas)
+
     def test_explicit_direction_list(self, nonfano_valuation):
         report = check_flock_axioms(
             nonfano_valuation, alphas=[(0,) * 7, ALPHA_MINUS]
@@ -378,47 +389,8 @@ class TestPackedScoresMatchScan:
 
 
 class TestBoxTable:
-    """The box sweep reads each in-box neighbour's slice from its table
-    and derives every top it can from a known one: argmax scans the
-    fields only at the first direction of each box row, on the upper
-    face alpha_{n-1} = radius, and the reports stay those of the sweep
-    that rescored every neighbour.  The argmax counts pin a cost, not
-    an outcome."""
-
-    def count_argmax(self, monkeypatch):
-        calls = []
-        argmax = flock._Scores.argmax
-
-        def counted(scores, s):
-            calls.append(s)
-            return argmax(scores, s)
-
-        monkeypatch.setattr(flock._Scores, "argmax", counted)
-        return calls
-
-    @pytest.mark.parametrize("d,n,radius", [(2, 4, 1), (2, 4, 2), (3, 5, 1), (2, 3, 3)])
-    def test_argmax_only_at_the_face(self, monkeypatch, d, n, radius):
-        rng = random.Random(407 + 10 * n + radius)
-        valuation = _random_matrix_valuation(rng, d, n, 3)
-        calls = self.count_argmax(monkeypatch)
-        report = check_flock_axioms(valuation, radius=radius)
-        box = list(product(range(-radius, radius + 1), repeat=n))
-        assert report.directions == len(box)
-        # one scan per box row, of the row's first direction's score
-        assert len(calls) == (2 * radius + 1) ** (n - 1)
-        scores = flock._Scores(valuation, (-radius, radius))
-        assert calls == [scores.score(alpha) for alpha in reversed(box)
-                         if alpha[-1] == radius]
-
-    def test_radius_zero_and_listed_directions_scan_each_direction_once(
-            self, monkeypatch, nonfano_valuation):
-        # a one-entry table is one row, and a list has no rows
-        calls = self.count_argmax(monkeypatch)
-        assert check_flock_axioms(nonfano_valuation, radius=0).directions == 1
-        assert len(calls) == 1
-        del calls[:]
-        check_flock_axioms(nonfano_valuation, alphas=[(0,) * 7, ALPHA_MINUS] * 2)
-        assert len(calls) == 4
+    """Whole boxes against the per-basis scan, where violations are many
+    or the fields are wide."""
 
     def test_tampered_radius_three_keeps_violation_order(self):
         agree = TestPackedScoresMatchScan().assert_sweeps_agree
@@ -428,22 +400,22 @@ class TestBoxTable:
             assert report.directions == 7**4
             assert not report.ok
             violations += len(report.violations)
-        # violations at many directions, so that their order across the
-        # table pins the forward emission; the family identities hold
-        # for any weighting, so every one is a slice that fails exchange
+        # violations at many directions, so that their order pins the
+        # forward emission; the family identities hold for any
+        # weighting, so every one is a slice that fails exchange
         assert violations > 200
 
     @pytest.mark.parametrize("radius", [1, 2])
     def test_sixteen_byte_fields(self, radius):
-        # no struct format fits a 16-byte field, so argmax reads the
-        # fields one by one
+        # no machine word holds a 16-byte field; the int operations and
+        # the transposed keys do not care
         agree = TestPackedScoresMatchScan().assert_sweeps_agree
         scaled, tampered_boxes = _sixteen_byte_valuations(radius)
-        assert flock._Scores(scaled, (-radius, radius)).format is None
+        assert flock._Scores(scaled, (-radius, radius)).width == 16
         assert agree(scaled, radius=radius).ok
         violations = 0
         for tampered in tampered_boxes:
-            assert flock._Scores(tampered, (-radius, radius)).format is None
+            assert flock._Scores(tampered, (-radius, radius)).width == 16
             violations += len(agree(tampered, radius=radius).violations)
         assert violations
 
@@ -460,95 +432,121 @@ class TestBoxTable:
         assert not agree(tampered, alphas=listed).ok
 
 
-class TestDerivedTops:
-    """Every slice the sweep marks at a known top, whether derived from
-    the previous direction in its box row, from a face bump or from the
-    all-ones shift, is the one a full scan of that direction's score
-    gives: the same score, top and slice as argmax(score(alpha))."""
+def _slab_bound(monkeypatch, valuation, width, directions):
+    """Cut every sweep of valuation into slabs of at most the given
+    number of directions."""
+    monkeypatch.setattr(flock, "_SLAB_BYTES",
+                        len(valuation.matroid.bases) * width * directions)
 
-    def marked(self, monkeypatch, valuation, radius=None, alphas=None):
-        """The (score, top, slice) of every at_top call of one sweep."""
-        calls = []
-        at_top = flock._Scores.at_top
 
-        def recorded(scores, s, top):
-            here = at_top(scores, s, top)
-            calls.append((s, top, here))
-            return here
+class TestSlabs:
+    """Sweeps in one slab or in many, against the per-basis scan: the
+    slabs are independent, so where the box or list is cut changes no
+    report."""
 
-        monkeypatch.setattr(flock._Scores, "at_top", recorded)
-        check_flock_axioms(valuation, radius=radius, alphas=alphas)
-        monkeypatch.undo()
-        return calls
+    @pytest.mark.parametrize("d,n,radius", [
+        (2, 4, 0), (3, 5, 0), (2, 4, 1), (2, 4, 2), (3, 5, 1), (2, 3, 3)])
+    def test_boxes_match_reference(self, d, n, radius):
+        rng = random.Random(407 + 10 * n + radius)
+        agree = TestPackedScoresMatchScan().assert_sweeps_agree
+        valuation = _random_matrix_valuation(rng, d, n, 3)
+        assert agree(valuation, radius=radius).ok
+        tampered = _reweighted(valuation, rng, 4)
+        assert agree(tampered, radius=radius).directions == (2 * radius + 1) ** n
 
-    def assert_tops_scanned(self, monkeypatch, valuation, radius=None, alphas=None):
-        n = valuation.n
-        if alphas is None:
-            scores = flock._Scores(valuation, (-radius, radius))
-            order = reversed(list(product(range(-radius, radius + 1), repeat=n)))
-            face = radius
-        else:
-            scores = flock._Scores(valuation, [a for alpha in alphas for a in alpha])
-            order, face = reversed(alphas), None
-        # the directions the sweep marks, in sweep order: each direction,
-        # then its bumps and its shift past the face (all of them for a
-        # list)
-        expected = []
-        for alpha in order:
-            expected.append(alpha)
-            expected += [tuple(b + (j == i) for j, b in enumerate(alpha))
-                         for i, a in enumerate(alpha) if face is None or a == face]
-            if face is None or max(alpha, default=face) == face:
-                expected.append(tuple(a + 1 for a in alpha))
-        calls = self.marked(monkeypatch, valuation, radius=radius, alphas=alphas)
-        assert len(calls) == len(expected)
-        for direction, (s, top, here) in zip(expected, calls):
-            assert s == scores.score(direction), direction
-            assert (top, here) == scores.argmax(s), direction
-        return scores
+    def test_listed_directions_match_reference(self, nonfano_valuation):
+        rng = random.Random(411)
+        agree = TestPackedScoresMatchScan().assert_sweeps_agree
+        tampered = _reweighted(nonfano_valuation, rng, 3)
+        listed = [tuple(rng.randint(-3, 3) for _ in range(7)) for _ in range(40)]
+        for valuation in (nonfano_valuation, tampered):
+            assert agree(valuation, alphas=[]).directions == 0
+            agree(valuation, alphas=[ALPHA_MINUS, (0,) * 7] * 2)
+            agree(valuation, alphas=listed + listed[::3])
+            agree(valuation, alphas=sorted(listed, reverse=True))
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_matrix_and_tampered_valuations(self, monkeypatch, radius):
+    def test_split_boxes_match_reference(self, monkeypatch, radius):
         rng = random.Random(420 + radius)
-        for d, n in [(2, 4), (3, 5)]:
+        side = 2 * radius + 1
+        violations = 0
+        for d, n in [(2, 4), (3, 5)][:4 - radius]:
             valuation = _random_matrix_valuation(rng, d, n, 2)
             tampered = _reweighted(valuation, rng, 4)
-            for v in (valuation, tampered):
-                self.assert_tops_scanned(monkeypatch, v, radius=radius)
             listed = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
-            self.assert_tops_scanned(monkeypatch, tampered, alphas=listed + listed[:3])
+            listed += listed[:3]
+            box = list(product(range(-radius, radius + 1), repeat=n))
+            expected = [(v, _reference_sweep(v, box)) for v in (valuation, tampered)]
+            expected_list = _reference_sweep(tampered, listed)
+            width = flock._Scores(tampered, (-radius, radius)).width
+            # one direction a slab, part of a row, a row and a part, and
+            # several rows
+            for size in (1, 2, side + 2, 2 * side, side * side + 1):
+                _slab_bound(monkeypatch, tampered, width, size)
+                for v, want in expected:
+                    assert check_flock_axioms(v, radius=radius) == want
+                assert check_flock_axioms(tampered, alphas=listed) == expected_list
+            violations += len(expected[1][1].violations) + len(expected_list.violations)
+        assert violations
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_sixteen_byte_fields(self, monkeypatch, radius):
+    def test_split_sixteen_byte_fields(self, monkeypatch, radius):
         rng = random.Random(430 + radius)
+        agree = TestPackedScoresMatchScan().assert_sweeps_agree
         # the minor on columns 0 and 3 is 2, so some value is 1
         base = linear_valuated_matroid(IntMatrix([[1, 0, 1, 1], [0, 1, 1, 2]]), 2)
         scaled = Valuation(base.matroid, {
             b: v * 2**70 for b, v in base.values.items()})
         values = _reweighted(base, rng, 3).values
         values[base.matroid.bases[0]] = 2**70
-        for v in (scaled, Valuation(base.matroid, values)):
-            scores = self.assert_tops_scanned(monkeypatch, v, radius=radius)
-            assert scores.format is None
+        tampered = Valuation(base.matroid, values)
+        assert flock._Scores(tampered, (-radius, radius)).width == 16
+        for size in (1, 2, 2 * radius + 3):
+            _slab_bound(monkeypatch, tampered, 16, size)
+            assert agree(scaled, radius=radius).ok
+            assert not agree(tampered, radius=radius).ok
+
+
+def _key(family, size):
+    """The slice key of a family of basis numbers."""
+    return sum(1 << k for k in family).to_bytes(size, "little")
+
+
+def _assert_verdicts(n, masks, keys, failing):
+    """failing, the verdict of _failing_slices on keys, against the
+    exchange pass and the probe of every (basis, u in, v out) run on
+    each slice's masks; returns the outcomes seen."""
+    outcomes = set()
+    for s, key in enumerate(keys):
+        chosen = int.from_bytes(key, "little")
+        family = [m for k, m in enumerate(masks) if chosen >> k & 1]
+        holds = exchange_failure(n, family) is None
+        assert holds == (probe_exchange_table(n, family)[1] is None)
+        assert holds == (exchange_table(n, family)[1] is None)
+        assert holds == (not failing >> s & 1), (n, family)
+        outcomes.add(holds)
+    return outcomes
 
 
 class TestSliceExchange:
-    """The exchange check the sweep runs once per distinct slice, against
-    the table pass and the probe of every (basis, u in, v out)."""
+    """The exchange verdict the sweep reaches for all distinct slices at
+    once, against the exchange pass and the probe run on each slice."""
 
-    def slices(self, monkeypatch, valuation, radius):
-        """The (n, masks) of every distinct slice one sweep checks."""
+    def judged(self, monkeypatch, valuation, radius):
+        """The (n, masks, keys, failing) of the one verdict of a sweep."""
         seen = []
-        check = flock.exchange_failure
+        decide = flock._failing_slices
 
-        def recorded(n, masks):
-            seen.append((n, tuple(masks)))
-            return check(n, masks)
+        def recorded(n, masks, keys):
+            failing = decide(n, masks, keys)
+            seen.append((n, masks, keys, failing))
+            return failing
 
-        monkeypatch.setattr(flock, "exchange_failure", recorded)
+        monkeypatch.setattr(flock, "_failing_slices", recorded)
         check_flock_axioms(valuation, radius=radius)
         monkeypatch.undo()
-        return seen
+        assert len(seen) == 1
+        return seen[0]
 
     def test_tampered_boxes(self, monkeypatch):
         boxes = [(v, 3) for v in _tampered_radius_three()]
@@ -556,23 +554,51 @@ class TestSliceExchange:
             boxes += [(v, radius) for v in _sixteen_byte_valuations(radius)[1]]
         outcomes = set()
         for valuation, radius in boxes:
-            seen = self.slices(monkeypatch, valuation, radius)
-            assert len(seen) == len(set(seen))
-            for n, masks in seen:
-                failure = exchange_failure(n, masks)
-                assert failure == exchange_table(n, masks)[1]
-                assert failure == probe_exchange_table(n, masks)[1]
-                outcomes.add(failure is None)
+            n, masks, keys, failing = self.judged(monkeypatch, valuation, radius)
+            assert masks == valuation.matroid.masks
+            assert len(keys) == len(set(keys))
+            outcomes |= _assert_verdicts(n, masks, keys, failing)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_seeded_families(self, n):
+        rng = random.Random(450 + n)
+        outcomes = set()
+        for rank in range(n + 1):
+            uniform = tuple(sum(1 << e for e in b) for b in combinations(range(n), rank))
+            supports = [uniform]
+            if 0 < rank < n:
+                rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(rank)]
+                column = linear_valuated_matroid(IntMatrix(rows), 2).matroid
+                if column.rank == rank:
+                    supports.append(column.masks)
+            for masks in supports:
+                size = (len(masks) + 7) // 8
+                families = [range(len(masks))]
+                # the support with one basis dropped
+                families += [[k for k in range(len(masks)) if k != drop]
+                             for drop in rng.sample(range(len(masks)), min(3, len(masks)))
+                             if len(masks) > 1]
+                families += [[k for k in range(len(masks)) if rng.random() < share]
+                             for share in (0.2, 0.5, 0.8) for _ in range(4)]
+                families += [[k] for k in rng.sample(range(len(masks)), min(3, len(masks)))]
+                keys = [_key(family, size) for family in families if family]
+                failing = flock._failing_slices(n, masks, keys)
+                assert failing >> len(keys) == 0
+                outcomes |= _assert_verdicts(n, masks, keys, failing)
+        assert True in outcomes
+        # on three elements or fewer every family of equal-size sets
+        # passes exchange
+        assert (False in outcomes) == (n >= 4)
+
+    def test_no_slices(self):
+        assert flock._failing_slices(3, (0b011, 0b101), []) == 0
 
 
 class TestFamilyBySetBits:
-    """_Scores.family walks the set bits of an indicator; a scan of
-    every field reads the same items in the same order."""
-
-    @staticmethod
-    def scanned(scores, indicator, items):
-        return [x for k, x in enumerate(items) if indicator >> (k * scores.bits) & 1]
+    """The slice keys, one bit per basis, transposed from the packed
+    marks of a slab, hold the bases of the per-basis scan, and the tops
+    its maxima, at every field width."""
 
     @pytest.mark.parametrize("top,width", [
         (3, 1), (200, 2), (40_000, 4), (2**40, 8), (2**70, 16)])
@@ -581,19 +607,19 @@ class TestFamilyBySetBits:
         base = _random_matrix_valuation(rng, 3, 6, 2)
         values = {b: rng.randint(0, top) for b in base.values}
         values[base.matroid.bases[0]] = top
-        scores = flock._Scores(Valuation(base.matroid, values), (-1, 1))
+        valuation = Valuation(base.matroid, values)
+        scores = flock._Scores(valuation, (-1, 1))
         assert scores.width == width
-        assert (scores.format is None) == (width == 16)
-        fields = len(scores.bases)
-        marked = [0, scores.ones, 1, 1 << (fields - 1) * scores.bits]
-        marked += scores.indicators
-        marked += [scores.argmax(scores.score(alpha))[1]
-                   for alpha in product((-1, 1), repeat=6)]
-        marked += [sum(1 << k * scores.bits for k in range(fields) if rng.random() < 0.3)
-                   for _ in range(50)]
-        for indicator in marked:
-            for items in (scores.bases, scores.masks):
-                assert scores.family(indicator, items) == \
-                    self.scanned(scores, indicator, items)
-        assert scores.family(0, scores.bases) == []
-        assert scores.family(scores.ones, scores.masks) == list(scores.masks)
+        slabs = flock._Slabs(valuation, scores)
+        alphas = list(product((-1, 0, 1), repeat=6))
+        coords = [flock._pack([alpha[i] + 1 for alpha in alphas], width) for i in range(6)]
+        tops, keys, mismatches = slabs.check(len(alphas), coords)
+        assert not any(mismatches)
+        bases = valuation.matroid.bases
+        field = (1 << scores.bits) - 1
+        for d, (alpha, key) in enumerate(zip(alphas, keys)):
+            chosen = int.from_bytes(key, "little")
+            family, best = _reference_slice(valuation, alpha)
+            assert {b for k, b in enumerate(bases) if chosen >> k & 1} == family
+            assert chosen >> len(bases) == 0
+            assert (tops >> d * scores.bits & field) - scores.offset == best
