@@ -11,7 +11,9 @@ circuits and cocircuits, which its exchange check, its circuits and its
 dual share.  The table and the check are read off the neighbourhoods
 of the (r-1)-sets B - u: the elements that complete each to a basis,
 and the bases that meet those, so exchange at (B, u) is one dict
-lookup.  Elimination is by far the dominant cost, so the oracle
+lookup.  Rank and hyperplanes come from a second table, built on the
+first rank query: one byte per subset that is 1 when the subset lies
+in some basis.  Elimination is by far the dominant cost, so the oracle
 decides a set before eliminating it where a certificate does: an input
 generator on the set proves it dependent, and the leading monomials of
 the Groebner bases earlier eliminations computed can prove it
@@ -120,9 +122,10 @@ class Matroid:
     """Matroid on ground set {0..n-1} given by its bases; the
     basis-exchange axiom is verified on construction.  masks[k] is the
     k-th basis as an int with bit e set for element e; the exchange
-    table that the check produces is kept."""
+    table that the check produces is kept, and the independent-set
+    table is built on the first rank query."""
 
-    __slots__ = ("n", "bases", "rank", "masks", "_index", "_rows")
+    __slots__ = ("n", "bases", "rank", "masks", "_index", "_rows", "_independent")
 
     def __init__(self, n, bases):
         cleaned = sorted({frozenset(b) for b in bases}, key=sorted)
@@ -160,6 +163,7 @@ class Matroid:
         self.masks = masks = tuple(masks or map(_mask, bases))
         self._index = {m: k for k, m in enumerate(masks)}
         self._rows = rows
+        self._independent = None
 
     def rows(self):
         """The exchange table, one row per basis in order."""
@@ -170,9 +174,38 @@ class Matroid:
     def _elements(self, mask) -> frozenset:
         return frozenset(e for e in range(self.n) if mask >> e & 1)
 
+    def independent_sets(self) -> bytes:
+        """Byte s is 1 when the set with mask s is independent, built on
+        first use.  The bases are marked, one byte per set in one int,
+        and the marks are closed downward by one shift per element e,
+        which copies the mark of each set holding e to the same set
+        without e."""
+        if self._independent is None:
+            size = 1 << self.n
+            marks = bytearray(size)
+            for m in self.masks:
+                marks[m] = 1
+            table = int.from_bytes(marks, "little")
+            for e in range(self.n):
+                half = 1 << e
+                holding = (bytes(half) + b"\1" * half) * (size >> e + 1)
+                table |= (table & int.from_bytes(holding, "little")) >> 8 * half
+            self._independent = table.to_bytes(size, "little")
+        return self._independent
+
     def rank_of(self, subset) -> int:
-        s = _mask(subset)
-        return max([(m & s).bit_count() for m in self.masks])
+        return self.rank_of_mask(_mask(subset))
+
+    def rank_of_mask(self, s) -> int:
+        """The rank of the set with mask s: a greedy walk over its
+        elements keeps each one that leaves the kept set independent."""
+        independent, kept = self.independent_sets(), 0
+        while s:
+            b = s & -s
+            s ^= b
+            if independent[kept | b]:
+                kept |= b
+        return kept.bit_count()
 
     def circuits(self):
         """Minimal dependent sets, ascending by size then
@@ -203,19 +236,20 @@ class Matroid:
         return self._elements(self.rows()[k][v])
 
     def hyperplanes(self):
-        """Maximal subsets of rank one less than the matroid."""
+        """Maximal subsets of rank one less than the matroid, sorted: the
+        closures of the independent (r-1)-sets B - u, each of which adds
+        every element e with B - u + e dependent."""
         if self.rank < 1:
             raise ValueError("hyperplanes need rank at least 1")
-        out = []
-        ground = set(range(self.n))
-        for size in range(self.n, -1, -1):
-            for combo in combinations(range(self.n), size):
-                h = frozenset(combo)
-                if self.rank_of(h) != self.rank - 1:
-                    continue
-                if all(self.rank_of(h | {v}) == self.rank for v in ground - h):
-                    out.append(h)
-        return sorted(out, key=sorted)
+        independent = self.independent_sets()
+        bits = [1 << e for e in range(self.n)]
+        below, flats = set(), set()
+        for m in self.masks:
+            for b in bits:
+                if m & b and (r := m ^ b) not in below:
+                    below.add(r)
+                    flats.add(r | sum(e for e in bits if not independent[r | e]))
+        return sorted(map(self._elements, flats), key=sorted)
 
     def dual(self) -> "Matroid":
         """The matroid of the complements of the bases, which come out

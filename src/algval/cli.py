@@ -30,6 +30,7 @@ from algval.ffpoly import INF, PrimeField, is_prime
 from algval.groebner import Ideal, NotPrincipalError
 from algval.toric import IntMatrix, linear_valuated_matroid, toric_ideal
 from algval.valmat import (
+    AxiomReport,
     InconsistentValuationError,
     Valuation,
     check_circuit_axioms,
@@ -66,6 +67,15 @@ def load_problem(path) -> ProblemInput:
         raise CliInputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path} is not UTF-8 text: {exc}")
+    except RecursionError:
+        raise CliInputError(f"{path} is nested too deeply to read")
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts; the
+        # rest of the message names a Python setting
+        raise CliInputError(f"{path} holds a number too long to read: "
+                            f"{str(exc).split(':')[0]}")
     if not isinstance(raw, dict):
         raise CliInputError("problem file must hold a JSON object")
     kind = raw.get("kind")
@@ -123,14 +133,16 @@ def problem_fingerprint(problem: ProblemInput) -> str:
 @dataclass
 class Pipeline:
     """Everything the subcommands consume, computed on one route.  The
-    elimination route passes its circuits; otherwise they are read off
-    the basis values, as for cocircuits and minors, the first time a
+    elimination route passes its circuits and the report of the exchange
+    walk that valued the bases; otherwise the circuits are read off the
+    basis values, as for cocircuits and minors, the first time a
     document asks for them."""
 
     problem: ProblemInput
     fingerprint: str
     valuation: Valuation
     _vcircuits: list = None
+    walk: AxiomReport = None
 
     @property
     def vcircuits(self) -> list:
@@ -158,7 +170,8 @@ def _ideal_route(ideal, p, cache_dir, fingerprint):
         raise CliInputError(
             f"cannot write cache directory {cache_dir}: {exc.strerror or exc}"
         )
-    return valuation_from_circuits(matroid, vcircs), vcircs
+    walk = AxiomReport()
+    return valuation_from_circuits(matroid, vcircs, walk), vcircs, walk
 
 
 def _check_elimination_field(p):
@@ -180,8 +193,8 @@ def build_pipeline(problem, cache_dir=None) -> Pipeline:
         ideal = Ideal.from_strings(problem.p, problem.variables, problem.generators)
     except ValueError as exc:
         raise CliInputError(f"bad generator: {exc}")
-    valuation, vcircs = _ideal_route(ideal, problem.p, cache_dir, fingerprint)
-    return Pipeline(problem, fingerprint, valuation, vcircs)
+    routed = _ideal_route(ideal, problem.p, cache_dir, fingerprint)
+    return Pipeline(problem, fingerprint, *routed)
 
 
 # -- documents ---------------------------------------------------------------
@@ -251,7 +264,9 @@ def verify_document(pipe: Pipeline, box_radius=None) -> dict:
     axioms = check_circuit_axioms(pipe.vcircuits, valuation.matroid)
     suites.append(("circuit-axioms", axioms.checked, axioms.violations))
 
-    exchange = check_exchange_consistency(valuation, pipe.vcircuits)
+    # on the elimination route, the walk that valued the bases checked
+    # the identity at the same (basis, u, v) on the same circuits
+    exchange = pipe.walk or check_exchange_consistency(valuation, pipe.vcircuits)
     suites.append(("exchange-identity", exchange.checked, exchange.violations))
 
     duality_violations = []
@@ -296,7 +311,7 @@ def cross_check(problem: ProblemInput, cache_dir=None) -> dict:
     _check_elimination_field(p)
     direct = linear_valuated_matroid(problem.matrix, p)
     ideal = toric_ideal(problem.matrix, p)
-    derived, derived_circuits = _ideal_route(ideal, p, cache_dir, fingerprint)
+    derived, derived_circuits, _ = _ideal_route(ideal, p, cache_dir, fingerprint)
     details = []
     valuations_match = True
     if set(direct.values) != set(derived.values):

@@ -14,15 +14,18 @@ exactly when B - u + v is not a basis.  One walk over the bases in
 their sorted order gives each neighbor without a value its value from
 the identity and checks the identity at every other one.  Duality,
 cocircuits, minors, and executable checks of the circuit axioms live
-here as well; a minor is a deletion, which completes every basis by one
-fixed subset of the deleted set, followed by a contraction, which is a
-deletion in the dual.
+here as well; the checks read entry tuples and support masks, and rank
+sets through the matroid's independent-set table.  A minor is a
+deletion, which completes every basis by one fixed subset of the
+deleted set, followed by a contraction, which is a deletion in the
+dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from operator import add
 
 from algval.algmat import Matroid
 from algval.ffpoly import INF, CircuitVector, circuit_vector
@@ -86,14 +89,18 @@ def valuated_circuits(circuit_records):
     return sorted(out, key=lambda c: c.sort_key())
 
 
-def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
+def valuation_from_circuits(matroid: Matroid, vcircuits, walk=None) -> Valuation:
     """Walk the exchange identity from value 0 at the first basis, then
     shift so the minimum is 0.
 
     Circuit supports that differ from the matroid's circuits, or an
     exchange edge the walk finds violated, mean the circuit family does
     not come from a valuated matroid: a corrupted family, or an ideal
-    that is not prime.
+    that is not prime.  The walk checks the identity at every (basis, u,
+    v) where it gives no value, and the values it gives satisfy the
+    identity, so an AxiomReport passed as walk gains the checks that
+    check_exchange_consistency would count on the result, with no
+    violation.
     """
     by_support = {c.support: c.canonical() for c in vcircuits}
     matroid_circuits = set(matroid.circuits())
@@ -109,6 +116,8 @@ def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
     report = _exchange_walk(matroid, by_support, values)
     if report.violations:
         raise InconsistentValuationError(report.violations[0])
+    if walk is not None:
+        walk.checked += report.checked
     return Valuation(matroid, values)
 
 
@@ -134,8 +143,8 @@ def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVecto
     """Canonical circuit vector supported on the unique circuit inside
     basis + {v}, rebuilt from basis values via the exchange identity."""
     support = valuation.matroid.fundamental_circuit(basis, v)
-    return _table_vector(valuation.n, valuation.by_mask(), sum(1 << e for e in basis),
-                         v, sum(1 << e for e in support))
+    return _table_vector(valuation.n, valuation.by_mask(), _mask(basis), v,
+                         _mask(support))
 
 
 def _table_family(valuation: Valuation, inside):
@@ -233,6 +242,7 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
     report = AxiomReport()
     vectors = [c for c in vcircuits]
     supports = [c.support for c in vectors]
+    masks = list(map(_mask, supports))
 
     # (1) support family = circuits of the matroid
     expected = set(matroid.circuits())
@@ -247,13 +257,17 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
         report.checked += 1
         if not c.support:
             report.violations.append("axiom 1: empty support")
-    for a in supports:
-        for b in supports:
-            report.checked += 1
-            if a < b:
-                report.violations.append(
-                    f"axiom 1: support {sorted(a)} strictly inside {sorted(b)}"
-                )
+    report.checked += len(masks) ** 2
+    where = {}
+    for k, m in enumerate(masks):
+        where.setdefault(m, []).append(k)
+    nested = sorted((a, b) for b, mb in enumerate(masks)
+                    for a in _members(mb, where, masks) if masks[a] != mb)
+    for a, b in nested:
+        report.violations.append(
+            f"axiom 1: support {sorted(supports[a])} strictly inside "
+            f"{sorted(supports[b])}"
+        )
 
     # (2)+(3): canonical representatives, unique per support
     seen = {}
@@ -268,45 +282,79 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
             )
         seen[c.support] = c
 
-    # (4) elimination with controlled entries, on the ordered pairs whose
-    # union has a rank deficit of two, each union ranked once; a union of
-    # more than rank + 2 elements has a larger deficit.  An eliminating
-    # member lies inside the union minus u, since a finite entry outside
-    # it would sit below an infinite floor; on a valuated matroid that
-    # set holds exactly one circuit, and many pairs share it
-    masks = [sum(1 << e for e in s) for s in supports]
-    inside_of = {}
-    pairs = []
-    for i, j in combinations(range(len(vectors)), 2):
-        union = supports[i] | supports[j]
-        if (vectors[i] is not vectors[j] and len(union) <= matroid.rank + 2
-                and matroid.rank_of(union) == len(union) - 2):
-            pairs += [(i, j), (j, i)]
-    for i, j in sorted(pairs):
-        c, cp = vectors[i], vectors[j]
-        for u in sorted(c.support & cp.support):
-            lam = c[u] - cp[u]
-            floor = [min(a, b + lam) for a, b in zip(c, cp)]
-            inside = (masks[i] | masks[j]) & ~(1 << u)
-            if inside not in inside_of:
-                inside_of[inside] = [d for d, m in zip(vectors, masks)
-                                     if not m & ~inside]
-            candidates = inside_of[inside]
-            for v in sorted(c.support - cp.support):
-                report.checked += 1
-                if not any(v in d.support and _eliminates(d, v, c[v], floor)
-                           for d in candidates):
-                    report.violations.append(
-                        f"axiom 4: no eliminating circuit for supports "
-                        f"{sorted(c.support)}, {sorted(cp.support)} with "
-                        f"u={u}, v={v}"
-                    )
+    # (4) elimination with controlled entries, on the pairs whose union
+    # has a rank deficit of two, each union ranked once; a union of more
+    # than rank + 2 elements has a larger deficit.  An eliminating member
+    # d lies inside the union minus u, since a finite entry outside it
+    # would sit below an infinite floor; on a valuated matroid that set
+    # holds exactly one circuit, and many pairs share it.  d, shifted to
+    # match c at v, dominates the floor exactly when c[v] - d[v] is at
+    # least d's bound, its largest gap floor[x] - d[x]; the gap at v is
+    # c[v] - d[v] itself, so d serves v exactly when that gap is largest.
+    # The pair taken the other way round shifts the floor and every gap
+    # by -lam, so one floor per unordered pair and u serves both.  INF
+    # reads as a finite sentinel: big in the floor's operands, so the
+    # floor is at most big, and 2 * big in d, so gaps off d's support
+    # stay below every gap on it.
+    big = _sentinel(vectors)
+    finite = [_finite(c, big) for c in vectors]
+    negated = [tuple(-x for x in _finite(c, 2 * big)) for c in vectors]
+    limit = matroid.rank + 2
+    inside_of, found = {}, []
+    for i, mi in enumerate(masks):
+        partners = [j for j in range(i + 1, len(masks))
+                    if (mi | masks[j]).bit_count() <= limit]
+        for j in partners:
+            union = mi | masks[j]
+            size = union.bit_count()
+            if vectors[i] is vectors[j] or matroid.rank_of_mask(union) != size - 2:
+                continue
+            shared, apart = _elements(mi & masks[j]), _elements(mi ^ masks[j])
+            report.checked += len(shared) * len(apart)
+            if not apart:
+                continue
+            c, cp = vectors[i].entries, vectors[j].entries
+            for u in shared:
+                lam = c[u] - cp[u]
+                floor = list(map(min, finite[i], map(lam.__add__, finite[j])))
+                inside = union ^ 1 << u
+                if (candidates := inside_of.get(inside)) is None:
+                    candidates = inside_of[inside] = [
+                        negated[k] for k in _members(inside, where, masks)]
+                for minus in candidates:
+                    gap = list(map(add, floor, minus))
+                    if min(map(gap.__getitem__, apart)) == max(gap):
+                        break  # d serves every v
+                else:
+                    gaps = [list(map(add, floor, minus)) for minus in candidates]
+                    found += [(i, j, u, v) if mi >> v & 1 else (j, i, u, v)
+                              for v in apart if all(g[v] < max(g) for g in gaps)]
+    for i, j, u, v in sorted(found):
+        report.violations.append(
+            f"axiom 4: no eliminating circuit for supports "
+            f"{sorted(supports[i])}, {sorted(supports[j])} with u={u}, v={v}"
+        )
     return report
 
 
-def _eliminates(d, v, target_v, floor):
-    mu = target_v - d[v]
-    return all(d[i] + mu >= floor[i] for i in d.support)
+def _members(mask, where, masks):
+    """The indices of the masks inside mask: its submasks looked up in
+    where, which maps each mask to its indices, or one scan of masks when
+    that is shorter."""
+    if 1 << mask.bit_count() > len(masks):
+        return [k for k, m in enumerate(masks) if not m & ~mask]
+    found, s = [], mask
+    while True:
+        found += where.get(s, ())
+        if not s:
+            return found
+        s = s - 1 & mask
+
+
+@lru_cache(maxsize=1 << 12)
+def _elements(mask):
+    """The elements of a mask, ascending."""
+    return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
 def check_exchange_consistency(valuation: Valuation, vcircuits=None) -> AxiomReport:
@@ -326,7 +374,7 @@ def _exchange_walk(matroid: Matroid, by_support, values) -> AxiomReport:
     neighbor, since for v in the first (greedy) basis and outside b the
     circuit of b + v holds some u > v, and b - u + v sorts before b."""
     report = AxiomReport()
-    by_mask = {sum(1 << e for e in c): circ for c, circ in by_support.items()}
+    by_mask = {_mask(c): circ for c, circ in by_support.items()}
     ground = set(range(matroid.n))
     for b, row in zip(matroid.bases, matroid.rows()):
         if b not in values:
@@ -353,17 +401,38 @@ def _exchange_walk(matroid: Matroid, by_support, values) -> AxiomReport:
 
 def check_orthogonality(circuit_vectors, cocircuit_vectors) -> AxiomReport:
     """For every circuit/cocircuit pair with intersecting supports, the
-    minimum of the entrywise sum must be attained at least twice."""
+    minimum of the entrywise sum must be attained at least twice.  INF
+    reads as the sentinel big, so a sum with an infinite term exceeds
+    every finite sum, and the minimum is finite: some index lies in both
+    supports."""
     report = AxiomReport()
+    circuit_vectors = list(circuit_vectors)
+    cocircuit_vectors = list(cocircuit_vectors)
+    big = _sentinel(circuit_vectors + cocircuit_vectors)
+    cocircs = [(_mask(d.support), _finite(d, big), d) for d in cocircuit_vectors]
     for c in circuit_vectors:
-        for d in cocircuit_vectors:
-            if not (c.support & d.support):
-                continue
-            report.checked += 1
-            sums = [c[i] + d[i] for i in range(len(c))]
-            best = min(sums)  # finite: some index lies in both supports
-            if sums.count(best) < 2:
+        mask, entries = _mask(c.support), _finite(c, big)
+        meets = [(f, d) for m, f, d in cocircs if mask & m]
+        report.checked += len(meets)
+        for f, d in meets:
+            sums = list(map(add, entries, f))
+            if sums.count(min(sums)) < 2:
                 report.violations.append(
                     f"minimum of circuit {c} + cocircuit {d} attained once"
                 )
     return report
+
+
+def _mask(elements) -> int:
+    return sum(1 << e for e in elements)
+
+
+def _sentinel(vectors) -> int:
+    """A finite stand-in for INF: 4 * top + 1, top the largest absolute
+    finite entry of the vectors."""
+    top = max((abs(e) for c in vectors for e in c.entries if e != INF), default=0)
+    return 4 * top + 1
+
+
+def _finite(vector, big) -> tuple:
+    return tuple(big if e == INF else e for e in vector.entries)

@@ -83,6 +83,13 @@ def column_rank(matrix, subset):
     return 0
 
 
+def basis_rank(matroid, subset):
+    """Rank of a subset as the largest |subset & B| over the basis masks,
+    without the matroid's independent-set table."""
+    s = sum(1 << e for e in subset)
+    return max((m & s).bit_count() for m in matroid.masks)
+
+
 def exchange_holds(bases):
     """The basis-exchange axiom by the pair scan: for every two bases b1,
     b2 and u in b1 - b2, some v in b2 - b1 makes b1 - u + v a basis."""
@@ -294,15 +301,15 @@ def reference_minor(valuation, delete=(), contract=()):
     keep = sorted(ground - delete - contract)
     b_f = set()
     for i in sorted(contract):
-        if m.rank_of(b_f | {i}) == len(b_f) + 1:
+        if basis_rank(m, b_f | {i}) == len(b_f) + 1:
             b_f.add(i)
     padding = set()
     base = set(keep) | contract
-    cur = m.rank_of(base)
+    cur = basis_rank(m, base)
     for g in sorted(delete):
         if cur == m.rank:
             break
-        if m.rank_of(base | padding | {g}) > cur:
+        if basis_rank(m, base | padding | {g}) > cur:
             padding.add(g)
             cur += 1
     completion = frozenset(b_f | padding)

@@ -27,6 +27,7 @@ from conftest import (
     NONFANO_A,
     NONFANO_VARS,
     S,
+    basis_rank,
     column_rank,
     exchange_holds,
     frozenset_fundamental_circuit,
@@ -748,6 +749,68 @@ class TestHyperplanes:
         m = Matroid(2, [frozenset()])
         with pytest.raises(ValueError):
             m.hyperplanes()
+
+
+def _seeded_matroids(seed, count):
+    """Column matroids of seeded small matrices, with a zeroed column (a
+    loop) or a unit column alone in its row (a coloop) in about a third
+    each, their duals, and the rank-0 and rank-1 matroids of a few
+    ground sets."""
+    rng = random.Random(seed)
+    for n in range(1, 5):
+        yield Matroid(n, [frozenset()])
+        yield Matroid(n, [{e} for e in range(0, n, 2)])
+        yield Matroid(n, [{e} for e in range(n)])
+    for _ in range(count):
+        d, n = rng.randint(1, 4), rng.randint(1, 8)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+        j = rng.randrange(n)
+        pick = rng.random()
+        if pick < 0.3:
+            for row in rows:
+                row[j] = 0
+        elif pick < 0.6:
+            rows.append([int(k == j) for k in range(n)])
+        m = linear_valuated_matroid(IntMatrix(tuple(map(tuple, rows))), 2).matroid
+        yield m
+        yield m.dual()
+
+
+def brute_hyperplanes(m):
+    """The subsets of rank r - 1 to which every other element adds rank,
+    over all 2^n subsets, ranked by basis_rank."""
+    out = []
+    for size in range(m.n + 1):
+        for h in map(frozenset, combinations(range(m.n), size)):
+            if basis_rank(m, h) == m.rank - 1 and all(
+                    basis_rank(m, h | {v}) == m.rank for v in range(m.n) if v not in h):
+                out.append(h)
+    return sorted(out, key=sorted)
+
+
+class TestIndependentSetTable:
+    def test_rank_and_hyperplanes_match_brute_force(self):
+        ranks = set()
+        loops = coloops = 0
+        for m in _seeded_matroids(2604, 120):
+            for size in range(m.n + 1):
+                for subset in combinations(range(m.n), size):
+                    assert m.rank_of(subset) == basis_rank(m, subset)
+            if m.rank >= 1:
+                assert m.hyperplanes() == brute_hyperplanes(m)
+            ranks.add(m.rank)
+            loops += any(all(e not in b for b in m.bases) for e in range(m.n))
+            coloops += any(all(e in b for b in m.bases) for e in range(m.n))
+        assert {0, 1, 2, 3, 4} <= ranks and loops > 20 and coloops > 20
+
+    def test_built_once_and_kept_by_trusted_matroids(self):
+        m = Matroid(4, [{0, 1}, {0, 2}, {1, 2}])
+        assert m.independent_sets() is m.independent_sets()
+        dual = m.dual()
+        assert dual._independent is None and dual.rank_of({2, 3}) == 2
+        assert list(m.independent_sets()) == [
+            int(basis_rank(m, [e for e in range(4) if s >> e & 1]) == bin(s).count("1"))
+            for s in range(16)]
 
 
 class TestMatroidRankFunction:

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +26,8 @@ from algval.flock import FlockReport
 
 from conftest import NONFANO_A, NONFANO_GENERATORS, NONFANO_VARS
 from test_golden import ALPHA, GOLDEN, INPUTS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MATRIX_DOC = {
     "kind": "matrix",
@@ -87,6 +91,24 @@ class TestLoadProblem:
         )
         with pytest.raises(CliInputError):
             load_problem(str(path))
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"kind": "matrix"}',
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"kind":"matrix","p":2,"rows":1,"cols":1,"entries":[[' + b"7" * 5000 + b"]]}",
+        b'{"kind":"matrix","p":' + b"3" * 5000 + b',"rows":1,"cols":1,"entries":[[1]]}',
+    ], ids=["not-utf8", "nested-200000", "long-entry", "long-p"])
+    def test_unreadable_file_is_one_error_line(self, tmp_path, content):
+        # bytes that are not UTF-8, JSON too deep for the decoder and an
+        # integer past the interpreter's digit limit end in one line
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-m", "algval.cli", "valuation", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
     def test_fingerprint_stable(self, matrix_file):
         problem = load_problem(matrix_file)
@@ -243,6 +265,22 @@ class TestVerifyCommand:
         code, doc = run_json(capsys, "verify", ideal_file, "--box", "1")
         assert code == 0
         assert doc["ok"] is True
+
+    def test_ideal_input_walks_once(self, capsys, ideal_file, matrix_file, monkeypatch):
+        # the walk that valued the ideal route's bases is the suite's
+        # report; a matrix input still runs the check
+        calls = []
+        check = cli.check_exchange_consistency
+        monkeypatch.setattr(cli, "check_exchange_consistency",
+                            lambda *args: calls.append(1) or check(*args))
+        pipe = build_pipeline(load_problem(ideal_file))
+        expected = check(pipe.valuation, pipe.vcircuits)
+        suites = {s["name"]: s for s in verify_document(pipe, box_radius=0)["suites"]}
+        assert not calls and expected.checked == 29 * 4 * 3
+        assert suites["exchange-identity"] == {
+            "name": "exchange-identity", "checked": expected.checked, "violations": []}
+        verify_document(build_pipeline(load_problem(matrix_file)), box_radius=0)
+        assert calls == [1]
 
     def test_failure_exits_two(self, capsys, matrix_file, monkeypatch):
         import algval.cli as cli_module

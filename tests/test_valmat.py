@@ -27,6 +27,7 @@ from algval.valmat import (
 from conftest import (
     NONFANO_VARS,
     S,
+    basis_rank,
     reference_check_exchange_consistency,
     reference_minor,
     reference_valuation_from_circuits,
@@ -500,7 +501,7 @@ class TestCircuitAxioms:
 def reference_circuit_axioms(vcircuits, matroid):
     """check_circuit_axioms as it was when axiom 4 ranked the union of
     every ordered pair of circuit vectors: the same checks and messages,
-    each unordered pair's union ranked twice."""
+    each unordered pair's union ranked twice, by basis_rank."""
     report = AxiomReport()
     vectors = list(vcircuits)
     supports = [c.support for c in vectors]
@@ -539,7 +540,7 @@ def reference_circuit_axioms(vcircuits, matroid):
             if c is cp:
                 continue
             union = c.support | cp.support
-            if matroid.rank_of(union) != len(union) - 2:
+            if basis_rank(matroid, union) != len(union) - 2:
                 continue
             for u in sorted(c.support & cp.support):
                 aligned = cp.shifted(c[u] - cp[u])
@@ -562,7 +563,10 @@ def reference_circuit_axioms(vcircuits, matroid):
 
 def _tampered_families(vcircs):
     """The family as it is, and copies with one entry raised, one vector
-    dropped, one vector listed twice and one non-canonical shift added."""
+    dropped, one vector listed twice, one non-canonical shift added, one
+    vector joined by a copy with an entry raised and an equal copy, one
+    vector replaced by two copies raised at different entries, and one
+    vector joined by a copy on a smaller support."""
     yield list(vcircs)
     for k in range(0, len(vcircs), 3):
         c = vcircs[k]
@@ -572,6 +576,17 @@ def _tampered_families(vcircs):
     yield vcircs[1:]
     yield vcircs + vcircs[:1]
     yield vcircs + [vcircs[-1].shifted(2)]
+    for k in range(0, len(vcircs), 4):
+        c = vcircs[k]
+        low, high = list(c.entries), list(c.entries)
+        low[min(c.support)] += 1
+        high[max(c.support)] += 1
+        yield vcircs + [CircuitVector(high), CircuitVector(c.entries)]
+        yield (vcircs[:k] + [CircuitVector(low), CircuitVector(high)]
+               + vcircs[k + 1:])
+        if len(c.support) > 1:
+            low[min(c.support)] = INF
+            yield vcircs + [CircuitVector(low)]
 
 
 class TestCircuitAxiomsRankOnce:
@@ -579,9 +594,9 @@ class TestCircuitAxiomsRankOnce:
         from algval.toric import IntMatrix, linear_valuated_matroid
 
         calls = []
-        rank_of = Matroid.rank_of
-        monkeypatch.setattr(Matroid, "rank_of",
-                            lambda m, s: calls.append(1) or rank_of(m, s))
+        rank_of_mask = Matroid.rank_of_mask
+        monkeypatch.setattr(Matroid, "rank_of_mask",
+                            lambda m, s: calls.append(1) or rank_of_mask(m, s))
         matroid, _, vcircs, _ = nonfano
         cases = [(matroid, list(vcircs))]
         for rows in (((1, 0, 2, 1, 3), (0, 1, 1, 2, 1)),
@@ -602,10 +617,36 @@ class TestCircuitAxiomsRankOnce:
                          if a is not b]
                 small = sum(len(a.support | b.support) <= m.rank + 2
                             for a, b in pairs)
-                assert ranked == small and len(calls) == 2 * len(pairs)
+                assert ranked == small and not calls
                 violations += len(got.violations)
                 skipped += len(pairs) - small
         assert violations > 0 and skipped > 0
+
+
+def _doubled_candidates(family, matroid):
+    """Whether some rank-deficit-2 pair has a union minus a shared u that
+    holds two members of the family."""
+    for c, cp in combinations(family, 2):
+        union = c.support | cp.support
+        if c is cp or basis_rank(matroid, union) != len(union) - 2:
+            continue
+        for u in c.support & cp.support:
+            if sum(d.support <= union - {u} for d in family) > 1:
+                return True
+    return False
+
+
+class TestCircuitAxiomsMatchReference:
+    def test_seeded_tampered_families(self):
+        violations = doubled = 0
+        for valuation in _seeded_matrix_valuations(2606, 4):
+            m, family = valuation.matroid, valuated_circuit_family(valuation)
+            for tampered in _tampered_families(family) if family else ():
+                got = check_circuit_axioms(tampered, m)
+                assert _report(got) == _report(reference_circuit_axioms(tampered, m))
+                violations += len(got.violations)
+                doubled += _doubled_candidates(tampered, m)
+        assert violations > 0 and doubled > 0
 
 
 class TestExchangeConsistency:
@@ -754,6 +795,40 @@ class TestOrthogonality:
         d = CircuitVector((0, 1, INF))
         report = check_orthogonality([c], [d])
         assert not report.ok
+
+
+def reference_orthogonality(circuit_vectors, cocircuit_vectors):
+    """check_orthogonality as it was before it read entry tuples and
+    support masks: frozenset intersections and sums by index."""
+    report = AxiomReport()
+    for c in circuit_vectors:
+        for d in cocircuit_vectors:
+            if not (c.support & d.support):
+                continue
+            report.checked += 1
+            sums = [c[i] + d[i] for i in range(len(c))]
+            best = min(sums)
+            if sums.count(best) < 2:
+                report.violations.append(
+                    f"minimum of circuit {c} + cocircuit {d} attained once"
+                )
+    return report
+
+
+class TestOrthogonalityMatchesReference:
+    def test_tampered_cocircuit_families(self):
+        rng = random.Random(2607)
+        violations = cases = 0
+        for valuation in _seeded_matrix_valuations(2607, 60):
+            circuits = valuated_circuit_family(valuation)
+            family = cocircuits(valuation)
+            for cocircs in [family, *_corrupted_families(family, rng), family + family[:1]]:
+                for circs in (circuits, *_corrupted_families(circuits, rng)):
+                    got = check_orthogonality(circs, cocircs)
+                    assert _report(got) == _report(reference_orthogonality(circs, cocircs))
+                    violations += len(got.violations)
+                    cases += 1
+        assert violations > 0 and cases > 500
 
 
 class TestDerivedCircuitFamily:
