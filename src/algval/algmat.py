@@ -6,15 +6,17 @@ the minimal dependent sets; each carries the monic generator of its
 (principal) elimination ideal, the circuit polynomial.  Only bases()
 asks the oracle about subsets; circuits() reads the circuits off the
 basis family and takes each polynomial from that circuit's own
-elimination.  A Matroid rests on one exchange table of fundamental
-circuits and cocircuits, which its exchange check, its circuits and its
-dual share.  The table and the check are read off the neighbourhoods
-of the (r-1)-sets B - u: the elements that complete each to a basis,
-and the bases that meet those, so exchange at (B, u) is one dict
-lookup.  Rank and hyperplanes come from a second table, built on the
-first rank query: one byte per subset that is 1 when the subset lies
-in some basis.  Elimination is by far the dominant cost, so the oracle
-decides a set before eliminating it where a certificate does: an input
+elimination.  A Matroid rests on two mask-keyed dicts.  The near set
+of an (r-1)-set R holds the elements that complete R to a basis; the
+near set of B - u is the fundamental cocircuit of u in B.  The exchange
+check builds the near sets with the bases that meet them, so exchange
+at (B, u) is one dict lookup, and the matroid keeps them.  The far set
+of an (r+1)-set S holds the elements whose removal leaves a basis; the
+far set of B + v is the fundamental circuit of (B, v).  Rank and
+hyperplanes come from a third table, built on the first rank query:
+one byte per subset that is 1 when the subset lies in some basis.
+Elimination is by far the dominant cost, so the oracle decides a set
+before eliminating it where a certificate does: an input
 generator on the set proves it dependent, and the leading monomials of
 the Groebner bases earlier eliminations computed can prove it
 independent.  Each elimination it runs removes one variable from an
@@ -83,49 +85,20 @@ def _neighbourhoods(n, masks):
                 return near, (k1, (~ok & ok + 1).bit_length() - 1, u)
 
 
-def exchange_table(n, masks):
-    """The fundamental circuits and cocircuits of bases on {0..n-1},
-    given as ints with bit e set for element e.  Row k holds, for u in
-    the k-th basis b, its fundamental cocircuit near[b - u], and for v
-    outside b its fundamental circuit: v and every u whose near set
-    holds v, so the transpose visits only the exchanges that exist.
-    Returns (rows, None), or (None, failure) with the (k1, k2, u) of
-    _neighbourhoods when some basis misses some fundamental cocircuit."""
-    near, failure = _neighbourhoods(n, masks)
-    if failure is not None:
-        return None, failure
-    bits = [1 << e for e in range(n)]
-    rows = []
-    for m in masks:
-        row = bits[:]
-        x = m
-        while x:
-            b = x & -x
-            x ^= b
-            row[b.bit_length() - 1] = y = near[m ^ b]
-            y ^= b
-            while y:
-                v = y & -y
-                y ^= v
-                row[v.bit_length() - 1] |= b
-        rows.append(row)
-    return rows, None
-
-
 def exchange_failure(n, masks):
-    """The (k1, k2, u) failure of exchange_table, or None; no rows are
-    built."""
+    """The (k1, k2, u) failure of _neighbourhoods, or None."""
     return _neighbourhoods(n, masks)[1]
 
 
 class Matroid:
     """Matroid on ground set {0..n-1} given by its bases; the
     basis-exchange axiom is verified on construction.  masks[k] is the
-    k-th basis as an int with bit e set for element e; the exchange
-    table that the check produces is kept, and the independent-set
-    table is built on the first rank query."""
+    k-th basis as an int with bit e set for element e; the near sets
+    that the check produces are kept, and the far sets and the
+    independent-set table are built on first use."""
 
-    __slots__ = ("n", "bases", "rank", "masks", "_index", "_rows", "_independent")
+    __slots__ = ("n", "bases", "rank", "masks", "_index", "_near", "_far",
+                 "_independent")
 
     def __init__(self, n, bases):
         cleaned = sorted({frozenset(b) for b in bases}, key=sorted)
@@ -139,37 +112,60 @@ class Matroid:
             if not b <= ground:
                 raise ValueError(f"basis {sorted(b)} outside ground set of size {n}")
         masks = tuple(map(_mask, cleaned))
-        rows, failure = exchange_table(n, masks)
+        near, failure = _neighbourhoods(n, masks)
         if failure is not None:
             b1, b2, u = cleaned[failure[0]], cleaned[failure[1]], failure[2]
             raise ValueError(
                 f"basis exchange fails for {[e + 1 for e in sorted(b1)]}, "
                 f"{[e + 1 for e in sorted(b2)]} at {u + 1}"
             )
-        self._adopt(n, tuple(cleaned), masks, rows)
+        self._adopt(n, tuple(cleaned), masks, near)
 
     @classmethod
-    def trusted(cls, n, bases, masks=None, rows=None):
+    def trusted(cls, n, bases, masks=None):
         """Sorted, distinct bases that pass exchange by construction, as a
-        dual's or a deletion's: no check runs; the table comes on use."""
+        dual's or a deletion's: no check runs; the near sets come on use."""
         out = cls.__new__(cls)
-        out._adopt(n, tuple(bases), masks, rows)
+        out._adopt(n, tuple(bases), masks, None)
         return out
 
-    def _adopt(self, n, bases, masks, rows):
+    def _adopt(self, n, bases, masks, near):
         self.n = n
         self.bases = bases
         self.rank = len(bases[0])
         self.masks = masks = tuple(masks or map(_mask, bases))
         self._index = {m: k for k, m in enumerate(masks)}
-        self._rows = rows
+        self._near = near
+        self._far = None
         self._independent = None
 
-    def rows(self):
-        """The exchange table, one row per basis in order."""
-        if self._rows is None:
-            self._rows = exchange_table(self.n, self.masks)[0]
-        return self._rows
+    def near(self) -> dict:
+        """near[R] for each (r-1)-set R inside a basis, as masks: every v
+        with R + v a basis.  The fundamental cocircuit of u in basis B is
+        near[B - u].  The exchange check leaves it; a trusted matroid
+        builds it on first use."""
+        if self._near is None:
+            self._near = _neighbourhoods(self.n, self.masks)[0]
+        return self._near
+
+    def far(self) -> dict:
+        """far[S] for each (r+1)-set S holding a basis, as masks: the one
+        circuit inside S, every x with S - x a basis.  The fundamental
+        circuit of (B, v) is far[B + v].  Built on first use in one pass
+        over each basis in order and each v outside it ascending, setting
+        bit v of far[B + v], so the keys come in the order of their first
+        such pair."""
+        if self._far is None:
+            far, full = {}, (1 << self.n) - 1
+            for m in self.masks:
+                x = full ^ m
+                while x:
+                    b = x & -x
+                    x ^= b
+                    s = m | b
+                    far[s] = far.get(s, 0) | b
+            self._far = far
+        return self._far
 
     def _elements(self, mask) -> frozenset:
         return frozenset(e for e in range(self.n) if mask >> e & 1)
@@ -217,23 +213,25 @@ class Matroid:
         to the first (basis, outside element) whose fundamental circuit
         it is, taking bases in order and elements in ascending order;
         every circuit is the fundamental circuit of some such pair.  The
-        circuits are the table's entries outside each basis."""
+        far sets come in the order of their first pairs, and the first
+        pair of S is (S - v, v) for v the largest element of far[S]:
+        removing a larger element leaves an earlier basis."""
         found = {}
-        for b, m, row in zip(self.bases, self.masks, self.rows()):
-            for v in range(self.n):
-                if not m >> v & 1 and row[v] not in found:
-                    found[row[v]] = (b, v)
+        for s, c in self.far().items():
+            if c not in found:
+                v = c.bit_length() - 1
+                found[c] = (self.bases[self._index[s ^ 1 << v]], v)
         as_sets = {self._elements(c): pair for c, pair in found.items()}
         return dict(sorted(as_sets.items(), key=lambda cp: (len(cp[0]), sorted(cp[0]))))
 
     def fundamental_circuit(self, basis, v) -> frozenset:
         """The unique circuit inside basis + {v}; always contains v."""
-        k = self._index.get(_mask(basis))
-        if k is None:
+        m = _mask(basis)
+        if m not in self._index:
             raise ValueError(f"{sorted(basis)} is not a basis")
         if v in basis:
             raise ValueError(f"{v} already lies in the basis")
-        return self._elements(self.rows()[k][v])
+        return self._elements(self.far()[m | 1 << v])
 
     def hyperplanes(self):
         """Maximal subsets of rank one less than the matroid, sorted: the
@@ -254,14 +252,12 @@ class Matroid:
     def dual(self) -> "Matroid":
         """The matroid of the complements of the bases, which come out
         sorted: complementing sets of one size reverses their order.  Its
-        exchange table is these rows reversed, since its fundamental
-        circuits are these cocircuits."""
+        near and far sets are built from its masks on first use."""
         ground = frozenset(range(self.n))
         full = (1 << self.n) - 1
         return Matroid.trusted(
             self.n, [ground - b for b in reversed(self.bases)],
-            [full ^ m for m in reversed(self.masks)],
-            self._rows[::-1] if self._rows is not None else None)
+            [full ^ m for m in reversed(self.masks)])
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)

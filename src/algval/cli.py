@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from algval.algmat import EliminationOracle, bases, circuits
@@ -401,10 +402,32 @@ _ATOMS = {str: encode_basestring_ascii, int: int.__repr__,
           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
+def _vector_texts(items, indent):
+    """The JSON texts of items, each written at indent, when every item
+    is {"entries": [...]} over at least one atom, each an int or a str, as
+    the circuit and cocircuit sections are; else None.  The wrapper is
+    literal text and each entry list one join over a memo of atom texts;
+    the memo is built only once every atom's type is known to be int or
+    str, since True and 1 are one key."""
+    if type(items[0]) is not dict or not all(
+            type(x) is dict and len(x) == 1 and type(x.get("entries")) is list
+            and x["entries"] for x in items):
+        return None
+    entries = [x["entries"] for x in items]
+    if not set(map(type, chain.from_iterable(entries))) <= {int, str}:
+        return None
+    texts = {a: _ATOMS[type(a)](a) for a in set(chain.from_iterable(entries))}
+    inner = indent + "  "
+    head, sep = "{" + inner + '"entries": [' + inner + "  ", "," + inner + "  "
+    tail = inner + "]" + indent + "}"
+    return [head + sep.join(map(texts.__getitem__, e)) + tail for e in entries]
+
+
 def _json(value, indent="\n") -> str:
     """json.dumps(value, indent=2), byte for byte, for a value built of
     dicts with str keys, lists, str, int, bool and None: each list's atoms
-    are encoded in one pass and joined once, and only containers recurse."""
+    are encoded in one pass and joined once, a list of circuit vectors is
+    written by _vector_texts, and only other containers recurse."""
     atom = _ATOMS.get(type(value))
     if atom is not None:
         return atom(value)
@@ -412,8 +435,9 @@ def _json(value, indent="\n") -> str:
     if type(value) is list:
         if not value:
             return "[]"
-        parts = [_ATOMS[type(x)](x) if type(x) in _ATOMS else _json(x, inner)
-                 for x in value]
+        parts = _vector_texts(value, inner) or [
+            _ATOMS[type(x)](x) if type(x) in _ATOMS else _json(x, inner)
+            for x in value]
         return "[" + inner + ("," + inner).join(parts) + indent + "]"
     if type(value) is dict:
         if not value:

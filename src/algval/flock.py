@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, product
 
-from algval.algmat import Matroid, _neighbourhoods
+from algval.algmat import Matroid
 from algval.valmat import AxiomReport, Valuation
 
 # The bytes of a slab's packed scores over all bases; the sweep keeps
@@ -145,16 +145,18 @@ class _Slabs:
         return tops, keys, mismatches
 
 
-def _failing_slices(n, masks, keys):
+def _failing_slices(matroid, keys):
     """The int with bit s set for each slice keys[s] that fails basis
-    exchange; a key has bit k set for each basis masks[k] in the slice.
-    Exchange fails exactly when some (r-1)-set R lies in a basis of the
-    slice and some basis b2 of the slice meets no v with R + v in it.
-    _neighbourhoods gives, for every R of the support, every v with
-    R + v a basis, and one pass over those decides every slice at once,
-    with one membership bit per slice and basis."""
+    exchange; a key has bit k set for each basis matroid.masks[k] of the
+    support matroid that lies in the slice.  Exchange fails exactly
+    when some (r-1)-set R lies in a basis of the slice and some basis b2
+    of the slice meets no v with R + v in it.  The support's near sets
+    give, for every R, every v with R + v a basis, and one pass over
+    those decides every slice at once, with one membership bit per slice
+    and basis."""
     if not keys:
         return 0
+    masks, index = matroid.masks, matroid._index
     joined = b"".join(keys)
     size = len(keys[0])
     member = []
@@ -166,9 +168,8 @@ def _failing_slices(n, masks, keys):
             inside |= int.from_bytes(column[j::8], "little") << j
         member.append(inside)
     del joined
-    index = {m: k for k, m in enumerate(masks)}
     failing = 0
-    for rest, completions in _neighbourhoods(n, masks)[0].items():
+    for rest, completions in matroid.near().items():
         # the slices holding R + v, for each v
         through = {}
         holds = 0
@@ -393,7 +394,7 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     report.checked = start * (n + 2)
     slices = list(seen)
     del seen
-    failing = _failing_slices(n, valuation.matroid.masks, slices)
+    failing = _failing_slices(valuation.matroid, slices)
     # each failing direction's checks: -1 for exchange, i for
     # contraction/deletion at i, n for the shift
     found = {}

@@ -121,15 +121,17 @@ def valuation_from_circuits(matroid: Matroid, vcircuits, walk=None) -> Valuation
     return Valuation(matroid, values)
 
 
-def _table_vector(n, value, mask, v, circuit) -> CircuitVector:
-    """Canonical circuit vector on circuit, an int mask holding v, from the
-    basis mask: entry u is value[mask ^ {u, v}] less the least such value,
-    one lookup per set bit of circuit."""
-    entries, support, swapped = [INF] * n, [], mask ^ 1 << v
+def _table_vector(n, value, key, circuit) -> CircuitVector:
+    """Canonical circuit vector on circuit, an int mask: entry u is
+    value[key ^ {u}] less the least such value, one lookup per set bit of
+    circuit.  key is B + v for the fundamental circuit of (B, v), whose
+    entry u is read at B - u + v, and B - u for the fundamental cocircuit
+    of u in B, whose entry v is read there too."""
+    entries, support = [INF] * n, []
     while circuit:
         bit = circuit & -circuit
         u = bit.bit_length() - 1
-        entries[u] = value[swapped ^ bit]
+        entries[u] = value[key ^ bit]
         support.append(u)
         circuit ^= bit
     low = min(entries)
@@ -143,19 +145,27 @@ def fundamental_valuated_circuit(valuation: Valuation, basis, v) -> CircuitVecto
     """Canonical circuit vector supported on the unique circuit inside
     basis + {v}, rebuilt from basis values via the exchange identity."""
     support = valuation.matroid.fundamental_circuit(basis, v)
-    return _table_vector(valuation.n, valuation.by_mask(), _mask(basis), v,
+    return _table_vector(valuation.n, valuation.by_mask(), _mask(basis) | 1 << v,
                          _mask(support))
 
 
 def _table_family(valuation: Valuation, inside):
-    """Canonical vectors on the exchange table's circuits (inside false) or
-    cocircuits (inside true), each from the first (basis, element) whose
-    row entry it is; cocircuits take the bases in reverse, the dual's order."""
+    """Canonical vectors on the fundamental circuits (inside false) or
+    cocircuits (inside true), each read at the first key whose set it is.
+    Circuits take the far sets in order, which is the order of their
+    first (basis, outside element); cocircuits take the near sets of
+    B - u over the bases in reverse, the dual's order, and u ascending."""
     m, value, found = valuation.matroid, valuation.by_mask(), {}
-    for mask, row in list(zip(m.masks, m.rows()))[::-1 if inside else 1]:
-        for v, circuit in enumerate(row):
-            if mask >> v & 1 == inside and circuit not in found:
-                found[circuit] = _table_vector(m.n, value, mask, v, circuit)
+    if inside:
+        near = m.near()
+        keys = [mask ^ 1 << u for mask in reversed(m.masks)
+                for u in _elements(mask)]
+        pairs = zip(keys, map(near.__getitem__, keys))
+    else:
+        pairs = m.far().items()
+    for key, circuit in pairs:
+        if circuit not in found:
+            found[circuit] = _table_vector(m.n, value, key, circuit)
     return sorted(found.values(), key=CircuitVector.sort_key)
 
 
@@ -174,9 +184,9 @@ def dual(valuation: Valuation) -> Valuation:
 
 
 def cocircuits(valuation: Valuation):
-    """Canonical valuated circuits of the dual, read off the exchange
-    table's fundamental cocircuits without building the dual; their
-    supports are the complements of the hyperplanes."""
+    """Canonical valuated circuits of the dual, read off the fundamental
+    cocircuits without building the dual; their supports are the
+    complements of the hyperplanes."""
     return _table_family(valuation, True)
 
 
@@ -273,7 +283,8 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
     seen = {}
     for c in vectors:
         report.checked += 1
-        if not c.is_canonical:
+        # an empty support has no finite entry to be 0: axiom 1 lists it
+        if c.support and not c.is_canonical:
             report.violations.append(f"axiom 2/3: {c} is not canonical")
         if c.support in seen and seen[c.support] != c:
             report.violations.append(
@@ -375,12 +386,12 @@ def _exchange_walk(matroid: Matroid, by_support, values) -> AxiomReport:
     circuit of b + v holds some u > v, and b - u + v sorts before b."""
     report = AxiomReport()
     by_mask = {_mask(c): circ for c, circ in by_support.items()}
-    ground = set(range(matroid.n))
-    for b, row in zip(matroid.bases, matroid.rows()):
+    ground, far = set(range(matroid.n)), matroid.far()
+    for b, m in zip(matroid.bases, matroid.masks):
         if b not in values:
             raise InconsistentValuationError("exchange graph left bases unreached")
         for v in ground - b:
-            circ = by_mask.get(row[v])
+            circ = by_mask.get(far[m | 1 << v])
             if circ is None:
                 support = sorted(matroid.fundamental_circuit(b, v))
                 report.violations.append(f"no valuated circuit on support {support}")

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from algval.algmat import Matroid
-from algval.ffpoly import INF
+from algval.ffpoly import INF, CircuitVector
 from algval.groebner import Ideal
 from algval.valmat import (
     AxiomReport,
@@ -103,7 +103,7 @@ def exchange_holds(bases):
 def reference_exchange_failure(n, masks):
     """The exchange check on basis masks that ORs holding[v] only when
     it adds a basis: the reference for the check made in the pass that
-    builds the exchange table.  The first violation as (position of b1,
+    builds the near sets.  The first violation as (position of b1,
     position of b2, element u of b1), or None when the family passes."""
     holding = [0] * n
     for k, m in enumerate(masks):
@@ -137,8 +137,9 @@ def probe_exchange_table(n, masks):
     (k1, k2, u)) for the first basis b1 and u in it, in order, whose
     cocircuit misses a basis, and the first such b2: exchange holds
     exactly when every basis meets every fundamental cocircuit.  The
-    reference for algmat.exchange_table, which reads the same table off
-    the near sets of the (r-1)-sets instead of probing each v."""
+    reference for the near sets of the (r-1)-sets B - u and the far sets
+    of the (r+1)-sets B + v that a Matroid keeps, which hold the same
+    entries without probing each v."""
     bits = [1 << e for e in range(n)]
     holding = [0] * n
     for k, m in enumerate(masks):
@@ -176,8 +177,8 @@ def frozenset_fundamental_circuits(matroid):
     basis in order and each outside element v in ascending order, the
     circuit of v and every u with basis - u + v a basis, keeping the
     first pair per circuit; circuits ascending by size then
-    lexicographically.  The reference for the circuits read off the
-    exchange table."""
+    lexicographically.  The reference for the circuits read off the far
+    sets."""
     known = set(matroid.bases)
     found = {}
     for b in matroid.bases:
@@ -186,6 +187,31 @@ def frozenset_fundamental_circuits(matroid):
                 found.setdefault(frozenset_fundamental_circuit(known, b, v), (b, v))
     order = sorted(found, key=lambda c: (len(c), sorted(c)))
     return {c: found[c] for c in order}
+
+
+def reference_table_family(valuation, inside):
+    """Canonical vectors on the circuits (inside false) or cocircuits
+    (inside true) as an earlier design read them: the rows of
+    probe_exchange_table, one per basis, scanned in order for circuits
+    and in reverse for cocircuits, elements ascending, each vector built
+    at the first (basis b, element v) whose row entry it is, with entry
+    u = value(b - {u, v} + {u, v} swapped) less the least such value.  On
+    a valuation that is not a valuated matroid the pair decides the
+    entries, so this pins which pair each vector is read from."""
+    m = valuation.matroid
+    value = {sum(1 << e for e in b): x for b, x in valuation.items()}
+    rows = probe_exchange_table(m.n, m.masks)[0]
+    found = {}
+    for mask, row in list(zip(m.masks, rows))[::-1 if inside else 1]:
+        for v, circuit in enumerate(row):
+            if mask >> v & 1 == inside and circuit not in found:
+                swapped = mask ^ 1 << v
+                support = [u for u in range(m.n) if circuit >> u & 1]
+                raw = {u: value[swapped ^ 1 << u] for u in support}
+                low = min(raw.values())
+                found[circuit] = CircuitVector(
+                    [raw[u] - low if u in raw else INF for u in range(m.n)])
+    return sorted(found.values(), key=CircuitVector.sort_key)
 
 
 def minimal_dependent_sets(n, dependent, max_size):
@@ -212,7 +238,7 @@ def reference_valuation_from_circuits(matroid, vcircuits):
     from the first basis, then a full pass of
     reference_check_exchange_consistency over the result; the two-pass
     reference for the single exchange walk.  Circuits are computed on
-    frozensets, not read off the exchange table."""
+    frozensets, not read off the far sets."""
     by_support = {c.support: c.canonical() for c in vcircuits}
     if set(by_support) != set(frozenset_fundamental_circuits(matroid)):
         raise InconsistentValuationError("circuit covers do not match the matroid")

@@ -257,8 +257,8 @@ class TestMaskSweepMatchesFrozensetSweep:
             assert (d.n, d.rank, d.bases, d.masks) == (
                 checked.n, checked.rank, checked.bases, checked.masks)
             assert d == checked
-            # the dual reads the reversed rows; the reference sweeps the
-            # complements checked from scratch
+            # the dual builds its far sets from its own masks; the
+            # reference sweeps the complements checked from scratch
             assert (list(d.fundamental_circuits().items())
                     == list(frozenset_fundamental_circuits(checked).items()))
             assert exchange_holds(d.bases)
@@ -279,65 +279,140 @@ def _mask_of(elements):
     return sum(1 << e for e in elements)
 
 
-class TestExchangeTable:
-    """The rows of the one pass against circuits and cocircuits computed
-    on frozensets, and the number of passes a matroid runs."""
+def _frozenset_near_far(n, bases):
+    """The near and far sets of a basis family on frozensets, as masks:
+    near[R] for every (r-1)-set R inside a basis is every v with R + v a
+    basis, and far[S] for every (r+1)-set S holding a basis is every x
+    with S - x a basis.  far lists each S at its first (basis, v) pair,
+    bases in order and v ascending."""
+    known = set(bases)
+    near, far = {}, {}
+    for b in bases:
+        for u in sorted(b):
+            rest = b - {u}
+            near[_mask_of(rest)] = _mask_of(v for v in range(n) if rest | {v} in known)
+        for v in range(n):
+            if v not in b and _mask_of(b | {v}) not in far:
+                s = b | {v}
+                far[_mask_of(s)] = _mask_of(x for x in s if s - {x} in known)
+    return near, far
 
-    def test_rows_hold_circuits_and_cocircuits(self):
+
+def _special_matroids():
+    """Matroids with loops, coloops, rank 0 and full rank."""
+    yield Matroid(1, [frozenset()])  # one loop, rank 0
+    yield Matroid(4, [frozenset()])  # four loops
+    yield Matroid(3, [{0, 1, 2}])  # free: every element a coloop
+    yield Matroid(5, [{0, 1}, {0, 2}, {0, 3}])  # coloop 0, loop 4
+    yield Matroid(6, [b | {5} for b in map(frozenset, combinations(range(4), 2))])
+    yield Matroid(4, [{0}, {1}, {2}])  # rank 1 with a loop
+
+
+class TestExchangeTable:
+    """The near and far sets a matroid keeps, against their frozenset
+    definitions, and the number of exchange-check passes
+    (_neighbourhoods) a matroid runs."""
+
+    @staticmethod
+    def assert_near_far(m):
+        near, far = _frozenset_near_far(m.n, m.bases)
+        assert m.near() == near
+        assert list(m.far().items()) == list(far.items())
+        known = set(m.bases)
+        for b, mask in zip(m.bases, m.masks):
+            for e in range(m.n):
+                if e in b:
+                    # the fundamental cocircuit of e in b
+                    expected = {e} | {v for v in range(m.n)
+                                      if v not in b and b - {e} | {v} in known}
+                    assert m.near()[mask ^ 1 << e] == _mask_of(expected)
+                else:
+                    expected = frozenset_fundamental_circuit(known, b, e)
+                    assert m.far()[mask | 1 << e] == _mask_of(expected)
+
+    def test_near_and_far_hold_cocircuits_and_circuits(self):
         tables = 0
         for n, family in _random_families(12, 1500):
             if not exchange_holds(family):
                 continue
             m = Matroid(n, family)
-            known = set(m.bases)
-            for b, row in zip(m.bases, m.rows()):
-                expected = [
-                    frozenset({e}) | {v for v in range(n)
-                                      if v not in b and b - {e} | {v} in known}
-                    if e in b else frozenset_fundamental_circuit(known, b, e)
-                    for e in range(n)
-                ]
-                assert row == [_mask_of(c) for c in expected]
-            # the dual's rows, passed on and computed afresh
+            self.assert_near_far(m)
+            # the dual builds its own from its masks, equal to those of
+            # the complements checked from scratch
             ground = frozenset(range(n))
-            complements = [ground - b for b in reversed(m.bases)]
-            assert m.dual().rows() == m.rows()[::-1]
-            assert Matroid.trusted(n, complements).rows() == m.rows()[::-1]
+            checked = Matroid(n, [ground - b for b in m.bases])
+            self.assert_near_far(m.dual())
+            assert m.dual().near() == checked.near()
+            assert list(m.dual().far().items()) == list(checked.far().items())
             tables += 1
         assert tables > 1000
 
+    def test_loops_coloops_and_extreme_ranks(self):
+        for m in _special_matroids():
+            self.assert_near_far(m)
+            self.assert_near_far(m.dual())
+        # rank 0: no (r-1)-sets, and each loop is its own circuit
+        loops = Matroid(2, [frozenset()])
+        assert loops.near() == {}
+        assert list(loops.far().items()) == [(0b01, 0b01), (0b10, 0b10)]
+        # full rank: no (r+1)-sets, and each coloop is its own cocircuit
+        free = Matroid(2, [{0, 1}])
+        assert free.far() == {}
+        assert free.near() == {0b10: 0b01, 0b01: 0b10}
+
     def test_one_pass_per_matroid(self, monkeypatch):
         passes = []
-        table = algmat.exchange_table
+        check = algmat._neighbourhoods
 
         def counted(n, masks):
             passes.append(len(masks))
-            return table(n, masks)
+            return check(n, masks)
 
-        monkeypatch.setattr(algmat, "exchange_table", counted)
+        monkeypatch.setattr(algmat, "_neighbourhoods", counted)
         valuation = linear_valuated_matroid(IntMatrix(NONFANO_A), 2)
         vcircs = valuated_circuit_family(valuation)
         valuation.matroid.circuits()
         assert valuation_from_circuits(valuation.matroid, vcircs) == valuation
         cocircuits(valuation)
         assert passes == [len(valuation.matroid.bases)]
+        # a trusted matroid runs no check; its near sets come on first use
+        d = valuation.matroid.dual()
+        d.circuits()
+        assert passes == [len(valuation.matroid.bases)]
+        assert d.near() is d.near()
+        assert passes == [len(valuation.matroid.bases)] * 2
 
-    def test_failure_returns_no_rows(self):
-        assert algmat.exchange_table(4, [0b0011, 0b1100]) == (None, (0, 1, 0))
-        assert algmat.exchange_table(2, [0]) == ([[0b01, 0b10]], None)
+    def test_failure_triple_of_the_check(self):
+        assert algmat._neighbourhoods(4, [0b0011, 0b1100]) == (
+            {0b0010: 0b0001, 0b0001: 0b0010, 0b1000: 0b0100, 0b0100: 0b1000},
+            (0, 1, 0))
+        assert algmat._neighbourhoods(2, [0]) == ({}, None)
+        assert exchange_failure(4, [0b0011, 0b1100]) == (0, 1, 0)
 
 
 class TestNeighbourhoodsMatchProbe:
-    """exchange_table and exchange_failure, read off the near sets of
-    the (r-1)-sets, against the probe of every (basis, u in, v out):
-    the same rows and the same failure triple, in any basis order."""
+    """The exchange check, the near sets and the far sets against the
+    probe of every (basis, u in, v out): the same failure triple in any
+    basis order, and on a family that passes, the probe's row entries
+    near[B - u] for u in B and far[B + v] for v outside B."""
 
     @staticmethod
     def same_as_probe(n, masks):
-        expected = probe_exchange_table(n, masks)
-        assert algmat.exchange_table(n, masks) == expected
-        assert exchange_failure(n, masks) == expected[1]
-        return expected[1] is None
+        rows, failure = probe_exchange_table(n, masks)
+        near, got = algmat._neighbourhoods(n, masks)
+        assert got == failure
+        assert exchange_failure(n, masks) == failure
+        if failure is None:
+            bases = [frozenset(e for e in range(n) if m >> e & 1) for m in masks]
+            far = Matroid.trusted(n, bases, masks).far()
+            outside = [(m, b) for m in masks for b in (1 << e for e in range(n))]
+            assert set(near) == {m ^ b for m, b in outside if m & b}
+            assert set(far) == {m | b for m, b in outside if not m & b}
+            for m, row in zip(masks, rows):
+                for e in range(n):
+                    b = 1 << e
+                    assert row[e] == (near[m ^ b] if m & b else far[m | b])
+        return failure is None
 
     def test_random_families_of_every_rank(self):
         rng = random.Random(1901)

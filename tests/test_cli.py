@@ -367,25 +367,34 @@ class TestVerifyCommand:
 
 
 class TestSeeded4x12Golden:
-    """valuation --format json on a seeded 4x12 matrix (random.Random(4012),
-    entries in [-3, 4], p = 2), pinned byte for byte: its circuits and
-    cocircuits come from the fundamental-circuit sweeps of a 4x12
-    matroid and of its dual.  After an intended change of output,
+    """valuation on a seeded 4x12 matrix (random.Random(4012), entries in
+    [-3, 4], p = 2), pinned byte for byte in JSON and in text: its
+    circuits and cocircuits come from the fundamental-circuit sweeps of a
+    4x12 matroid and of its dual.  After an intended change of output,
     re-record with
 
         PYTHONPATH=src python -m algval.cli valuation \\
             tests/golden/inputs/seeded-4x12-matrix.json --format json \\
             > tests/golden/out/seeded-4x12-matrix.valuation.json
+
+    and the same with --format text into seeded-4x12-matrix.valuation.text.
     """
 
-    def test_output_matches_golden(self, capsys):
+    @staticmethod
+    def assert_matches(capsys, fmt):
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         code = run(["valuation", os.path.join(golden, "inputs", "seeded-4x12-matrix.json"),
-                    "--format", "json"])
-        with open(os.path.join(golden, "out", "seeded-4x12-matrix.valuation.json"),
+                    "--format", fmt])
+        with open(os.path.join(golden, "out", f"seeded-4x12-matrix.valuation.{fmt}"),
                   encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
         assert code == 0
+
+    def test_output_matches_golden(self, capsys):
+        self.assert_matches(capsys, "json")
+
+    def test_text_matches_golden(self, capsys):
+        self.assert_matches(capsys, "text")
 
 
 class TestNearSquareGoldens:
@@ -736,7 +745,7 @@ class TestPipelineHelpers:
                                               monkeypatch):
         # these wide matrices have rank at most n/2, so the minors come
         # from their own row-expansion table and cocircuits from the
-        # exchange table: no kernel lattice and no dual is built
+        # matroid's near sets: no kernel lattice and no dual is built
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         big = os.path.join(golden, "inputs", "seeded-4x12-matrix.json")
         expected = {}
@@ -822,6 +831,52 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, [0, (1,)], {"a": {0.5}},
                                        {"a": [[float("inf")]]}, {1: "int key"}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def _random_vector_item(rng):
+    """{"entries": [...]} as the circuit sections hold it, or, one time in
+    three, an item off that shape by one detail."""
+    entries = [rng.choice((0, 1, 7, -3, 2**70, "inf", "∞")) for _ in range(rng.randint(1, 5))]
+    kind = rng.randrange(12)
+    if kind == 0:
+        entries[rng.randrange(len(entries))] = rng.choice((True, False))
+    elif kind == 1:
+        entries = []
+    elif kind == 2:
+        entries[0] = rng.choice((None, [1], {"a": 1}, []))
+    elif kind == 3:
+        return {"entries": entries, "extra": 1}
+    elif kind == 4:
+        return {"entrie": entries}
+    elif kind == 5:
+        return rng.choice((entries, 3, "inf"))
+    return {"entries": entries}
+
+
+class TestVectorSections:
+    """A list of {"entries": [...]} items is written in one join per item;
+    the bytes stay those of json.dumps, and any item off that shape sends
+    the whole list down the general path."""
+
+    def test_random_sections(self):
+        rng = random.Random(2027)
+        for _ in range(1500):
+            section = [_random_vector_item(rng) for _ in range(rng.randint(1, 6))]
+            for value in (section, {"circuits": section}, [[section]]):
+                assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_bools_stay_apart_from_ints(self):
+        # True == 1 and False == 0 as dict keys; the memo of atom texts
+        # must never write one for the other
+        value = [{"entries": [1, 0]}, {"entries": [True, False]}, {"entries": [1, True]}]
+        assert cli._json(value) == json.dumps(value, indent=2)
+        assert cli._json({"c": value[:1]}) == json.dumps({"c": value[:1]}, indent=2)
+
+    @pytest.mark.parametrize("value", [[{"entries": [1.5]}], [{"entries": [0]}, {"entries": [0.5]}],
+                                       [{"entries": [(1,)]}]])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             cli._json(value)

@@ -10,7 +10,6 @@ from algval.algmat import (
     bases,
     circuits,
     exchange_failure,
-    exchange_table,
 )
 from algval.toric import IntMatrix, linear_valuated_matroid
 from algval.valmat import Valuation
@@ -522,7 +521,6 @@ def _assert_verdicts(n, masks, keys, failing):
         family = [m for k, m in enumerate(masks) if chosen >> k & 1]
         holds = exchange_failure(n, family) is None
         assert holds == (probe_exchange_table(n, family)[1] is None)
-        assert holds == (exchange_table(n, family)[1] is None)
         assert holds == (not failing >> s & 1), (n, family)
         outcomes.add(holds)
     return outcomes
@@ -533,13 +531,13 @@ class TestSliceExchange:
     once, against the exchange pass and the probe run on each slice."""
 
     def judged(self, monkeypatch, valuation, radius):
-        """The (n, masks, keys, failing) of the one verdict of a sweep."""
+        """The (support, keys, failing) of the one verdict of a sweep."""
         seen = []
         decide = flock._failing_slices
 
-        def recorded(n, masks, keys):
-            failing = decide(n, masks, keys)
-            seen.append((n, masks, keys, failing))
+        def recorded(support, keys):
+            failing = decide(support, keys)
+            seen.append((support, keys, failing))
             return failing
 
         monkeypatch.setattr(flock, "_failing_slices", recorded)
@@ -554,10 +552,11 @@ class TestSliceExchange:
             boxes += [(v, radius) for v in _sixteen_byte_valuations(radius)[1]]
         outcomes = set()
         for valuation, radius in boxes:
-            n, masks, keys, failing = self.judged(monkeypatch, valuation, radius)
-            assert masks == valuation.matroid.masks
+            support, keys, failing = self.judged(monkeypatch, valuation, radius)
+            # the sweep reads the near sets its valuation's matroid keeps
+            assert support is valuation.matroid
             assert len(keys) == len(set(keys))
-            outcomes |= _assert_verdicts(n, masks, keys, failing)
+            outcomes |= _assert_verdicts(support.n, support.masks, keys, failing)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("n", range(9))
@@ -565,14 +564,14 @@ class TestSliceExchange:
         rng = random.Random(450 + n)
         outcomes = set()
         for rank in range(n + 1):
-            uniform = tuple(sum(1 << e for e in b) for b in combinations(range(n), rank))
-            supports = [uniform]
+            supports = [Matroid(n, combinations(range(n), rank))]
             if 0 < rank < n:
                 rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(rank)]
                 column = linear_valuated_matroid(IntMatrix(rows), 2).matroid
                 if column.rank == rank:
-                    supports.append(column.masks)
-            for masks in supports:
+                    supports.append(column)
+            for support in supports:
+                masks = support.masks
                 size = (len(masks) + 7) // 8
                 families = [range(len(masks))]
                 # the support with one basis dropped
@@ -583,7 +582,7 @@ class TestSliceExchange:
                              for share in (0.2, 0.5, 0.8) for _ in range(4)]
                 families += [[k] for k in rng.sample(range(len(masks)), min(3, len(masks)))]
                 keys = [_key(family, size) for family in families if family]
-                failing = flock._failing_slices(n, masks, keys)
+                failing = flock._failing_slices(support, keys)
                 assert failing >> len(keys) == 0
                 outcomes |= _assert_verdicts(n, masks, keys, failing)
         assert True in outcomes
@@ -592,7 +591,7 @@ class TestSliceExchange:
         assert (False in outcomes) == (n >= 4)
 
     def test_no_slices(self):
-        assert flock._failing_slices(3, (0b011, 0b101), []) == 0
+        assert flock._failing_slices(Matroid(3, [{0, 1}, {0, 2}]), []) == 0
 
 
 class TestFamilyBySetBits:

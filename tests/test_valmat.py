@@ -30,6 +30,7 @@ from conftest import (
     basis_rank,
     reference_check_exchange_consistency,
     reference_minor,
+    reference_table_family,
     reference_valuation_from_circuits,
 )
 
@@ -264,6 +265,29 @@ class TestFamiliesMatchReference:
             count += 1
         assert count == 16
 
+    def test_tampered_families_match_the_row_scan(self):
+        # the families read each vector at the same (basis, element) pair
+        # as the scan of the exchange rows, so the tampered valuations,
+        # whose vectors depend on that pair, give the same families
+        rng = random.Random(2718)
+        valuations = list(_seeded_and_tampered_valuations())
+        for d, n in ((2, 6), (3, 7), (3, 8), (4, 9)):
+            rows = tuple(tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(d))
+            matroid = linear_valuated_matroid(IntMatrix(rows), 2).matroid
+            for _ in range(3):
+                valuations.append(Valuation(
+                    matroid, {b: rng.randint(0, 9) for b in matroid.bases}))
+        differ = 0
+        for valuation in valuations + [dual(v) for v in valuations]:
+            for inside, family in ((False, valuated_circuit_family),
+                                   (True, cocircuits)):
+                got = family(valuation)
+                assert got == reference_table_family(valuation, inside)
+                # the pair matters: scanning the bases the other way
+                # gives another family on tampered valuations
+                differ += got != _last_pair_family(valuation, inside)
+        assert differ > 10
+
     def test_fundamental_circuit_at_every_pair(self):
         for valuation in _seeded_and_tampered_valuations():
             matroid = valuation.matroid
@@ -277,6 +301,15 @@ class TestFamiliesMatchReference:
             assert valuation.by_mask() is valuation.by_mask()
             assert valuation.by_mask() == {
                 sum(1 << e for e in b): valuation.value(b) for b in matroid.bases}
+
+
+def _last_pair_family(valuation, inside):
+    """reference_table_family with the bases scanned in the opposite
+    order, so that each vector is read at another pair."""
+    m = valuation.matroid
+    reverse = Valuation(Matroid.trusted(m.n, m.bases[::-1], m.masks[::-1]),
+                        valuation.values)
+    return reference_table_family(reverse, inside)
 
 
 def exchange_reference_families(valuation):
@@ -439,22 +472,27 @@ class TestMinor:
 
     def test_minor_runs_no_exchange_pass(self, nonfano, monkeypatch):
         # a deletion of a matroid is a matroid, so neither step of a
-        # two-sided minor checks exchange; the table comes on first use
+        # two-sided minor checks exchange; the near and far sets come on
+        # first use, and only the near sets come from the check's pass
         valuation = nonfano[3]
         expected = reference_minor(valuation, delete=(0,), contract=(1,))
         passes = []
-        table = algmat.exchange_table
+        check = algmat._neighbourhoods
 
         def counted(n, masks):
             passes.append(len(masks))
-            return table(n, masks)
+            return check(n, masks)
 
-        monkeypatch.setattr(algmat, "exchange_table", counted)
+        monkeypatch.setattr(algmat, "_neighbourhoods", counted)
         got = minor(valuation, delete=(0,), contract=(1,))
         minor(valuation, delete=(2, 5), contract=(0,))
         minor(dual(valuation), contract=(3, 4))
         assert passes == []
         assert got.matroid.circuits() == expected.matroid.circuits()
+        assert passes == []
+        # the reference minor was checked on construction and kept its
+        # near sets, so only the trusted minor runs the pass
+        assert cocircuits(got) == cocircuits(expected)
         assert passes == [len(got.matroid.bases)]
 
 
@@ -496,6 +534,22 @@ class TestCircuitAxioms:
         except InconsistentValuationError:
             exchange_ok = False
         assert not (axiom_report.ok and exchange_ok)
+
+    def test_empty_support_reported(self, nonfano):
+        # an all-infinite vector has no canonical form; the suite lists
+        # it under axiom 1 instead of failing on it
+        matroid, _, vcircs, _ = nonfano
+        empty = CircuitVector.trusted((INF,) * matroid.n, frozenset())
+        clean = check_circuit_axioms(vcircs, matroid)
+        for family in (vcircs + [empty], [empty] + vcircs):
+            report = check_circuit_axioms(family, matroid)
+            assert report.violations[0].startswith("axiom 1: supports [[], ")
+            assert report.violations[1:] == ["axiom 1: empty support"] + [
+                f"axiom 1: support [] strictly inside {sorted(c.support)}"
+                for c in vcircs]
+            # one more vector: one empty-support check, 2 * len + 1 more
+            # containment checks and one more canonical check
+            assert report.checked == clean.checked + 2 * len(vcircs) + 3
 
 
 def reference_circuit_axioms(vcircuits, matroid):
