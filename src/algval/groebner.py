@@ -3,11 +3,13 @@
 Buchberger's algorithm with the Gebauer-Moller pair criteria and the
 normal (minimum-lcm) selection strategy, block elimination orders,
 elimination ideals, principal-generator extraction, and saturation of
-an ideal by a monomial via an auxiliary inverse variable.  The reduced
-basis is unique for a fixed order, so results are reproducible no
-matter how the input generators are listed.  Inside the computation
-each monomial is a single int (see `_Ring`), and polynomials are
-converted only on the way in and out.
+an ideal by a monomial: one variable at a time under a graded
+reverse-lex order when the ideal is homogeneous under a positive
+grading (Sturmfels, Lemma 12.1), and otherwise via an auxiliary inverse
+variable.  The reduced basis is unique for a fixed order, so results
+are reproducible no matter how the input generators are listed.
+Inside the computation each monomial is a single int (see `_Ring`),
+and polynomials are converted only on the way in and out.
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ class NotPrincipalError(RuntimeError):
 
 
 class MonomialOrder:
-    """Total multiplicative well-order on exponent vectors, given by 0/1
-    weight rows: a monomial's key is its tuple of row sums, compared
-    lexicographically (largest key = leading monomial)."""
+    """Total multiplicative well-order on exponent vectors, given by
+    weight rows: a monomial's key is its tuple of weighted row sums,
+    compared lexicographically (largest key = leading monomial).  The
+    integer rows of weights() come first, then the 0/1 rows of rows()."""
+
+    def weights(self):
+        """Nonnegative integer weight rows, one entry per variable, above
+        the rows of rows().  An order with any must end with a unit row
+        for every variable, from which `_Ring.lcm` rebuilds them."""
+        return ()
 
     def rows(self):
         """The weight rows, each as the tuple of the variables where it
@@ -36,7 +45,8 @@ class MonomialOrder:
         raise NotImplementedError
 
     def key(self, expo):
-        return tuple(sum(expo[i] for i in row) for row in self.rows())
+        return (*(sum(map(mul, w, expo)) for w in self.weights()),
+                *(sum(expo[i] for i in row) for row in self.rows()))
 
 
 class Lex(MonomialOrder):
@@ -78,6 +88,31 @@ class BlockElimination(MonomialOrder):
 
     def __repr__(self):
         return f"BlockElimination({self.eliminated}, {self.n})"
+
+
+class GradedRevLex(MonomialOrder):
+    """Graded by positive integer weights, then reverse-lex in the
+    variable `last`: rows (w), (w with w_last = 0), then the unit rows.
+    Among the terms of a w-homogeneous polynomial the leading one has
+    the least power of x_last, so x_last divides the leading term
+    exactly when it divides every term (Sturmfels, Lemma 12.1)."""
+
+    def __init__(self, grading, last):
+        if min(grading) <= 0:
+            raise ValueError(f"grading {tuple(grading)} is not positive")
+        self.n = len(grading)
+        self.grading = tuple(grading)
+        self.last = last
+
+    def weights(self):
+        w = self.grading
+        return w, (*w[:self.last], 0, *w[self.last + 1:])
+
+    def rows(self):
+        return tuple((i,) for i in range(self.n))
+
+    def __repr__(self):
+        return f"GradedRevLex({self.grading}, {self.last})"
 
 
 def _check_generators(polys, field, vars):
@@ -152,34 +187,52 @@ class _Ring:
     a + b is the product of a and b, a < b is the order, and a divides
     b exactly when (b | guard) - a keeps every guard bit; that
     difference ^ guard is then the quotient.  Packing checks the total
-    degree, which bounds every field; a sum of two valid monomials can
-    only spill into its own guard bits, which are checked on each new
-    term.  `_Overflow` is raised when a monomial does not fit."""
+    degree times the largest weight, which bounds every field; a sum of
+    two valid monomials can only spill into its own guard bits, which
+    are checked on each new term.  `_Overflow` is raised when a monomial
+    does not fit."""
 
     __slots__ = ("field", "vars", "p", "width", "guard", "half", "mask", "units",
-                 "shifts", "degree")
+                 "shifts", "degree", "scale", "weighted", "limit")
 
     def __init__(self, field, vars, order, width):
         self.field, self.vars, self.p, self.width = field, vars, field.p, width
-        rows = order.rows()
-        top = width * (len(rows) - 1)
+        weights, rows = order.weights(), order.rows()
+        fields = len(weights) + len(rows)
+        top = width * (fields - 1)
         self.half = 1 << width - 1
         self.mask = (1 << width) - 1
-        self.guard = sum(self.half << top - width * k for k in range(len(rows)))
+        self.guard = sum(self.half << top - width * k for k in range(fields))
         # units[i] is x_i packed; shifts[i] places x_i's own row; degree
         # is the number of fields below a row of several variables
         self.units, self.shifts, self.degree = [0] * len(vars), [0] * len(vars), 0
-        for k, row in enumerate(rows):
+        for k, row in enumerate(rows, len(weights)):
             for i in row:
                 self.units[i] += 1 << top - width * k
             if len(row) == 1:
                 self.shifts[row[0]] = top - width * k
             else:
                 self.degree = len(row)
+        # weighted holds (shift, multiplier) per integer row: the product
+        # of the unit fields with the multiplier has the row's weighted
+        # sum in field n - 1 (see lcm); limit bounds the top fields of
+        # two lcm arguments, whose degrees are at most w.a / min(w)
+        self.scale = max(map(max, weights), default=1)
+        self.weighted, self.limit = [], 0
+        low = width * (len(vars) - 1)
+        for k, row in enumerate(weights):
+            shift = top - width * k
+            for i, w in enumerate(row):
+                self.units[i] += w << shift
+            self.weighted.append(
+                (shift, sum(w << low - s for w, s in zip(row, self.shifts))))
+        if weights:
+            self.limit = min(weights[0]) << width
 
     def monomial(self, expo):
-        # every row is 0/1, so the total degree bounds every field
-        if sum(expo) >= self.half:
+        # every field's weights are at most scale, so the total degree
+        # times scale bounds every field
+        if sum(expo) * self.scale >= self.half:
             raise _Overflow
         return sum(map(mul, expo, self.units))
 
@@ -205,6 +258,21 @@ class _Ring:
             if deg >= self.half:
                 raise _Overflow
             m = m >> k + w << k + w | deg << k | low
+        elif self.weighted:
+            # each integer row is rebuilt from the unit fields, which are
+            # the last n; every partial sum in the product is at most
+            # scale times the degree, so no field carries into the next
+            # while the top fields (w.a and w.b) keep below the limit
+            top = self.weighted[0][0]
+            if ((a >> top) + (b >> top)) * self.scale >= self.limit:
+                raise _Overflow
+            k = w * len(self.vars)
+            m = low = m & (1 << k) - 1
+            for shift, mult in self.weighted:
+                row = low * mult >> k - w & self.mask
+                if row >= self.half:
+                    raise _Overflow
+                m |= row << shift
         return m
 
     def divides(self, a, b):
@@ -450,12 +518,22 @@ def principal_generator(elim_gens) -> Polynomial:
     return elim_gens[0]
 
 
-def saturate(ideal: Ideal, monomial) -> Ideal:
-    """The saturation (I : m^inf), via a fresh inverse variable w with
-    w*m - 1 adjoined and then eliminated."""
+def saturate(ideal: Ideal, monomial, grading=None) -> Ideal:
+    """The saturation (I : m^inf).
+
+    With a grading, positive integer weights under which every
+    generator is homogeneous, it saturates at one variable x_i of m at a
+    time (Sturmfels, Lemma 12.1): the reduced basis under
+    GradedRevLex(grading, i), each member divided by its largest power
+    of x_i, is a Groebner basis of I : x_i^inf.  The generators returned
+    are that basis for the last x_i, not reduced.  Without a grading, a
+    fresh inverse variable w with w*m - 1 is adjoined and then
+    eliminated."""
     monomial = tuple(monomial)
     if len(monomial) != ideal.n or any(e < 0 for e in monomial):
         raise ValueError(f"bad monomial exponent vector {monomial}")
+    if grading is not None:
+        return _saturate_graded(ideal, monomial, tuple(grading))
     if ideal.is_zero():
         return ideal
     w = "w_"
@@ -479,3 +557,21 @@ def saturate(ideal: Ideal, monomial) -> Ideal:
         for g in kept
     ]
     return Ideal(field, ideal.vars, stripped)
+
+
+def _saturate_graded(ideal, monomial, grading):
+    if len(grading) != ideal.n or min(grading) <= 0:
+        raise ValueError(f"grading {grading} is not positive on n={ideal.n} variables")
+    for g in ideal.generators:
+        if len({sum(map(mul, grading, e)) for e in g.terms}) > 1:
+            raise ValueError(f"generator {g} is not homogeneous under {grading}")
+    gens = ideal.generators
+    for i in (i for i, e in enumerate(monomial) if e):
+        divided = []
+        for g in buchberger(gens, GradedRevLex(grading, i)):
+            k = min(e[i] for e in g.terms)
+            divided.append(g if not k else Polynomial(
+                ideal.field, ideal.vars,
+                {(*e[:i], e[i] - k, *e[i + 1:]): c for e, c in g.terms.items()}))
+        gens = divided
+    return Ideal(ideal.field, ideal.vars, gens)

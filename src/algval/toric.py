@@ -16,6 +16,14 @@ is both an input mode and an oracle for the elimination route, though
 above rank n/2 both read kernel_basis, as toric_ideal takes its
 generators from it.
 
+The toric ideal is the lattice ideal of those generators saturated at
+a product of variables.  When every column sum is positive, they grade
+it: the basis is row-reduced on entries +-1 to the identity on its pivot
+columns tau, and only the other columns, sigma, are saturated, one at
+a time under a graded reverse-lex order (Sturmfels, Lemma 12.1).  Any
+other matrix saturates the raw basis at every variable through an
+inverse variable.
+
 All linear algebra is exact over unbounded Python integers.  One
 fraction-free (Bareiss) elimination gives the rank (its pivot count),
 the row basis (the pivot columns of the transpose) and determinants.
@@ -233,22 +241,58 @@ def toric_valuated_circuit(circuit: KernelCircuit, p: int) -> CircuitVector:
     return CircuitVector(entries).canonical()
 
 
+def _pivoted(basis):
+    """The lattice basis row-reduced on entries +-1, and its pivot
+    columns: each row in turn, with the earlier pivots cleared from it,
+    is pivoted on its first entry +-1 if it has one, which is made 1 and
+    cleared from every other row.  The steps are unimodular, so the rows
+    still span the lattice."""
+    rows, pivots = [list(u) for u in basis], []
+    for r, row in enumerate(rows):
+        c = next((j for j, v in enumerate(row) if v in (1, -1)), None)
+        if c is None:
+            continue
+        if row[c] < 0:
+            rows[r] = row = [-v for v in row]
+        for other in rows:
+            if other is not row and (q := other[c]):
+                other[:] = [a - q * b for a, b in zip(other, row)]
+        pivots.append(c)
+    return rows, pivots
+
+
 def toric_ideal(matrix: IntMatrix, p: int) -> Ideal:
     """The prime binomial ideal of relations among the monomials with
     exponent columns from the matrix: lattice-basis binomials, saturated
-    at the product of all variables."""
+    at a product of variables.
+
+    When every column sum is positive, the column sums grade every
+    lattice binomial.  The basis B is then pivoted on entries +-1
+    (_pivoted), so it is the identity on the pivot columns tau, and
+    sigma holds the other columns.  Once the variables of sigma are
+    inverted, each x_t for t in tau is a Laurent monomial in them, so
+    I_B : (prod_sigma x)^inf is the kernel of a map into a domain under
+    which every variable is a unit: the toric ideal.  `saturate` takes
+    one variable of sigma at a time by Lemma 12.1.  Otherwise the
+    kernel_basis binomials are saturated at the product of all variables
+    through an inverse variable."""
     field = PrimeField(p)
     vars = tuple(f"x{i}" for i in range(1, matrix.n + 1))
     basis = kernel_basis(matrix)
     if not basis:
         return Ideal(field, vars, ())
+    grading = [sum(col) for col in zip(*matrix.rows)]
+    if min(grading) > 0:
+        basis, pivots = _pivoted(basis)
+        sigma = [0 if j in pivots else 1 for j in range(matrix.n)]
+    else:
+        grading, sigma = None, (1,) * matrix.n
     gens = []
     for u in basis:
         plus = tuple(max(v, 0) for v in u)
         minus = tuple(-min(v, 0) for v in u)
         gens.append(Polynomial(field, vars, {plus: 1, minus: -1}))
-    lattice = Ideal(field, vars, gens)
-    return saturate(lattice, (1,) * matrix.n)
+    return saturate(Ideal(field, vars, gens), sigma, grading)
 
 
 def determinant_valuation(matrix: IntMatrix, column_subset, p: int):

@@ -1,7 +1,7 @@
 import json
 import os
 import random
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +13,7 @@ from algval.groebner import (
     _Ring,
     BlockElimination,
     GradedLex,
+    GradedRevLex,
     Ideal,
     Lex,
     NotPrincipalError,
@@ -339,16 +340,34 @@ class TestWideExponents:
             with pytest.raises(_Overflow):
                 ring.monomial(expo)
 
+    def test_weighted_input_bound(self):
+        # weight times degree bounds a weighted field: degree 11 under
+        # weight 3000 passes 2^15, so the core restarts at a wider field
+        vars3 = ("x1", "x2", "x3")
+        order = GradedRevLex((1000, 2000, 3000), 0)
+        ring = _Ring(PrimeField(3), vars3, order, 16)
+        assert ring.exponents(ring.monomial((0, 0, 10))) == [0, 0, 10]
+        for expo in ((0, 0, 11), (11, 0, 0), (5, 3, 3)):
+            with pytest.raises(_Overflow):
+                ring.monomial(expo)
+        gens = [P(t, vars3, 3) for t in ("x1*x2 - x3", "x2^3 - x3^2", "x1^12 - x2^6")]
+        gb = buchberger(gens, order)
+        _check_reduced_basis(gens, gb, order, gens[2] * P("x1 + 1", vars3, 3))
+
 
 @st.composite
 def _order_and_monomials(draw):
     n = draw(st.integers(1, 7))
     positions = draw(st.permutations(range(n)))
     block = draw(st.sets(st.integers(0, n - 1)))
+    grading = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     order = draw(st.sampled_from((Lex(n), Lex(n, positions), GradedLex(n, positions),
-                                  BlockElimination(block, n))))
-    # three monomials whose pairwise sums stay below 2^15
-    monomial = st.tuples(*[st.integers(0, 1500)] * n)
+                                  BlockElimination(block, n),
+                                  GradedRevLex(grading, draw(st.integers(0, n - 1))))))
+    # three monomials whose pairwise sums, times the largest weight,
+    # stay below 2^15
+    scale = max(map(max, order.weights()), default=1)
+    monomial = st.tuples(*[st.integers(0, 1500 // scale)] * n)
     return order, draw(monomial), draw(monomial), draw(monomial)
 
 
@@ -367,6 +386,37 @@ def test_packed_monomials_agree_with_tuples(case):
     assert ring.divides(pa + pc, pa) == (not any(c))
     if ring.divides(pa, pb):
         assert ((pb | ring.guard) - pa) ^ ring.guard == ring.monomial(tuple(map(sub, b, a)))
+
+
+def test_weighted_lcm_is_exact_or_overflows():
+    """Near the top of 8-bit fields, the lcm of two valid monomials under
+    a weighted order is the packed fieldwise max, or _Overflow when
+    rebuilding its weighted fields could carry between fields."""
+    rng = random.Random(3)
+    exact = 0
+    for _ in range(2000):
+        n = rng.randint(2, 4)
+        grading = [rng.randint(1, 9) for _ in range(n)]
+        order = GradedRevLex(grading, rng.randrange(n))
+        ring = _Ring(PrimeField(2), tuple(f"x{i}" for i in range(n)), order, 8)
+        pair = []
+        for _ in range(2):
+            # one exponent at a time, up to the room the grading leaves
+            e = [0] * n
+            for i in rng.sample(range(n), n):
+                room = (ring.half - 1 - sum(map(mul, grading, e))) // grading[i]
+                e[i] = rng.randint(0, room)
+            pair.append(e)
+        a, b = pair
+        top = tuple(map(max, a, b))
+        try:
+            got = ring.lcm(*(sum(map(mul, e, ring.units)) for e in pair))
+        except _Overflow:
+            continue
+        assert order.key(top)[0] < ring.half
+        assert got == sum(map(mul, top, ring.units))
+        exact += 1
+    assert exact > 100
 
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -469,3 +519,30 @@ class TestSaturate:
     def test_zero_ideal_stays_zero(self):
         idl = Ideal(PrimeField(2), ("x1", "x2"), ())
         assert saturate(idl, (1, 1)).is_zero()
+
+    @pytest.mark.parametrize("texts, variables, p, monomial, grading", [
+        (["x1*x2 - x1*x3"], ("x1", "x2", "x3"), 2, (1, 0, 0), (1, 1, 1)),
+        (["x1*x2 - x1*x3", "x2^2 - x3^2"], ("x1", "x2", "x3"), 3, (1, 1, 1), (1, 1, 1)),
+        (["x1*x2 - x1*x3", "x2^2 - x3^2"], ("x1", "x2", "x3"), 3, (0, 2, 1), (1, 1, 1)),
+        (["x1^2*x2 - x3^3", "x1*x3 - x2^2"], ("x1", "x2", "x3"), 5, (1, 1, 1), (3, 3, 3)),
+        (["x1*x2^2 - x1*x3", "x2^2*x3 - x1^2"], ("x1", "x2", "x3"), 2, (1, 1, 0), (2, 1, 2)),
+        (["1"], ("x1", "x2"), 2, (1, 1), (1, 2)),
+        ([], ("x1", "x2"), 2, (1, 1), (1, 1)),
+    ])
+    def test_graded_matches_inverse_variable(self, texts, variables, p, monomial, grading):
+        idl = I(texts, variables, p)
+        order = GradedLex(len(variables))
+        graded = saturate(idl, monomial, grading)
+        assert buchberger(graded.generators, order) == buchberger(
+            saturate(idl, monomial).generators, order)
+
+    def test_grading_must_fit(self):
+        idl = I(["x1*x2 - x1*x3", "x2^2 - x3"], ("x1", "x2", "x3"), 3)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            saturate(idl, (1, 1, 1), (1, 1, 1))
+        # x2^2 - x3 is homogeneous under (1, 1, 2), its first generator not
+        with pytest.raises(ValueError, match="not homogeneous"):
+            saturate(idl, (1, 0, 0), (1, 1, 2))
+        for grading in ((1, 0, 1), (1, -1, 2), (1, 1)):
+            with pytest.raises(ValueError, match="not positive"):
+                saturate(idl, (1, 1, 1), grading)

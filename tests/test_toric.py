@@ -7,8 +7,8 @@ import pytest
 
 import algval.toric as toric
 from algval.algmat import EliminationOracle, Matroid, bases, circuits
-from algval.ffpoly import INF, circuit_vector, p_adic_valuation
-from algval.groebner import Ideal, buchberger, GradedLex
+from algval.ffpoly import INF, Polynomial, PrimeField, circuit_vector, p_adic_valuation
+from algval.groebner import Ideal, buchberger, GradedLex, saturate
 from algval.toric import (
     IntMatrix,
     KernelCircuit,
@@ -20,6 +20,7 @@ from algval.toric import (
     linear_valuated_matroid,
     row_basis,
     _minor_table,
+    _pivoted,
     toric_ideal,
     toric_valuated_circuit,
 )
@@ -462,6 +463,67 @@ class TestToricIdeal:
         idl = toric_ideal(IntMatrix(((2, 1),)), 2)
         gb = buchberger(idl.generators, GradedLex(2))
         assert [str(g) for g in gb] == ["x2^2 + x1"]
+
+
+def _reference_toric_basis(matrix, p):
+    """The kernel_basis binomials saturated at the product of all the
+    variables through an inverse variable: the reduced GradedLex basis."""
+    field = PrimeField(p)
+    vars = tuple(f"x{i}" for i in range(1, matrix.n + 1))
+    gens = [Polynomial(field, vars, {tuple(max(v, 0) for v in u): 1,
+                                     tuple(-min(v, 0) for v in u): -1})
+            for u in kernel_basis(matrix)]
+    lattice = saturate(Ideal(field, vars, gens), (1,) * matrix.n)
+    return buchberger(lattice.generators, GradedLex(matrix.n))
+
+
+def _differential_instances():
+    """Seeded nonnegative and mixed-sign matrices with positive column
+    sums, then fixed ones: a kernel with no entry +-1, zero columns, and
+    an empty kernel."""
+    rng = random.Random(29)
+    cases = []
+    for low, count in ((0, 8), (-2, 6)):
+        while count:
+            d, n = rng.randint(2, 3), rng.randint(4, 6)
+            rows = tuple(tuple(rng.randint(low, 3) for _ in range(n)) for _ in range(d))
+            if min(map(sum, zip(*rows))) > 0:
+                cases.append((rows, rng.choice((2, 3, 5))))
+                count -= 1
+    return cases + [
+        (((3, 2),), 2), (((3, 2),), 3),
+        (((1, 0, 2, 1), (0, 0, 1, 3)), 5), (((0, 1, -1, 2), (1, -2, 3, 0)), 3),
+        (((1, 0), (0, 1)), 2),
+    ]
+
+
+class TestToricIdealDifferential:
+    """toric_ideal against the inverse-variable saturation of the raw
+    lattice basis at every variable, by reduced GradedLex bases."""
+
+    @pytest.mark.parametrize("rows, p", _differential_instances())
+    def test_same_reduced_basis(self, rows, p):
+        matrix = IntMatrix(rows)
+        got = toric_ideal(matrix, p)
+        assert buchberger(got.generators, GradedLex(matrix.n)) == \
+            _reference_toric_basis(matrix, p)
+
+    @pytest.mark.parametrize("rows, p", _differential_instances())
+    def test_pivoted_basis_spans_the_lattice(self, rows, p):
+        basis = kernel_basis(IntMatrix(rows))
+        pivoted, pivots = _pivoted(basis)
+        for c in pivots:
+            assert sorted(u[c] for u in pivoted) == [0] * (len(basis) - 1) + [1]
+        # unimodular: each kernel_basis vector is an integer combination
+        # of the pivoted rows, which are as many
+        assert len(pivoted) == len(basis)
+        if basis:
+            assert integer_rank(pivoted) == len(basis)
+            for u in basis:
+                assert integer_rank([*pivoted, u]) == len(basis)
+
+    def test_no_unit_entry_leaves_every_column_out_of_tau(self):
+        assert _pivoted(kernel_basis(IntMatrix(((3, 2),)))) == ([[-2, 3]], [])
 
 
 class TestDeterminantValuation:
