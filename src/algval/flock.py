@@ -1,15 +1,17 @@
 """Matroid families sliced out of a valuation by integer direction vectors.
 
 For a direction alpha, the slice keeps the bases maximizing
-e_B . alpha - value(B); the maximum itself is g(alpha).  Varying alpha
-over Z^n yields a family satisfying two axioms: contracting i in the
-slice at alpha equals deleting i in the slice at alpha + e_i, and the
-slice is invariant under shifting alpha by the all-ones vector.  Both
-axioms are verified exhaustively over finite boxes of directions.
+e_B . alpha - value(B); the maximum itself is g(alpha).  The valuation
+is a valuated matroid exactly when every slice is a matroid, and that
+is what is verified, exhaustively over finite boxes of directions.  The
+flock identities, slice(alpha)/i = slice(alpha + e_i)\\i and
+slice(alpha) = slice(alpha + 1), hold for the argmax families of any
+weighting of the bases, so on slices read off the valuation they can
+never fail, and they are not checked.
 
 The sweep is bit-sliced: a slab of directions is scored with one packed
 int per basis, holding one field per direction, so each step of the
-checks is one int operation over every direction of the slab.  Each
+scan is one int operation over every direction of the slab.  Each
 distinct slice is kept once, and basis exchange is decided for all of
 them together at the end.
 """
@@ -24,12 +26,11 @@ from itertools import chain, product
 from algval.algmat import Matroid
 from algval.valmat import AxiomReport, Valuation
 
-# The bytes of a slab's packed scores over all bases; the sweep keeps
-# two such sets (scores and marks) alive at once.  On the 483-basis 4x12
-# golden input, whose default box spans 243 slabs of 2,187 directions,
-# verify peaks at 38.2 MB against 46.7 MB for the per-direction sweep
-# this replaced.  1 MiB saves 1.3 MB of that and is no faster; 4 MiB
-# costs 5 MB more for about 5% less time (CPython 3.11.7, shared 2-core
+# The bytes of a slab's packed scores over all bases.  On the 483-basis
+# 4x12 golden input, whose default box spans 243 slabs of 2,187
+# directions, verify peaks at 37.2 MB against 46.7 MB for a
+# per-direction sweep.  1 MiB saved 1.3 MB and was no faster; 4 MiB
+# cost 5 MB more for about 5% less time (CPython 3.11.7, shared 2-core
 # host).
 _SLAB_BYTES = 1 << 21
 
@@ -41,9 +42,8 @@ class _Scores:
     """Field sizing for packed scores.  A field holds offset + e_B .
     alpha - value(B) for one basis B at one direction; fields are 1, 2,
     4 or 8 bytes (wider only for huge directions), sized so that every
-    direction with entries in [min(entries), max(entries)], and its
-    bumps by e_i and by the all-ones vector, leaves each field's top
-    (guard) bit clear."""
+    direction with entries in [min(entries), max(entries) + 1] leaves
+    each field's top (guard) bit clear."""
 
     def __init__(self, valuation: Valuation, entries):
         entries = list(entries)
@@ -61,14 +61,13 @@ class _Scores:
 
 
 class _Slabs:
-    """The checks of a slab of directions, one field per direction in
+    """The slices of a slab of directions, one field per direction in
     each packed int.  A slab comes as n coordinate-digit ints: field d
     of the i-th holds alpha_i - low for the slab's d-th direction."""
 
     def __init__(self, valuation: Valuation, scores: _Scores):
         matroid = valuation.matroid
         n = valuation.n
-        self.rank = matroid.rank
         self.width, self.bits = scores.width, scores.bits
         top = max(valuation.values.values())
         masks = matroid.masks
@@ -76,22 +75,15 @@ class _Slabs:
         # its value, with the digits counted from low
         self.consts = [top - valuation.values[b] for b in matroid.bases]
         self.members = [[i for i in range(n) if m >> i & 1] for m in masks]
-        self.holders = [[k for k, m in enumerate(masks) if m >> i & 1]
-                        for i in range(n)]
-        self.others = [[k for k, m in enumerate(masks) if not m >> i & 1]
-                       for i in range(n)]
         self.key_size = (len(masks) + 7) // 8
 
     def check(self, count, coords):
-        """The tops, slice keys and mismatches of count directions.
-        tops holds each direction's top score; keys[d], one bit per
-        basis, is the d-th direction's slice; mismatches holds, for
-        each element i and then for the all-ones shift, an int with the
-        guard bit set in each field whose direction fails that check."""
+        """The tops and slice keys of count directions: tops holds each
+        direction's top score, and keys[d], one bit per basis, is the
+        d-th direction's slice."""
         width, bits = self.width, self.bits
         ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
         guard = ones << (bits - 1)
-        fill = guard - ones
         scores = [c * ones + sum(coords[i] for i in elements)
                   for c, elements in zip(self.consts, self.members)]
         tops = scores[0]
@@ -99,50 +91,20 @@ class _Slabs:
             # the guard bit survives in the fields where tops >= s
             keep = ((tops | guard) - s) & guard
             tops ^= (tops ^ s) & ~(keep - (keep >> (bits - 1)))
-        # a field of tops + fill - s carries into its guard bit exactly
-        # when s lies below the top, and never past it
-        known = tops + fill
-        below = [(known - s) & guard for s in scores]
-        mismatches = []
-        for holders, others in zip(self.holders, self.others):
-            held = guard
-            for k in holders:
-                held &= below[k]
-            # the fields whose slice holds i in some basis
-            contracted = guard ^ held
-            # the top of alpha + e_i is one more exactly there
-            bumped = known + (contracted >> (bits - 1))
-            lifted = bumped - ones
-            changed = 0
-            for k in holders:
-                changed |= (lifted - scores[k]) ^ below[k]
-            kept, moved = guard, 0
-            for k in others:
-                x = bumped - scores[k]
-                kept &= x
-                moved |= x ^ below[k]
-            # slice(alpha)/i = slice(alpha+e_i)\i: where the slice holds
-            # i, the bumped slice is its bases holding i; elsewhere the
-            # slice is the bumped slice's bases lacking i
-            mismatches.append(contracted & (changed | ~kept)
-                              | (guard ^ contracted) & moved)
-        shift = self.rank * ones
-        shifted = known + shift
-        moved = 0
-        for s, b in zip(scores, below):
-            moved |= (shifted - (s + shift)) ^ b
-        mismatches.append(moved & guard)
+        # a field of s + guard - tops keeps its guard bit exactly when s
+        # is at the top, and never carries into the next
+        lifted = guard - tops
         # transpose the marks: bit k % 8 of byte k // 8 of a key
         size = self.key_size
         table = bytearray(count * size)
         for j in range(size):
             byte = 0
-            for k in range(8 * j, min(8 * j + 8, len(below))):
-                byte |= (guard ^ below[k]) >> (bits - 1 - k % 8)
+            for k in range(8 * j, min(8 * j + 8, len(scores))):
+                byte |= ((scores[k] + lifted) & guard) >> (bits - 1 - k % 8)
             table[j::size] = byte.to_bytes(count * width, "little")[::width]
         table = bytes(table)
         keys = [table[d:d + size] for d in range(0, count * size, size)]
-        return tops, keys, mismatches
+        return tops, keys
 
 
 def _failing_slices(matroid, keys):
@@ -258,7 +220,7 @@ def _slice(valuation: Valuation, alpha):
         raise ValueError(f"alpha must have length {valuation.n}")
     scores = _Scores(valuation, alpha)
     coords = [a - scores.low for a in alpha]
-    tops, keys, _ = _Slabs(valuation, scores).check(1, coords)
+    tops, keys = _Slabs(valuation, scores).check(1, coords)
     return int.from_bytes(keys[0], "little"), tops - scores.offset
 
 
@@ -319,10 +281,13 @@ def check_box_radius(n, radius) -> None:
 
 
 def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockReport:
-    """Verify, per direction alpha: the slice's basis family satisfies
-    basis exchange (each slice must itself be a matroid),
-    slice(alpha)/i = slice(alpha+e_i)\\i for every i, and
-    slice(alpha) = slice(alpha+1).
+    """Verify, per direction alpha, that the slice's basis family
+    satisfies basis exchange: each slice must itself be a matroid.
+    That is one check per direction.  The flock identities
+    slice(alpha)/i = slice(alpha+e_i)\\i and slice(alpha) =
+    slice(alpha+1) hold for any weighting of the bases, so they are not
+    checked here; tests/test_flock.py checks them on lattice slices
+    built without the valuation, where they can fail.
 
     Directions come from an explicit iterable or from the full box
     [-radius, radius]^n (default radius bounded by the evaluation
@@ -333,17 +298,11 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     the list, of at most _SLAB_BYTES over all bases.  A slab is scored
     with one packed int per basis, one field per direction: the sum of
     the basis's coordinate-digit ints plus its constant.  The tops are
-    their fieldwise maximum and each basis's marks the fields at the
-    top.  The bumps to alpha+e_i and alpha+1 are marked against their
-    known tops: one more where the slice holds i, and the rank more.  So
-    each direction's checks read only its own fields, and each check is
-    a few int operations over the whole slab.  The marks, transposed to
-    one key per direction, collect each distinct slice once, and
-    _failing_slices decides exchange for all of them in one pass.  The
-    contraction/deletion and all-ones identities hold for any weighting
-    of the bases, so exchange is the only check that can fail; every
-    check still runs.  Violations are emitted per direction in forward
-    order at the end.
+    their fieldwise maximum, and each basis's marks the fields at the
+    top.  The marks, transposed to one key per direction, collect each
+    distinct slice once, and _failing_slices decides exchange for all
+    of them in one pass.  Violations are emitted per direction in
+    forward order at the end.
     """
     n = valuation.n
     if radius is not None and alphas is not None:
@@ -378,48 +337,21 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     # each distinct slice's number, and each direction's slice number
     seen = {}
     numbers = array("I")
-    # (first direction, mismatches) of each slab with a failing check
-    flagged = []
-    start = 0
     for count, coords in slabs:
-        _, keys, mismatches = engine.check(count, coords)
+        _, keys = engine.check(count, coords)
         for key in dict.fromkeys(keys):
             if key not in seen:
                 seen[key] = len(seen)
         numbers.extend(map(seen.__getitem__, keys))
-        if any(mismatches):
-            flagged.append((start, mismatches))
-        start += count
-    report = FlockReport(directions=start)
-    report.checked = start * (n + 2)
+    report = FlockReport(checked=len(numbers), directions=len(numbers))
     slices = list(seen)
     del seen
     failing = _failing_slices(valuation.matroid, slices)
-    # each failing direction's checks: -1 for exchange, i for
-    # contraction/deletion at i, n for the shift
-    found = {}
     if failing:
         # one character per slice: '1' where it fails
         fails = bin(failing)[:1:-1].ljust(len(slices), "0")
         for index, number in enumerate(numbers):
             if fails[number] == "1":
-                found[index] = [-1]
-    for first, mismatches in flagged:
-        for check, x in enumerate(mismatches):
-            while x:
-                low = x & -x
-                x ^= low
-                found.setdefault(first + (low.bit_length() - 1) // scores.bits,
-                                 []).append(check)
-    for index in sorted(found):
-        alpha = direction(index)
-        for check in found[index]:
-            if check < 0:
                 report.violations.append(
-                    f"slice at alpha={alpha} is not a matroid (exchange fails)")
-            elif check < n:
-                report.violations.append(
-                    f"contraction/deletion mismatch at alpha={alpha}, i={check}")
-            else:
-                report.violations.append(f"all-ones shift changes the slice at {alpha}")
+                    f"slice at alpha={direction(index)} is not a matroid (exchange fails)")
     return report

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 
-from algval.algmat import Matroid
+from algval.algmat import Matroid, _mask
 from algval.ffpoly import INF, CircuitVector, circuit_vector
 
 
@@ -432,10 +432,6 @@ def check_orthogonality(circuit_vectors, cocircuit_vectors) -> AxiomReport:
                     f"minimum of circuit {c} + cocircuit {d} attained once"
                 )
     return report
-
-
-def _mask(elements) -> int:
-    return sum(1 << e for e in elements)
 
 
 def _sentinel(vectors) -> int:

@@ -337,14 +337,12 @@ class TestVerifyCommand:
         assert code == 0
         flock = doc["suites"][-1]
         assert flock["name"] == "flock-axioms"
-        # the slice, one contraction/deletion check per element, the shift
-        assert flock["checked"] == 1 + 7 + 1
+        # one exchange check for the one direction
+        assert flock["checked"] == 1
 
     def test_box_two_matches_golden(self, capsys):
-        # radius 2 on the non-Fano matrix: 5^7 = 78,125 directions, most
-        # of whose neighbours alpha+e_i and alpha+1 lie inside the box,
-        # pinned byte for byte as the sweep that rescored every
-        # neighbour printed it
+        # radius 2 on the non-Fano matrix: 5^7 = 78,125 directions,
+        # pinned byte for byte
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         code = run(["verify", os.path.join(golden, "inputs", "nonfano-matrix.json"),
                     "--box", "2", "--format", "json"])
@@ -354,9 +352,8 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_box_three_matches_golden(self, capsys):
-        # radius 3 on the p = 3 matrix: 7^6 = 117,649 directions in 7^5
-        # box rows, so scores carried along a row and rows started at
-        # every level of the mixed-radix carry are pinned byte for byte
+        # radius 3 on the p = 3 matrix: 7^6 = 117,649 directions in two
+        # slabs of 6 * 7^5 and 7^5, pinned byte for byte
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         code = run(["verify", os.path.join(golden, "inputs", "p3-matrix.json"),
                     "--box", "3", "--format", "json"])

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -98,8 +99,7 @@ class TestFlockAxioms:
 
     def test_perturbed_valuation_violates(self, nonfano_valuation):
         # bumping one basis value yields slices that are no longer
-        # matroids; the family identities alone hold for any weighting,
-        # so the exchange check inside the slices is what trips
+        # matroids
         tampered = dict(nonfano_valuation.values)
         tampered[S(1, 2, 3)] = 1
         broken = Valuation(nonfano_valuation.matroid, tampered)
@@ -180,52 +180,48 @@ def _reference_slice(valuation, alpha):
 
 
 def _reference_sweep(valuation, alphas):
-    """The flock-axiom sweep written over per-basis scans."""
-    n = valuation.n
+    """The flock sweep written over per-basis scans: one exchange check
+    per direction."""
     report = FlockReport()
-    cache = {}
     exchange_ok = {}
-
-    def sliced(alpha):
-        if alpha not in cache:
-            cache[alpha] = _reference_slice(valuation, alpha)[0]
-        return cache[alpha]
-
-    def is_matroid(family):
-        if family not in exchange_ok:
-            exchange_ok[family] = exchange_holds(family)
-        return exchange_ok[family]
-
-    def contract(bases, i):
-        if any(i in b for b in bases):
-            return frozenset(b - {i} for b in bases if i in b)
-        return bases
-
-    def delete(bases, i):
-        if all(i in b for b in bases):
-            return frozenset(b - {i} for b in bases)
-        return frozenset(b for b in bases if i not in b)
-
     for alpha in alphas:
         alpha = tuple(alpha)
         report.directions += 1
-        here = sliced(alpha)
         report.checked += 1
-        if not is_matroid(here):
+        here = _reference_slice(valuation, alpha)[0]
+        if here not in exchange_ok:
+            exchange_ok[here] = exchange_holds(here)
+        if not exchange_ok[here]:
             report.violations.append(
-                f"slice at alpha={alpha} is not a matroid (exchange fails)"
-            )
-        for i in range(n):
-            report.checked += 1
-            bumped = tuple(a + (1 if j == i else 0) for j, a in enumerate(alpha))
-            if contract(here, i) != delete(sliced(bumped), i):
-                report.violations.append(
-                    f"contraction/deletion mismatch at alpha={alpha}, i={i}"
-                )
-        report.checked += 1
-        if here != sliced(tuple(a + 1 for a in alpha)):
-            report.violations.append(f"all-ones shift changes the slice at {alpha}")
+                f"slice at alpha={alpha} is not a matroid (exchange fails)")
     return report
+
+
+def _contract(bases, i):
+    if any(i in b for b in bases):
+        return frozenset(b - {i} for b in bases if i in b)
+    return bases
+
+
+def _delete(bases, i):
+    if all(i in b for b in bases):
+        return frozenset(b - {i} for b in bases)
+    return frozenset(b for b in bases if i not in b)
+
+
+def _identity_failures(sliced, alpha, n):
+    """The flock identities at alpha over the families sliced gives: a
+    message for each i with slice(alpha)/i != slice(alpha+e_i)\\i, and
+    one if slice(alpha) != slice(alpha+1)."""
+    here = sliced(alpha)
+    failures = []
+    for i in range(n):
+        bumped = tuple(a + (j == i) for j, a in enumerate(alpha))
+        if _contract(here, i) != _delete(sliced(bumped), i):
+            failures.append(f"contraction/deletion mismatch at alpha={alpha}, i={i}")
+    if here != sliced(tuple(a + 1 for a in alpha)):
+        failures.append(f"all-ones shift changes the slice at {alpha}")
+    return failures
 
 
 def _random_matrix_valuation(rng, d, n, p):
@@ -400,8 +396,7 @@ class TestBoxTable:
             assert not report.ok
             violations += len(report.violations)
         # violations at many directions, so that their order pins the
-        # forward emission; the family identities hold for any
-        # weighting, so every one is a slice that fails exchange
+        # forward emission
         assert violations > 200
 
     @pytest.mark.parametrize("radius", [1, 2])
@@ -612,8 +607,7 @@ class TestFamilyBySetBits:
         slabs = flock._Slabs(valuation, scores)
         alphas = list(product((-1, 0, 1), repeat=6))
         coords = [flock._pack([alpha[i] + 1 for alpha in alphas], width) for i in range(6)]
-        tops, keys, mismatches = slabs.check(len(alphas), coords)
-        assert not any(mismatches)
+        tops, keys = slabs.check(len(alphas), coords)
         bases = valuation.matroid.bases
         field = (1 << scores.bits) - 1
         for d, (alpha, key) in enumerate(zip(alphas, keys)):
@@ -622,3 +616,155 @@ class TestFamilyBySetBits:
             assert {b for k, b in enumerate(bases) if chosen >> k & 1} == family
             assert chosen >> len(bases) == 0
             assert (tops >> d * scores.bits & field) - scores.offset == best
+
+
+class TestDerivedIdentities:
+    """Why the sweep checks exchange only: on slices read off a
+    weighting, the flock identities hold whatever the weights, while
+    exchange fails on the same boxes."""
+
+    @staticmethod
+    def weightings():
+        """(valuation, radius) of arbitrary weightings of bases, none of
+        them a valuated matroid."""
+        rng = random.Random(460)
+        boxes = [(_reweighted(_random_matrix_valuation(rng, d, n, 2), rng, top), 1)
+                 for d, n, top in [(2, 5, 3), (3, 6, 2), (2, 4, 5)]]
+        boxes += [(v, 3) for v in _tampered_radius_three()]
+        for radius in (1, 2):
+            boxes += [(v, radius) for v in _sixteen_byte_valuations(radius)[1]]
+        return boxes
+
+    def test_identities_never_fail_on_derived_slices(self):
+        for valuation, radius in self.weightings():
+            n = valuation.n
+            cache = {}
+
+            def sliced(alpha):
+                if alpha not in cache:
+                    cache[alpha] = _reference_slice(valuation, alpha)[0]
+                return cache[alpha]
+
+            box = list(product(range(-radius, radius + 1), repeat=n))
+            for alpha in box:
+                assert _identity_failures(sliced, alpha, n) == []
+            assert not _reference_sweep(valuation, box).ok
+
+
+def _row_basis(rows):
+    """The rows of rows that are independent of the rows before them,
+    over Q."""
+    basis, reduced = [], []
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        for pivot, r in reduced:
+            if v[pivot]:
+                f = v[pivot] / r[pivot]
+                v = [a - f * b for a, b in zip(v, r)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is not None:
+            reduced.append((pivot, v))
+            basis.append(list(row))
+    return basis
+
+
+def _relation_mod_p(rows, p):
+    """(j, c) with sum c[k] * rows[k] = 0 mod p, c in [0, p) and
+    c[j] = 1, or None when the rows are independent mod p."""
+    reduced = []
+    for j, row in enumerate(rows):
+        v = [x % p for x in row]
+        c = [0] * len(rows)
+        c[j] = 1
+        for pivot, r, rc in reduced:
+            f = v[pivot]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, r)]
+                c = [(a - f * b) % p for a, b in zip(c, rc)]
+        pivot = next((k for k, x in enumerate(v) if x), None)
+        if pivot is None:
+            return j, c
+        inverse = pow(v[pivot], -1, p)
+        reduced.append((pivot, [x * inverse % p for x in v],
+                        [x * inverse % p for x in c]))
+    return None
+
+
+class _LatticeFlock:
+    """The Bollen-Draisma-Pendavingh flock of a matrix A over Q_p, built
+    from A alone: M_alpha is the F_p column matroid of the
+    p-saturation of the row lattice of A with column i scaled by
+    p^(max alpha - alpha_i)."""
+
+    def __init__(self, rows, p):
+        self.rows, self.p, self.n = _row_basis(rows), p, len(rows[0])
+        self.slices = {}
+
+    def __call__(self, alpha):
+        # the scaling, and so the slice, is invariant under alpha + 1
+        top = max(alpha)
+        exponents = tuple(top - a for a in alpha)
+        if exponents not in self.slices:
+            p, n = self.p, self.n
+            rows = [[x * p**e for x, e in zip(row, exponents)] for row in self.rows]
+            while (relation := _relation_mod_p(rows, p)) is not None:
+                j, c = relation
+                combined = [sum(ck * row[i] for ck, row in zip(c, rows)) for i in range(n)]
+                assert all(x % p == 0 for x in combined)
+                rows[j] = [x // p for x in combined]
+            self.slices[exponents] = frozenset(
+                frozenset(s) for s in combinations(range(n), len(rows))
+                if _relation_mod_p([[row[i] for row in rows] for i in s], p) is None)
+        return self.slices[exponents]
+
+
+class TestLatticeSlices:
+    """The flock sliced out of linear_valuated_matroid against the
+    lattice flock, which reads A and shares no code with toric, valmat,
+    algmat or flock; on the lattice slices the flock identities are the
+    theorem, and can fail."""
+
+    # (rows, columns, p) of radius-1 boxes, n <= 5 to keep the suite
+    # near a second: a 3x6 box alone takes about 0.6 s
+    SHAPES = [(2, 4, 2), (2, 5, 3), (3, 5, 2), (3, 5, 5),
+              (2, 4, 5), (1, 4, 3), (2, 5, 2), (3, 5, 3)]
+
+    @staticmethod
+    def matrices():
+        rng = random.Random(470)
+        out = [([[rng.randint(-3, 4) for _ in range(n)] for _ in range(d)], p)
+               for d, n, p in TestLatticeSlices.SHAPES]
+        # a dependent third row, so that the row basis drops it
+        first, second = out[0][0]
+        out.append(([first, second, [a - 2 * b for a, b in zip(first, second)]], 3))
+        return out
+
+    def test_equal_to_derived_slices_and_a_flock(self):
+        directions = 0
+        for rows, p in self.matrices():
+            n = len(rows[0])
+            valuation = linear_valuated_matroid(IntMatrix(rows), p)
+            lattice = _LatticeFlock(rows, p)
+            for alpha in product((-1, 0, 1), repeat=n):
+                directions += 1
+                assert lattice(alpha) == set(flock_slice(valuation, alpha).matroid.bases)
+                assert _identity_failures(lattice, alpha, n) == []
+        assert directions == 3**4 * 4 + 3**5 * 5
+
+    def test_tampered_slice_fails_the_identities(self):
+        # one basis dropped from the lattice slice at 0: the identities
+        # at 0 fail, and so does the comparison with the derived slice
+        rows, p = self.matrices()[2]
+        n = len(rows[0])
+        lattice = _LatticeFlock(rows, p)
+        zero = (0,) * n
+        dropped = lattice(zero) - {min(lattice(zero), key=sorted)}
+
+        def tampered(alpha):
+            return dropped if alpha == zero else lattice(alpha)
+
+        failures = _identity_failures(tampered, zero, n)
+        assert f"all-ones shift changes the slice at {zero}" in failures
+        assert any(f.startswith("contraction/deletion") for f in failures)
+        valuation = linear_valuated_matroid(IntMatrix(rows), p)
+        assert tampered(zero) != set(flock_slice(valuation, zero).matroid.bases)

@@ -15,12 +15,14 @@ and review the diff of ``tests/golden/``.
 import io
 import json
 import os
+import re
 import sys
 from contextlib import redirect_stdout
 
 import pytest
 
-from algval.cli import run
+from algval.cli import build_pipeline, load_problem, run
+from algval.flock import default_box_radius
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ("nonfano-matrix", "nonfano-ideal", "p3-matrix", "p3-ideal")
@@ -93,6 +95,38 @@ def test_output_matches_golden(name, command, extra, fmt, cache_dirs, exit_codes
     with open(os.path.join(GOLDEN, "out", case), "rb") as fh:
         assert out == fh.read()
     assert code == exit_codes[case]
+
+
+def _verify_goldens():
+    return sorted(f for f in os.listdir(os.path.join(GOLDEN, "out")) if ".verify" in f)
+
+
+@pytest.mark.parametrize("case", _verify_goldens())
+def test_flock_count_is_one_per_direction(case):
+    # the flock sweep checks exchange once per direction of its box,
+    # (2R+1)^n, with R from --box in the file name, from the verify
+    # command of CASES, or else the default
+    name, command = case.rsplit(".", 1)[0].split(".")
+    path = os.path.join(GOLDEN, "inputs", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        problem = json.load(fh)
+    n = problem["cols"] if problem["kind"] == "matrix" else len(problem["vars"])
+    if command != "verify":
+        radius = int(command.removeprefix("verify-box"))
+    elif name in INPUTS:
+        extra = dict(_commands(name))["verify"]
+        radius = int(extra[extra.index("--box") + 1])
+    else:
+        radius = default_box_radius(build_pipeline(load_problem(path)).valuation)
+    with open(os.path.join(GOLDEN, "out", case), encoding="utf-8") as fh:
+        text = fh.read()
+    if case.endswith(".json"):
+        suite = json.loads(text)["suites"][-1]
+        assert suite["name"] == "flock-axioms"
+        checked = suite["checked"]
+    else:
+        checked = int(re.search(r"flock-axioms: \w+ \((\d+) checks\)", text).group(1))
+    assert checked == (2 * radius + 1) ** n
 
 
 def record():
