@@ -3,10 +3,9 @@
 Buchberger's algorithm with the Gebauer-Moller pair criteria and the
 normal (minimum-lcm) selection strategy, block elimination orders,
 elimination ideals, principal-generator extraction, and saturation of
-an ideal by a monomial: one variable at a time under a graded
-reverse-lex order when the ideal is homogeneous under a positive
-grading (Sturmfels, Lemma 12.1), and otherwise via an auxiliary inverse
-variable.  The reduced basis is unique for a fixed order, so results
+an ideal that is homogeneous under a positive grading by a monomial, one
+variable at a time under a graded reverse-lex order (Sturmfels, Lemma
+12.1).  The reduced basis is unique for a fixed order, so results
 are reproducible no matter how the input generators are listed.
 Inside the computation each monomial is a single int (see `_Ring`),
 and polynomials are converted only on the way in and out.
@@ -518,48 +517,16 @@ def principal_generator(elim_gens) -> Polynomial:
     return elim_gens[0]
 
 
-def saturate(ideal: Ideal, monomial, grading=None) -> Ideal:
-    """The saturation (I : m^inf).
-
-    With a grading, positive integer weights under which every
-    generator is homogeneous, it saturates at one variable x_i of m at a
-    time (Sturmfels, Lemma 12.1): the reduced basis under
-    GradedRevLex(grading, i), each member divided by its largest power
-    of x_i, is a Groebner basis of I : x_i^inf.  The generators returned
-    are that basis for the last x_i, not reduced.  Without a grading, a
-    fresh inverse variable w with w*m - 1 is adjoined and then
-    eliminated."""
-    monomial = tuple(monomial)
+def saturate(ideal: Ideal, monomial, grading) -> Ideal:
+    """The saturation (I : m^inf) under a grading: positive integer
+    weights under which every generator is homogeneous.  It saturates at
+    one variable x_i of m at a time (Sturmfels, Lemma 12.1): the reduced
+    basis under GradedRevLex(grading, i), each member divided by its
+    largest power of x_i, is a Groebner basis of I : x_i^inf.  The
+    generators returned are that basis for the last x_i, not reduced."""
+    monomial, grading = tuple(monomial), tuple(grading)
     if len(monomial) != ideal.n or any(e < 0 for e in monomial):
         raise ValueError(f"bad monomial exponent vector {monomial}")
-    if grading is not None:
-        return _saturate_graded(ideal, monomial, tuple(grading))
-    if ideal.is_zero():
-        return ideal
-    w = "w_"
-    while w in ideal.vars:
-        w += "_"
-    ext_vars = ideal.vars + (w,)
-    field = ideal.field
-    lifted = [
-        Polynomial(field, ext_vars,
-                   {e + (0,): c for e, c in g.terms.items()})
-        for g in ideal.generators
-    ]
-    inverse = Polynomial(
-        field, ext_vars,
-        {monomial + (1,): 1, (0,) * (ideal.n + 1): -1},
-    )
-    ext = Ideal(field, ext_vars, lifted + [inverse])
-    kept = eliminate(ext, range(ideal.n))
-    stripped = [
-        Polynomial(field, ideal.vars, {e[:-1]: c for e, c in g.terms.items()})
-        for g in kept
-    ]
-    return Ideal(field, ideal.vars, stripped)
-
-
-def _saturate_graded(ideal, monomial, grading):
     if len(grading) != ideal.n or min(grading) <= 0:
         raise ValueError(f"grading {grading} is not positive on n={ideal.n} variables")
     for g in ideal.generators:

@@ -17,12 +17,14 @@ above rank n/2 both read kernel_basis, as toric_ideal takes its
 generators from it.
 
 The toric ideal is the lattice ideal of those generators saturated at
-a product of variables.  When every column sum is positive, they grade
-it: the basis is row-reduced on entries +-1 to the identity on its pivot
-columns tau, and only the other columns, sigma, are saturated, one at
-a time under a graded reverse-lex order (Sturmfels, Lemma 12.1).  Any
-other matrix saturates the raw basis at every variable through an
-inverse variable.
+a product of variables.  Negating a column changes no subfield
+F_p(x_B), so the columns where y^T A < 0 are negated first, for one y
+read from the matrix (all ones when every column sum is positive), and
+|y^T A| grades the lattice.  The basis is
+row-reduced on entries +-1 to the identity on its pivot columns tau,
+and only the other columns, sigma, are saturated, one at a time under
+a graded reverse-lex order (Sturmfels, Lemma 12.1).  A zero column is
+a loop, x_j - 1, outside the lattice.
 
 All linear algebra is exact over unbounded Python integers.  One
 fraction-free (Bareiss) elimination gives the rank (its pivot count),
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from algval.algmat import Matroid
 from algval.ffpoly import INF, CircuitVector, Polynomial, PrimeField, p_adic_valuation
@@ -263,36 +266,40 @@ def _pivoted(basis):
 
 def toric_ideal(matrix: IntMatrix, p: int) -> Ideal:
     """The prime binomial ideal of relations among the monomials with
-    exponent columns from the matrix: lattice-basis binomials, saturated
-    at a product of variables.
+    exponent columns from the matrix, with the columns where y^T A < 0
+    negated: y is all ones when every column sum is positive, and
+    otherwise (1, N, N^2, ...) with N = 2 max|a_ij| + 1, so that y^T A
+    is zero only on zero columns.  Since F_p(x_j) = F_p(1/x_j), the
+    negation changes no value of the algebraic matroid's Lindstrom
+    valuation and no valuated circuit.
 
-    When every column sum is positive, the column sums grade every
-    lattice binomial.  The basis B is then pivoted on entries +-1
-    (_pivoted), so it is the identity on the pivot columns tau, and
-    sigma holds the other columns.  Once the variables of sigma are
-    inverted, each x_t for t in tau is a Laurent monomial in them, so
-    I_B : (prod_sigma x)^inf is the kernel of a map into a domain under
-    which every variable is a unit: the toric ideal.  `saturate` takes
-    one variable of sigma at a time by Lemma 12.1.  Otherwise the
-    kernel_basis binomials are saturated at the product of all variables
-    through an inverse variable."""
-    field = PrimeField(p)
-    vars = tuple(f"x{i}" for i in range(1, matrix.n + 1))
-    basis = kernel_basis(matrix)
-    if not basis:
-        return Ideal(field, vars, ())
-    grading = [sum(col) for col in zip(*matrix.rows)]
-    if min(grading) > 0:
-        basis, pivots = _pivoted(basis)
-        sigma = [0 if j in pivots else 1 for j in range(matrix.n)]
-    else:
-        grading, sigma = None, (1,) * matrix.n
-    gens = []
+    A zero column j is a loop: it adds x_j - 1 and takes no further part.
+    On the other columns |y^T A| grades every lattice binomial.  Their
+    kernel lattice basis B is pivoted on entries +-1 (_pivoted), so it
+    is the identity on the pivot columns tau, and sigma holds the other
+    columns.  Once the variables of sigma are inverted, each x_t for t in
+    tau is a Laurent monomial in them, so I_B : (prod_sigma x)^inf is the
+    kernel of a map into a domain under which every variable is a unit:
+    the toric ideal.  `saturate` takes one variable of sigma at a time."""
+    field, n = PrimeField(p), matrix.n
+    vars = tuple(f"x{i}" for i in range(1, n + 1))
+    columns = list(zip(*matrix.rows))
+    base = 1  # y = (1, base, base^2, ...)
+    if min(map(sum, columns)) <= 0:
+        base = 2 * max(abs(a) for col in columns for a in col) + 1
+    degrees = [sum(a * base ** i for i, a in enumerate(col)) for col in columns]
+    signed = [[-a for a in col] if deg < 0 else col for col, deg in zip(columns, degrees)]
+    basis, pivots = _pivoted(kernel_basis(IntMatrix(tuple(zip(*signed)))))
+    # column reduction never touches a zero column, so kernel_basis gives
+    # e_j for each loop j, a pivot, and vectors that vanish on the loops
+    gens, loops = [], []
     for u in basis:
-        plus = tuple(max(v, 0) for v in u)
-        minus = tuple(-min(v, 0) for v in u)
-        gens.append(Polynomial(field, vars, {plus: 1, minus: -1}))
-    return saturate(Ideal(field, vars, gens), sigma, grading)
+        binomial = Polynomial(field, vars, {tuple(max(v, 0) for v in u): 1,
+                                            tuple(-min(v, 0) for v in u): -1})
+        (gens if any(map(mul, u, degrees)) else loops).append(binomial)
+    sigma = [int(j not in pivots) for j in range(n)]
+    lattice = saturate(Ideal(field, vars, gens), sigma, [abs(d) or 1 for d in degrees])
+    return Ideal(field, vars, lattice.generators + tuple(loops))
 
 
 def determinant_valuation(matrix: IntMatrix, column_subset, p: int):

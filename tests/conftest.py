@@ -11,8 +11,8 @@ from itertools import combinations
 import pytest
 
 from algval.algmat import Matroid
-from algval.ffpoly import INF, CircuitVector
-from algval.groebner import Ideal
+from algval.ffpoly import INF, CircuitVector, Polynomial
+from algval.groebner import Ideal, eliminate
 from algval.valmat import (
     AxiomReport,
     InconsistentValuationError,
@@ -347,6 +347,33 @@ def reference_minor(valuation, delete=(), contract=()):
     dense = {frozenset(position[e] for e in b): v for b, v in values.items()}
     labels = tuple(valuation.labels[e] for e in keep)
     return Valuation(Matroid(len(keep), dense.keys()), dense, labels=labels)
+
+
+def saturate_by_inverse_variable(ideal, monomial):
+    """The saturation (I : m^inf) with no grading: a fresh inverse
+    variable w with w*m - 1 is adjoined and then eliminated.  The
+    reference for the graded saturation."""
+    monomial = tuple(monomial)
+    if ideal.is_zero():
+        return ideal
+    w = "w_"
+    while w in ideal.vars:
+        w += "_"
+    ext_vars = ideal.vars + (w,)
+    field = ideal.field
+    lifted = [
+        Polynomial(field, ext_vars, {e + (0,): c for e, c in g.terms.items()})
+        for g in ideal.generators
+    ]
+    inverse = Polynomial(
+        field, ext_vars, {monomial + (1,): 1, (0,) * (ideal.n + 1): -1},
+    )
+    kept = eliminate(Ideal(field, ext_vars, lifted + [inverse]), range(ideal.n))
+    stripped = [
+        Polynomial(field, ideal.vars, {e[:-1]: c for e, c in g.terms.items()})
+        for g in kept
+    ]
+    return Ideal(field, ideal.vars, stripped)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,5 +1,5 @@
-"""Byte-for-byte CLI outputs on four fixed inputs, and cross-check on a
-mixed-sign matrix.
+"""Byte-for-byte CLI outputs on four fixed inputs, and cross-check on
+four matrices with some column sum not positive.
 
 Each case runs one subcommand in one format and compares its stdout
 bytes and exit code against a file recorded under ``golden/``.  The
@@ -42,15 +42,17 @@ def _commands(name):
         yield "cross-check", ()
 
 
-# some column sums of the mixed-sign matrix are not positive, so its
-# toric ideal has no positive grading from them and takes the
-# inverse-variable saturation
+# cross-check on matrices whose column sums are not all positive: the
+# mixed-sign matrix, one whose fifth column sums to 0, one with a zero
+# column (a loop) and the all-zero matrix, where every column is a loop
+EDGE_INPUTS = ("mixed-sign-matrix", "zero-sum-column-matrix", "loop-matrix",
+               "zero-matrix")
 CASES = [
     (name, command, extra, fmt)
     for name in INPUTS
     for command, extra in _commands(name)
     for fmt in ("json", "text")
-] + [("mixed-sign-matrix", "cross-check", (), fmt) for fmt in ("json", "text")]
+] + [(name, "cross-check", (), fmt) for name in EDGE_INPUTS for fmt in ("json", "text")]
 
 
 def _case_id(name, command, fmt):

@@ -24,6 +24,8 @@ from algval.groebner import (
     saturate,
 )
 
+from conftest import saturate_by_inverse_variable
+
 
 def P(text, variables=("x1", "x2"), p=2):
     return parse_polynomial(text, variables, p)
@@ -499,26 +501,26 @@ class TestSaturate:
     def test_strips_monomial_factor(self):
         vars3 = ("x1", "x2", "x3")
         idl = I(["x1*x2 - x1*x3"], vars3)
-        got = saturate(idl, (1, 0, 0))
+        got = saturate(idl, (1, 0, 0), (1, 1, 1))
         assert list(got.generators) == [P("x2 - x3", vars3)]
 
     def test_idempotent(self):
         vars3 = ("x1", "x2", "x3")
         idl = I(["x1*x2 - x1*x3", "x2^2 - x3^2"], vars3, 3)
-        once = saturate(idl, (1, 1, 1))
-        twice = saturate(once, (1, 1, 1))
+        once = saturate(idl, (1, 1, 1), (1, 1, 1))
+        twice = saturate(once, (1, 1, 1), (1, 1, 1))
         assert buchberger(once.generators, GradedLex(3)) == buchberger(
             twice.generators, GradedLex(3)
         )
 
     def test_unit_ideal_stays_unit(self):
         idl = I(["1"])
-        got = saturate(idl, (1, 1))
+        got = saturate(idl, (1, 1), (1, 1))
         assert buchberger(got.generators, GradedLex(2)) == [P("1")]
 
     def test_zero_ideal_stays_zero(self):
         idl = Ideal(PrimeField(2), ("x1", "x2"), ())
-        assert saturate(idl, (1, 1)).is_zero()
+        assert saturate(idl, (1, 1), (1, 1)).is_zero()
 
     @pytest.mark.parametrize("texts, variables, p, monomial, grading", [
         (["x1*x2 - x1*x3"], ("x1", "x2", "x3"), 2, (1, 0, 0), (1, 1, 1)),
@@ -534,7 +536,7 @@ class TestSaturate:
         order = GradedLex(len(variables))
         graded = saturate(idl, monomial, grading)
         assert buchberger(graded.generators, order) == buchberger(
-            saturate(idl, monomial).generators, order)
+            saturate_by_inverse_variable(idl, monomial).generators, order)
 
     def test_grading_must_fit(self):
         idl = I(["x1*x2 - x1*x3", "x2^2 - x3"], ("x1", "x2", "x3"), 3)

@@ -8,7 +8,7 @@ import pytest
 import algval.toric as toric
 from algval.algmat import EliminationOracle, Matroid, bases, circuits
 from algval.ffpoly import INF, Polynomial, PrimeField, circuit_vector, p_adic_valuation
-from algval.groebner import Ideal, buchberger, GradedLex, saturate
+from algval.groebner import Ideal, buchberger, GradedLex
 from algval.toric import (
     IntMatrix,
     KernelCircuit,
@@ -31,7 +31,14 @@ from algval.valmat import (
     valuation_from_circuits,
 )
 
-from conftest import NONFANO_A, NONFANO_VARS, S, minimal_dependent_sets, minor_det
+from conftest import (
+    NONFANO_A,
+    NONFANO_VARS,
+    S,
+    minimal_dependent_sets,
+    minor_det,
+    saturate_by_inverse_variable,
+)
 
 A7 = IntMatrix(NONFANO_A)
 
@@ -473,14 +480,28 @@ def _reference_toric_basis(matrix, p):
     gens = [Polynomial(field, vars, {tuple(max(v, 0) for v in u): 1,
                                      tuple(-min(v, 0) for v in u): -1})
             for u in kernel_basis(matrix)]
-    lattice = saturate(Ideal(field, vars, gens), (1,) * matrix.n)
+    lattice = saturate_by_inverse_variable(Ideal(field, vars, gens), (1,) * matrix.n)
     return buchberger(lattice.generators, GradedLex(matrix.n))
+
+
+def _negated(rows):
+    """The matrix whose toric ideal toric_ideal returns: the columns
+    where y^T A < 0 negated, y all ones when every column sum is
+    positive and (1, N, N^2, ...) with N = 2 max|a_ij| + 1 otherwise."""
+    columns = list(zip(*rows))
+    if min(map(sum, columns)) > 0:
+        return rows
+    big = 2 * max(abs(a) for col in columns for a in col) + 1
+    signs = [1 if sum(a * big ** i for i, a in enumerate(col)) >= 0 else -1
+             for col in columns]
+    return tuple(tuple(s * a for s, a in zip(signs, row)) for row in rows)
 
 
 def _differential_instances():
     """Seeded nonnegative and mixed-sign matrices with positive column
-    sums, then fixed ones: a kernel with no entry +-1, zero columns, and
-    an empty kernel."""
+    sums, then fixed ones: a kernel with no entry +-1, a zero column (a
+    loop), a mixed-sign matrix, an empty kernel, the 2x3 zero matrix and
+    a 3x6 matrix whose fifth column sums to 0."""
     rng = random.Random(29)
     cases = []
     for low, count in ((0, 8), (-2, 6)):
@@ -493,20 +514,22 @@ def _differential_instances():
     return cases + [
         (((3, 2),), 2), (((3, 2),), 3),
         (((1, 0, 2, 1), (0, 0, 1, 3)), 5), (((0, 1, -1, 2), (1, -2, 3, 0)), 3),
-        (((1, 0), (0, 1)), 2),
+        (((1, 0), (0, 1)), 2), (((0, 0, 0), (0, 0, 0)), 3),
+        (((-1, -2, 2, 2, 2, 1), (1, -1, -1, 1, -1, 1), (3, 0, -2, 2, -1, 2)), 3),
     ]
 
 
 class TestToricIdealDifferential:
     """toric_ideal against the inverse-variable saturation of the raw
-    lattice basis at every variable, by reduced GradedLex bases."""
+    lattice basis at every variable, by reduced GradedLex bases; on the
+    mixed-sign and loop instances, the lattice of the negated matrix."""
 
     @pytest.mark.parametrize("rows, p", _differential_instances())
     def test_same_reduced_basis(self, rows, p):
         matrix = IntMatrix(rows)
         got = toric_ideal(matrix, p)
         assert buchberger(got.generators, GradedLex(matrix.n)) == \
-            _reference_toric_basis(matrix, p)
+            _reference_toric_basis(IntMatrix(_negated(rows)), p)
 
     @pytest.mark.parametrize("rows, p", _differential_instances())
     def test_pivoted_basis_spans_the_lattice(self, rows, p):
@@ -542,6 +565,26 @@ class TestDeterminantValuation:
             determinant_valuation(A7, S(1, 2), 2)
 
 
+def _seeded_negated_instances():
+    """40 seeded matrices, 2-3 x 3-6 with entries in [-3, 3] and p in
+    {2, 3, 5}, drawn until some column sum is not positive, so that
+    toric_ideal negates columns under y = (1, N, N^2, ...); every fourth
+    has one column zeroed first, a loop."""
+    rng = random.Random(31)
+    cases = []
+    while len(cases) < 40:
+        d, n = rng.randint(2, 3), rng.randint(3, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        if len(cases) % 4 == 3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        rows = tuple(map(tuple, rows))
+        if min(map(sum, zip(*rows))) <= 0:
+            cases.append((rows, rng.choice((2, 3, 5))))
+    return cases
+
+
 class TestLinearValuatedMatroid:
     def test_nonfano_table(self):
         valuation = linear_valuated_matroid(A7, 2)
@@ -573,6 +616,15 @@ class TestLinearValuatedMatroid:
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
             mixed = IntMatrix(tuple(map(tuple, rows)))
             assert linear_valuated_matroid(mixed, 2) == linear_valuated_matroid(A7, 2)
+
+    @pytest.mark.parametrize("rows, p", _seeded_negated_instances())
+    def test_invariant_under_column_negation(self, rows, p):
+        # F_p(x_j) = F_p(1/x_j), which lets toric_ideal negate columns
+        direct = linear_valuated_matroid(IntMatrix(rows), p)
+        for j in range(len(rows[0])):
+            negated = tuple(tuple(-a if k == j else a for k, a in enumerate(row))
+                            for row in rows)
+            assert linear_valuated_matroid(IntMatrix(negated), p) == direct
 
 
 class TestGaleSide:
@@ -643,6 +695,7 @@ class TestOracleEquivalence:
             # negative exponents (Laurent monomials) are allowed
             (((1, -1, 2), (0, 1, 1)), 2),
             (((-2, 1, 0, 3),), 3),
+            *_seeded_negated_instances(),
         ],
     )
     def test_both_routes_agree(self, rows, p):
