@@ -31,7 +31,6 @@ from algval.ffpoly import INF, PrimeField, is_prime
 from algval.groebner import Ideal, NotPrincipalError
 from algval.toric import IntMatrix, linear_valuated_matroid, toric_ideal
 from algval.valmat import (
-    AxiomReport,
     InconsistentValuationError,
     Valuation,
     check_circuit_axioms,
@@ -134,16 +133,14 @@ def problem_fingerprint(problem: ProblemInput) -> str:
 @dataclass
 class Pipeline:
     """Everything the subcommands consume, computed on one route.  The
-    elimination route passes its circuits and the report of the exchange
-    walk that valued the bases; otherwise the circuits are read off the
-    basis values, as for cocircuits and minors, the first time a
-    document asks for them."""
+    elimination route passes its circuits; otherwise the circuits are
+    read off the basis values, as for cocircuits and minors, the first
+    time a document asks for them."""
 
     problem: ProblemInput
     fingerprint: str
     valuation: Valuation
     _vcircuits: list = None
-    walk: AxiomReport = None
 
     @property
     def vcircuits(self) -> list:
@@ -152,7 +149,7 @@ class Pipeline:
         return self._vcircuits
 
 
-def _ideal_route(ideal, p, cache_dir, fingerprint):
+def _ideal_route(ideal, cache_dir, fingerprint):
     try:
         oracle = EliminationOracle(ideal, cache_dir, fingerprint[:16])
     except OSError as exc:
@@ -171,8 +168,7 @@ def _ideal_route(ideal, p, cache_dir, fingerprint):
         raise CliInputError(
             f"cannot write cache directory {cache_dir}: {exc.strerror or exc}"
         )
-    walk = AxiomReport()
-    return valuation_from_circuits(matroid, vcircs, walk), vcircs, walk
+    return valuation_from_circuits(matroid, vcircs), vcircs
 
 
 def _check_elimination_field(p):
@@ -194,7 +190,7 @@ def build_pipeline(problem, cache_dir=None) -> Pipeline:
         ideal = Ideal.from_strings(problem.p, problem.variables, problem.generators)
     except ValueError as exc:
         raise CliInputError(f"bad generator: {exc}")
-    routed = _ideal_route(ideal, problem.p, cache_dir, fingerprint)
+    routed = _ideal_route(ideal, cache_dir, fingerprint)
     return Pipeline(problem, fingerprint, *routed)
 
 
@@ -265,9 +261,7 @@ def verify_document(pipe: Pipeline, box_radius=None) -> dict:
     axioms = check_circuit_axioms(pipe.vcircuits, valuation.matroid)
     suites.append(("circuit-axioms", axioms.checked, axioms.violations))
 
-    # on the elimination route, the walk that valued the bases checked
-    # the identity at the same (basis, u, v) on the same circuits
-    exchange = pipe.walk or check_exchange_consistency(valuation, pipe.vcircuits)
+    exchange = check_exchange_consistency(valuation, pipe.vcircuits)
     suites.append(("exchange-identity", exchange.checked, exchange.violations))
 
     duality_violations = []
@@ -312,7 +306,7 @@ def cross_check(problem: ProblemInput, cache_dir=None) -> dict:
     _check_elimination_field(p)
     direct = linear_valuated_matroid(problem.matrix, p)
     ideal = toric_ideal(problem.matrix, p)
-    derived, derived_circuits, _ = _ideal_route(ideal, p, cache_dir, fingerprint)
+    derived, derived_circuits = _ideal_route(ideal, cache_dir, fingerprint)
     details = []
     valuations_match = True
     if set(direct.values) != set(derived.values):
@@ -546,13 +540,23 @@ def run(argv=None) -> int:
         if args.command == "verify" and args.box is not None and args.box < 0:
             raise CliInputError(f"--box must be at least 0, got {args.box}")
         problem = load_problem(args.input)
+        # flags are refused before the valuation is built, from the
+        # ground set's size
+        n = problem.matrix.n if problem.kind == "matrix" else len(problem.variables)
         if args.command == "verify" and args.box is not None:
-            # refused before the valuation is built, from the ground set's size
-            n = problem.matrix.n if problem.kind == "matrix" else len(problem.variables)
             try:
                 check_box_radius(n, args.box)
             except ValueError as exc:
                 raise CliInputError(f"--box: {exc}")
+        elif args.command == "minor":
+            delete = _parse_elements(args.delete, n, "delete")
+            contract = _parse_elements(args.contract, n, "contract")
+            if delete & contract:
+                raise CliInputError("delete and contract sets overlap")
+        elif args.command == "flock":
+            alpha = _parse_int_list(args.alpha, "alpha")
+            if len(alpha) != n:
+                raise CliInputError(f"alpha needs {n} entries, got {len(alpha)}")
         if args.command == "cross-check":
             doc = cross_check(problem, cache_dir=args.cache)
             emit(doc, args.format, sys.stdout)
@@ -563,17 +567,8 @@ def run(argv=None) -> int:
             emit(doc, args.format, sys.stdout)
             return 0 if doc["ok"] else 2
         if args.command == "minor":
-            delete = _parse_elements(args.delete, pipe.valuation.n, "delete")
-            contract = _parse_elements(args.contract, pipe.valuation.n, "contract")
-            if delete & contract:
-                raise CliInputError("delete and contract sets overlap")
             doc = minor_document(pipe, delete, contract)
         elif args.command == "flock":
-            alpha = _parse_int_list(args.alpha, "alpha")
-            if len(alpha) != pipe.valuation.n:
-                raise CliInputError(
-                    f"alpha needs {pipe.valuation.n} entries, got {len(alpha)}"
-                )
             doc = flock_document(pipe, alpha)
         else:
             doc = valuation_document(pipe, DOCUMENT_KEYS[args.command])

@@ -9,11 +9,12 @@ slice(alpha) = slice(alpha + 1), hold for the argmax families of any
 weighting of the bases, so on slices read off the valuation they can
 never fail, and they are not checked.
 
-The sweep is bit-sliced: a slab of directions is scored with one packed
-int per basis, holding one field per direction, so each step of the
-scan is one int operation over every direction of the slab.  Each
-distinct slice is kept once, and basis exchange is decided for all of
-them together at the end.
+The sweep is bit-sliced: a slab of directions, every value of a box's
+trailing coordinates under one prefix of the leading ones or a run of
+a list, is scored with one packed int per basis, holding one field per
+direction, so each step of the scan is one int operation over every
+direction of the slab.  Each distinct slice is kept once, and basis
+exchange is decided for all of them together at the end.
 """
 
 from __future__ import annotations
@@ -38,19 +39,21 @@ _SLAB_BYTES = 1 << 21
 _BIT = [bytes(b >> j & 1 for b in range(256)) for j in range(8)]
 
 
-class _Scores:
-    """Field sizing for packed scores.  A field holds offset + e_B .
-    alpha - value(B) for one basis B at one direction; fields are 1, 2,
-    4 or 8 bytes (wider only for huge directions), sized so that every
-    direction with entries in [min(entries), max(entries) + 1] leaves
-    each field's top (guard) bit clear."""
+class _Slabs:
+    """The slices of slabs of directions with entries in [low, high],
+    the least and greatest of entries.  A field of a packed int holds
+    offset + e_B . alpha - value(B) for one basis B at one direction, in
+    1, 2, 4 or 8 bytes (wider only for huge directions), so that entries
+    up to high + 1 leave its top (guard) bit clear.  A slab comes as n
+    coordinate-digit ints: field d of the i-th holds alpha_i - low for
+    the slab's d-th direction."""
 
     def __init__(self, valuation: Valuation, entries):
         entries = list(entries)
         self.low = low = min(entries, default=0)
         high = max(entries, default=0)
-        top = max(valuation.values.values())
-        rank = valuation.matroid.rank
+        matroid, top = valuation.matroid, max(valuation.values.values())
+        rank = matroid.rank
         self.offset = top - rank * low
         # a coordinate digit, alpha_i - low, fits a field even at rank 0
         spread = top + max(rank, 1) * (high + 1 - low)
@@ -58,23 +61,11 @@ class _Scores:
         while spread >= 1 << (8 * width - 1):
             width *= 2
         self.width, self.bits = width, 8 * width
-
-
-class _Slabs:
-    """The slices of a slab of directions, one field per direction in
-    each packed int.  A slab comes as n coordinate-digit ints: field d
-    of the i-th holds alpha_i - low for the slab's d-th direction."""
-
-    def __init__(self, valuation: Valuation, scores: _Scores):
-        matroid = valuation.matroid
-        n = valuation.n
-        self.width, self.bits = scores.width, scores.bits
-        top = max(valuation.values.values())
         masks = matroid.masks
         # basis k's field less its coordinate digits: the offset minus
         # its value, with the digits counted from low
         self.consts = [top - valuation.values[b] for b in matroid.bases]
-        self.members = [[i for i in range(n) if m >> i & 1] for m in masks]
+        self.members = [[i for i in range(valuation.n) if m >> i & 1] for m in masks]
         self.key_size = (len(masks) + 7) // 8
 
     def check(self, count, coords):
@@ -177,51 +168,30 @@ def _box_slabs(n, radius, width, size):
     """(count, coordinate digits) of the box [-radius, radius]^n in
     forward mixed-radix order, in slabs of at most size directions (and
     at least one).  A slab holds every value of the last t coordinates,
-    for the largest t whose side**t directions fit, and a run of values
-    of the coordinate before them; the leading coordinates are fixed."""
+    for the largest t whose side**t directions fit, under one fixed
+    prefix of the leading coordinates."""
     side = 2 * radius + 1
     t = 0
     while t < n and side ** (t + 1) <= size:
         t += 1
-    lead = n - 1 - t  # the coordinate that steps along the runs
-    run = side**t
-
-    def trailing(count):
-        """The digits of the last t coordinates over count directions."""
-        out = []
-        for j in range(lead + 1, n):
-            repeat = side ** (n - 1 - j)
-            cycle = b"".join(v.to_bytes(width, "little") * repeat for v in range(side))
-            out.append(int.from_bytes(cycle * (count // (repeat * side)), "little"))
-        return out
-
-    if lead < 0:
-        yield run, trailing(run)
-        return
-    step = min(side, size // run)
-    shapes = {}
-    for prefix in product(range(side), repeat=lead):
-        for first in range(0, side, step):
-            values = min(step, side - first)
-            if values not in shapes:
-                # ones, the lead coordinate's digits less first, and the
-                # trailing digits, over values * run directions
-                count = values * run
-                lead_digits = chain.from_iterable([v] * run for v in range(values))
-                shapes[values] = (count, _pack([1] * count, width),
-                                  _pack(lead_digits, width), trailing(count))
-            count, ones, digits, rest = shapes[values]
-            yield count, [d * ones for d in prefix] + [first * ones + digits] + rest
+    count = side**t
+    trailing = []
+    for j in range(n - t, n):
+        repeat = side ** (n - 1 - j)
+        cycle = b"".join(v.to_bytes(width, "little") * repeat for v in range(side))
+        trailing.append(int.from_bytes(cycle * (count // (repeat * side)), "little"))
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little") if t < n else 0
+    for prefix in product(range(side), repeat=n - t):
+        yield count, [d * ones for d in prefix] + trailing
 
 
 def _slice(valuation: Valuation, alpha):
     """The key of alpha's slice and g(alpha), from a one-direction slab."""
     if len(alpha) != valuation.n:
         raise ValueError(f"alpha must have length {valuation.n}")
-    scores = _Scores(valuation, alpha)
-    coords = [a - scores.low for a in alpha]
-    tops, keys = _Slabs(valuation, scores).check(1, coords)
-    return int.from_bytes(keys[0], "little"), tops - scores.offset
+    slabs = _Slabs(valuation, alpha)
+    tops, keys = slabs.check(1, [a - slabs.low for a in alpha])
+    return int.from_bytes(keys[0], "little"), tops - slabs.offset
 
 
 def g(valuation: Valuation, alpha) -> int:
@@ -293,16 +263,17 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     [-radius, radius]^n (default radius bounded by the evaluation
     budget); giving both is a ValueError, as is a radius that
     check_box_radius refuses, raised before anything is built.  The
-    directions are cut into slabs: runs of the box in forward
-    mixed-radix order with the leading coordinates fixed, or runs of
-    the list, of at most _SLAB_BYTES over all bases.  A slab is scored
-    with one packed int per basis, one field per direction: the sum of
-    the basis's coordinate-digit ints plus its constant.  The tops are
-    their fieldwise maximum, and each basis's marks the fields at the
-    top.  The marks, transposed to one key per direction, collect each
-    distinct slice once, and _failing_slices decides exchange for all
-    of them in one pass.  Violations are emitted per direction in
-    forward order at the end.
+    directions are cut into slabs of at most _SLAB_BYTES over all
+    bases: the box in forward mixed-radix order, every value of the
+    last coordinates under one prefix of the leading ones, or runs of
+    the list.  A slab is scored with one packed int per basis, one field
+    per direction: the sum of the basis's coordinate-digit ints plus its
+    constant.  The tops are their fieldwise maximum, and each basis's
+    marks the fields at the top.  The marks, transposed to one key per
+    direction, collect each distinct slice once, and _failing_slices
+    decides exchange for all of them in one pass.  Violations are
+    emitted at the end, per direction, by replaying the box or the list
+    in order beside each direction's slice.
     """
     n = valuation.n
     if radius is not None and alphas is not None:
@@ -313,27 +284,18 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     if alphas is None:
         if radius is None:
             radius = default_box_radius(valuation)
-        scores = _Scores(valuation, (-radius, radius))
-        side = 2 * radius + 1
-        size = max(1, _SLAB_BYTES // (bases * scores.width))
-        slabs = _box_slabs(n, radius, scores.width, size)
-
-        def direction(index):
-            digits = []
-            for _ in range(n):
-                index, d = divmod(index, side)
-                digits.append(d - radius)
-            return tuple(reversed(digits))
+        engine = _Slabs(valuation, (-radius, radius))
+        size = max(1, _SLAB_BYTES // (bases * engine.width))
+        slabs = _box_slabs(n, radius, engine.width, size)
+        directions = product(range(-radius, radius + 1), repeat=n)
     else:
-        alphas = [tuple(alpha) for alpha in alphas]
-        for alpha in alphas:
+        directions = [tuple(alpha) for alpha in alphas]
+        for alpha in directions:
             if len(alpha) != n:
                 raise ValueError(f"direction {alpha} must have length {n}")
-        scores = _Scores(valuation, chain.from_iterable(alphas))
-        size = max(1, _SLAB_BYTES // (bases * scores.width))
-        slabs = _listed_slabs(alphas, n, scores.low, scores.width, size)
-        direction = alphas.__getitem__
-    engine = _Slabs(valuation, scores)
+        engine = _Slabs(valuation, chain.from_iterable(directions))
+        size = max(1, _SLAB_BYTES // (bases * engine.width))
+        slabs = _listed_slabs(directions, n, engine.low, engine.width, size)
     # each distinct slice's number, and each direction's slice number
     seen = {}
     numbers = array("I")
@@ -350,8 +312,8 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
     if failing:
         # one character per slice: '1' where it fails
         fails = bin(failing)[:1:-1].ljust(len(slices), "0")
-        for index, number in enumerate(numbers):
+        for alpha, number in zip(directions, numbers):
             if fails[number] == "1":
                 report.violations.append(
-                    f"slice at alpha={direction(index)} is not a matroid (exchange fails)")
+                    f"slice at alpha={alpha} is not a matroid (exchange fails)")
     return report

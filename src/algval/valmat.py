@@ -89,7 +89,7 @@ def valuated_circuits(circuit_records):
     return sorted(out, key=lambda c: c.sort_key())
 
 
-def valuation_from_circuits(matroid: Matroid, vcircuits, walk=None) -> Valuation:
+def valuation_from_circuits(matroid: Matroid, vcircuits) -> Valuation:
     """Walk the exchange identity from value 0 at the first basis, then
     shift so the minimum is 0.
 
@@ -98,9 +98,7 @@ def valuation_from_circuits(matroid: Matroid, vcircuits, walk=None) -> Valuation
     not come from a valuated matroid: a corrupted family, or an ideal
     that is not prime.  The walk checks the identity at every (basis, u,
     v) where it gives no value, and the values it gives satisfy the
-    identity, so an AxiomReport passed as walk gains the checks that
-    check_exchange_consistency would count on the result, with no
-    violation.
+    identity there.
     """
     by_support = {c.support: c.canonical() for c in vcircuits}
     matroid_circuits = set(matroid.circuits())
@@ -116,8 +114,6 @@ def valuation_from_circuits(matroid: Matroid, vcircuits, walk=None) -> Valuation
     report = _exchange_walk(matroid, by_support, values)
     if report.violations:
         raise InconsistentValuationError(report.violations[0])
-    if walk is not None:
-        walk.checked += report.checked
     return Valuation(matroid, values)
 
 

@@ -266,21 +266,25 @@ class TestVerifyCommand:
         assert code == 0
         assert doc["ok"] is True
 
-    def test_ideal_input_walks_once(self, capsys, ideal_file, matrix_file, monkeypatch):
-        # the walk that valued the ideal route's bases is the suite's
-        # report; a matrix input still runs the check
-        calls = []
+    def test_exchange_suite_checks_once_on_both_routes(
+            self, capsys, ideal_file, matrix_file, monkeypatch):
+        # the elimination route's walk values the bases; verify checks
+        # the identity again on the same circuits, as on a matrix input
         check = cli.check_exchange_consistency
+        calls = []
         monkeypatch.setattr(cli, "check_exchange_consistency",
-                            lambda *args: calls.append(1) or check(*args))
-        pipe = build_pipeline(load_problem(ideal_file))
-        expected = check(pipe.valuation, pipe.vcircuits)
-        suites = {s["name"]: s for s in verify_document(pipe, box_radius=0)["suites"]}
-        assert not calls and expected.checked == 29 * 4 * 3
-        assert suites["exchange-identity"] == {
-            "name": "exchange-identity", "checked": expected.checked, "violations": []}
-        verify_document(build_pipeline(load_problem(matrix_file)), box_radius=0)
-        assert calls == [1]
+                            lambda *args: calls.append(args) or check(*args))
+        for path in (ideal_file, matrix_file):
+            pipe = build_pipeline(load_problem(path))
+            expected = check(pipe.valuation, pipe.vcircuits)
+            calls.clear()
+            suites = {s["name"]: s for s in verify_document(pipe, box_radius=0)["suites"]}
+            assert calls == [(pipe.valuation, pipe.vcircuits)]
+            # 29 non-Fano bases, 4 outside elements each, rank 3
+            assert expected.checked == 29 * 4 * 3
+            assert suites["exchange-identity"] == {
+                "name": "exchange-identity", "checked": expected.checked,
+                "violations": expected.violations}
 
     def test_failure_exits_two(self, capsys, matrix_file, monkeypatch):
         import algval.cli as cli_module
@@ -307,7 +311,7 @@ class TestVerifyCommand:
             raise AssertionError("verify ran before refusing the box")
 
         monkeypatch.setattr(cli, "check_circuit_axioms", refuse)
-        monkeypatch.setattr("algval.flock._Scores", refuse)
+        monkeypatch.setattr("algval.flock._Slabs", refuse)
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         path = os.path.join(golden, "inputs", "nonfano-matrix.json")
         assert run(["verify", path, "--box", "100000"]) == 1
@@ -447,6 +451,29 @@ class TestCrossCheckCommand:
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["flock", "--alpha", "0,0"], "alpha needs 7 entries, got 2"),
+        (["flock", "--alpha", "0,x"], "bad alpha entry 'x'"),
+        (["minor", "--delete", "99"], "delete element 99 outside 1..7"),
+        (["minor", "--contract", "0"], "contract element 0 outside 1..7"),
+        (["minor", "--delete", "1", "--contract", "1,2"],
+         "delete and contract sets overlap"),
+    ])
+    def test_bad_flags_refused_before_building(
+            self, capsys, ideal_file, tmp_path, monkeypatch, argv, message):
+        # on an ideal input n is the length of the variable list, so a
+        # bad flag is refused before any elimination or cache file
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the pipeline before refusing the flag")
+
+        monkeypatch.setattr(cli, "build_pipeline", refuse)
+        cache = tmp_path / "cache"
+        assert run([argv[0], ideal_file, *argv[1:], "--cache", str(cache)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not cache.exists()
 
     def test_one_parser_answers_as_a_fresh_one(self, capsys, matrix_file):
         # run builds its parser once per process; a bad flag, --help and

@@ -125,7 +125,7 @@ class TestFlockAxioms:
         def refuse(*args, **kwargs):
             raise AssertionError("scores built")
 
-        monkeypatch.setattr(flock, "_Scores", refuse)
+        monkeypatch.setattr(flock, "_Slabs", refuse)
         radius = 0
         while (2 * radius + 3) ** 7 <= sys.maxsize:
             radius += 1
@@ -141,7 +141,7 @@ class TestFlockAxioms:
         def refuse(*args, **kwargs):
             raise AssertionError("scores built")
 
-        monkeypatch.setattr(flock, "_Scores", refuse)
+        monkeypatch.setattr(flock, "_Slabs", refuse)
         for radius, alphas in [(1, [(0,) * 7]), (0, []), (100000, [ALPHA_MINUS])]:
             with pytest.raises(ValueError, match="not both"):
                 check_flock_axioms(nonfano_valuation, radius=radius, alphas=alphas)
@@ -323,7 +323,7 @@ class TestPackedScoresMatchScan:
             first, second = base.matroid.bases[:2]
             values[first], values[second] = top, 0
             valuation = Valuation(base.matroid, values)
-            assert flock._Scores(valuation, (-1, 1)).width == width
+            assert flock._Slabs(valuation, (-1, 1)).width == width
             self.assert_sweeps_agree(valuation, radius=1)
             # scaled matrix values keep the flock axioms and stay exact
             scaled = Valuation(base.matroid, {
@@ -345,7 +345,7 @@ class TestPackedScoresMatchScan:
                           for _ in range(40)]
             self.assert_sweeps_agree(v, alphas=generated)
             self.assert_slices_agree(v, generated)
-        assert flock._Scores(valuation, (-10**6, 10**6)).width == 4
+        assert flock._Slabs(valuation, (-10**6, 10**6)).width == 4
         huge = [tuple(rng.randint(-10**20, 10**20) for _ in range(6)) for _ in range(5)]
         self.assert_sweeps_agree(tampered, alphas=huge)
         self.assert_slices_agree(tampered, huge)
@@ -405,11 +405,11 @@ class TestBoxTable:
         # the transposed keys do not care
         agree = TestPackedScoresMatchScan().assert_sweeps_agree
         scaled, tampered_boxes = _sixteen_byte_valuations(radius)
-        assert flock._Scores(scaled, (-radius, radius)).width == 16
+        assert flock._Slabs(scaled, (-radius, radius)).width == 16
         assert agree(scaled, radius=radius).ok
         violations = 0
         for tampered in tampered_boxes:
-            assert flock._Scores(tampered, (-radius, radius)).width == 16
+            assert flock._Slabs(tampered, (-radius, radius)).width == 16
             violations += len(agree(tampered, radius=radius).violations)
         assert violations
 
@@ -459,6 +459,22 @@ class TestSlabs:
             agree(valuation, alphas=listed + listed[::3])
             agree(valuation, alphas=sorted(listed, reverse=True))
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_box_slabs_cover_the_box_in_order(self, width):
+        # a skipped direction and a repeated one leave every report on a
+        # valuated matroid unchanged, so the slabs are decoded directly
+        for n, radius in product(range(5), range(4)):
+            side = 2 * radius + 1
+            # a slab bound is at least 1
+            for size in {1, side - 1, side, side + 1, side**2, side**n, side**n + 5} - {0}:
+                digits = []
+                for count, coords in flock._box_slabs(n, radius, width, size):
+                    assert 1 <= count <= size and len(coords) == n
+                    fields = [c.to_bytes(count * width, "little") for c in coords]
+                    digits += [tuple(int.from_bytes(f[d * width:(d + 1) * width], "little")
+                                     for f in fields) for d in range(count)]
+                assert digits == list(product(range(side), repeat=n))
+
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_split_boxes_match_reference(self, monkeypatch, radius):
         rng = random.Random(420 + radius)
@@ -472,9 +488,9 @@ class TestSlabs:
             box = list(product(range(-radius, radius + 1), repeat=n))
             expected = [(v, _reference_sweep(v, box)) for v in (valuation, tampered)]
             expected_list = _reference_sweep(tampered, listed)
-            width = flock._Scores(tampered, (-radius, radius)).width
-            # one direction a slab, part of a row, a row and a part, and
-            # several rows
+            width = flock._Slabs(tampered, (-radius, radius)).width
+            # bounds of one direction, part of a row, a row and a part,
+            # and several rows; a slab holds the whole rows that fit
             for size in (1, 2, side + 2, 2 * side, side * side + 1):
                 _slab_bound(monkeypatch, tampered, width, size)
                 for v, want in expected:
@@ -494,7 +510,7 @@ class TestSlabs:
         values = _reweighted(base, rng, 3).values
         values[base.matroid.bases[0]] = 2**70
         tampered = Valuation(base.matroid, values)
-        assert flock._Scores(tampered, (-radius, radius)).width == 16
+        assert flock._Slabs(tampered, (-radius, radius)).width == 16
         for size in (1, 2, 2 * radius + 3):
             _slab_bound(monkeypatch, tampered, 16, size)
             assert agree(scaled, radius=radius).ok
@@ -602,20 +618,19 @@ class TestFamilyBySetBits:
         values = {b: rng.randint(0, top) for b in base.values}
         values[base.matroid.bases[0]] = top
         valuation = Valuation(base.matroid, values)
-        scores = flock._Scores(valuation, (-1, 1))
-        assert scores.width == width
-        slabs = flock._Slabs(valuation, scores)
+        slabs = flock._Slabs(valuation, (-1, 1))
+        assert slabs.width == width
         alphas = list(product((-1, 0, 1), repeat=6))
         coords = [flock._pack([alpha[i] + 1 for alpha in alphas], width) for i in range(6)]
         tops, keys = slabs.check(len(alphas), coords)
         bases = valuation.matroid.bases
-        field = (1 << scores.bits) - 1
+        field = (1 << slabs.bits) - 1
         for d, (alpha, key) in enumerate(zip(alphas, keys)):
             chosen = int.from_bytes(key, "little")
             family, best = _reference_slice(valuation, alpha)
             assert {b for k, b in enumerate(bases) if chosen >> k & 1} == family
             assert chosen >> len(bases) == 0
-            assert (tops >> d * scores.bits & field) - scores.offset == best
+            assert (tops >> d * slabs.bits & field) - slabs.offset == best
 
 
 class TestDerivedIdentities:

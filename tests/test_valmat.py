@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -354,6 +356,30 @@ class TestTableFamiliesByExchange:
         assert shifted_any
 
 
+def _contracted_matrix(rows, contract, kept):
+    """The kept columns of the rows that no column of contract pivots,
+    after pivoting a basis of those columns out over the rationals,
+    each row scaled to integers; one zero row if no row is left."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    pivots = set()
+    for c in sorted(contract):
+        pivot = next((i for i, row in enumerate(rows)
+                      if i not in pivots and row[c]), None)
+        if pivot is None:
+            continue
+        pivots.add(pivot)
+        for i, row in enumerate(rows):
+            if i != pivot and row[c]:
+                factor = row[c] / rows[pivot][c]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[pivot])]
+    out = []
+    for i, row in enumerate(rows):
+        if i not in pivots:
+            scale = lcm(*(row[j].denominator for j in kept))
+            out.append(tuple(int(row[j] * scale) for j in kept))
+    return IntMatrix(tuple(out) or ((0,) * len(kept),))
+
+
 class TestMinor:
     def test_identity_minor(self, nonfano):
         _, _, _, valuation = nonfano
@@ -441,6 +467,29 @@ class TestMinor:
             sub = IntMatrix(tuple(tuple(r[j] for j in kept) for r in rows))
             expected = linear_valuated_matroid(sub, 2)
             got = minor(whole, delete=deleted)
+            assert got.labels == tuple(kept)
+            assert got.values == expected.values
+            assert got.matroid == expected.matroid
+
+    def test_contraction_equals_pivoted_matrix(self):
+        # independent oracle: pivoting a basis of the contracted columns
+        # out of the rows over the rationals scales every maximal minor
+        # that holds them by one constant, so the remaining rows on the
+        # remaining columns give the contraction; instances are seeded
+        # matrices, some with a zero column, contracted by random sets
+        # that are often dependent
+        rng = random.Random(4243)
+        for k in range(400):
+            d, n, p = rng.randint(1, 4), rng.randint(2, 7), (2, 3, 5)[k % 3]
+            rows = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(d)]
+            if k % 5 == 0:
+                zero = rng.randrange(n)
+                for row in rows:
+                    row[zero] = 0
+            contract = set(rng.sample(range(n), rng.randint(1, n - 1)))
+            got = minor(linear_valuated_matroid(IntMatrix(rows), p), contract=contract)
+            kept = [j for j in range(n) if j not in contract]
+            expected = linear_valuated_matroid(_contracted_matrix(rows, contract, kept), p)
             assert got.labels == tuple(kept)
             assert got.values == expected.values
             assert got.matroid == expected.matroid
