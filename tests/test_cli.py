@@ -306,12 +306,12 @@ class TestVerifyCommand:
 
     def test_box_too_large_to_index_is_input_error(self, capsys, monkeypatch):
         # 200001^7 directions overflow a list index; the box is refused
-        # before any suite runs or the flock scores are built
+        # before any suite runs or the flock certificate is computed
         def refuse(*args, **kwargs):
             raise AssertionError("verify ran before refusing the box")
 
         monkeypatch.setattr(cli, "check_circuit_axioms", refuse)
-        monkeypatch.setattr("algval.flock._Slabs", refuse)
+        monkeypatch.setattr("algval.flock._plucker_holds", refuse)
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         path = os.path.join(golden, "inputs", "nonfano-matrix.json")
         assert run(["verify", path, "--box", "100000"]) == 1
@@ -319,6 +319,20 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == ("error: --box: box radius 100000 gives 200001^7 "
                                 "directions, more than a list can index\n")
+
+    def test_certified_box_scores_no_direction(self, capsys, monkeypatch):
+        # the relations certify every slice, so a radius-100 box on the
+        # non-Fano matrix, 201^7 directions, is counted without a scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("direction scanned")
+
+        monkeypatch.setattr("algval.flock._slice", refuse)
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        path = os.path.join(golden, "inputs", "nonfano-matrix.json")
+        code, doc = run_json(capsys, "verify", path, "--box", "100")
+        assert code == 0 and doc["ok"]
+        suite = next(s for s in doc["suites"] if s["name"] == "flock-axioms")
+        assert suite["checked"] == 201**7 == 13_254_776_280_841_401
 
     def test_box_too_large_refused_before_eliminating(self, capsys, monkeypatch):
         # on an ideal input n is the length of the variable list, so the
@@ -356,8 +370,8 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_box_three_matches_golden(self, capsys):
-        # radius 3 on the p = 3 matrix: 7^6 = 117,649 directions in two
-        # slabs of 6 * 7^5 and 7^5, pinned byte for byte
+        # radius 3 on the p = 3 matrix: 7^6 = 117,649 directions, pinned
+        # byte for byte
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         code = run(["verify", os.path.join(golden, "inputs", "p3-matrix.json"),
                     "--box", "3", "--format", "json"])

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from algval.algmat import (
     circuits,
     exchange_failure,
 )
+from algval.cli import load_problem
 from algval.toric import IntMatrix, linear_valuated_matroid
 from algval.valmat import Valuation
 from algval import flock
@@ -120,16 +122,16 @@ class TestFlockAxioms:
         assert check_flock_axioms(nonfano_valuation, radius=0).directions == 1
 
     def test_box_too_large_to_index_rejected(self, nonfano_valuation, monkeypatch):
-        # the largest radius whose box a list can index passes the check
-        # and reaches the scores; one more fails before they are built
+        # the largest radius whose box a list could index passes the
+        # check and reaches the certificate; one more fails before it runs
         def refuse(*args, **kwargs):
-            raise AssertionError("scores built")
+            raise AssertionError("certificate run")
 
-        monkeypatch.setattr(flock, "_Slabs", refuse)
+        monkeypatch.setattr(flock, "_plucker_holds", refuse)
         radius = 0
         while (2 * radius + 3) ** 7 <= sys.maxsize:
             radius += 1
-        with pytest.raises(AssertionError, match="scores built"):
+        with pytest.raises(AssertionError, match="certificate run"):
             check_flock_axioms(nonfano_valuation, radius=radius)
         for too_large in (radius + 1, 100000):
             with pytest.raises(ValueError, match="more than a list can index"):
@@ -137,11 +139,11 @@ class TestFlockAxioms:
 
     def test_radius_and_direction_list_rejected(self, nonfano_valuation, monkeypatch):
         # a sweep of the list would leave the radius unused; both are
-        # refused before the scores are built
+        # refused before the certificate runs
         def refuse(*args, **kwargs):
-            raise AssertionError("scores built")
+            raise AssertionError("certificate run")
 
-        monkeypatch.setattr(flock, "_Slabs", refuse)
+        monkeypatch.setattr(flock, "_plucker_holds", refuse)
         for radius, alphas in [(1, [(0,) * 7]), (0, []), (100000, [ALPHA_MINUS])]:
             with pytest.raises(ValueError, match="not both"):
                 check_flock_axioms(nonfano_valuation, radius=radius, alphas=alphas)
@@ -250,8 +252,8 @@ def _tampered_radius_three():
 
 def _sixteen_byte_valuations(radius):
     """A 3x5 matrix valuation scaled by 2**70, and four reweightings of
-    it with one basis far above the rest: each needs 16-byte fields for
-    its box of the given radius."""
+    it with one basis at 2**70, far above the rest: values wider than a
+    machine word."""
     rng = random.Random(409 + radius)
     base = _random_matrix_valuation(rng, 3, 5, 3)
     scaled = Valuation(base.matroid, {
@@ -317,13 +319,13 @@ class TestPackedScoresMatchScan:
     def test_wide_values_force_wide_fields(self):
         rng = random.Random(403)
         base = _random_matrix_valuation(rng, 2, 5, 3)
-        for top, width in [(200, 2), (40_000, 4), (2**40, 8), (2**70, 16)]:
+        # values of one to nine bytes
+        for top in (200, 40_000, 2**40, 2**70):
             # one basis pinned at the top and one at 0 fix the value range
             values = {b: rng.randint(0, top) for b in base.values}
             first, second = base.matroid.bases[:2]
             values[first], values[second] = top, 0
             valuation = Valuation(base.matroid, values)
-            assert flock._Slabs(valuation, (-1, 1)).width == width
             self.assert_sweeps_agree(valuation, radius=1)
             # scaled matrix values keep the flock axioms and stay exact
             scaled = Valuation(base.matroid, {
@@ -345,7 +347,6 @@ class TestPackedScoresMatchScan:
                           for _ in range(40)]
             self.assert_sweeps_agree(v, alphas=generated)
             self.assert_slices_agree(v, generated)
-        assert flock._Slabs(valuation, (-10**6, 10**6)).width == 4
         huge = [tuple(rng.randint(-10**20, 10**20) for _ in range(6)) for _ in range(5)]
         self.assert_sweeps_agree(tampered, alphas=huge)
         self.assert_slices_agree(tampered, huge)
@@ -401,15 +402,12 @@ class TestBoxTable:
 
     @pytest.mark.parametrize("radius", [1, 2])
     def test_sixteen_byte_fields(self, radius):
-        # no machine word holds a 16-byte field; the int operations and
-        # the transposed keys do not care
+        # values past 2**70, which no machine word holds
         agree = TestPackedScoresMatchScan().assert_sweeps_agree
         scaled, tampered_boxes = _sixteen_byte_valuations(radius)
-        assert flock._Slabs(scaled, (-radius, radius)).width == 16
         assert agree(scaled, radius=radius).ok
         violations = 0
         for tampered in tampered_boxes:
-            assert flock._Slabs(tampered, (-radius, radius)).width == 16
             violations += len(agree(tampered, radius=radius).violations)
         assert violations
 
@@ -426,17 +424,18 @@ class TestBoxTable:
         assert not agree(tampered, alphas=listed).ok
 
 
-def _slab_bound(monkeypatch, valuation, width, directions):
-    """Cut every sweep of valuation into slabs of at most the given
-    number of directions."""
-    monkeypatch.setattr(flock, "_SLAB_BYTES",
-                        len(valuation.matroid.bases) * width * directions)
+def _split_sweep(valuation, alphas, size):
+    """The violations of sweeps of the runs of size listed directions,
+    in order."""
+    return [v for start in range(0, len(alphas), size)
+            for v in check_flock_axioms(
+                valuation, alphas=alphas[start:start + size]).violations]
 
 
 class TestSlabs:
-    """Sweeps in one slab or in many, against the per-basis scan: the
-    slabs are independent, so where the box or list is cut changes no
-    report."""
+    """Sweeps of boxes and lists against the per-basis scan, whole or cut
+    into runs of listed directions: the runs are independent, so where a
+    box or list is cut changes no violation and no order."""
 
     @pytest.mark.parametrize("d,n,radius", [
         (2, 4, 0), (3, 5, 0), (2, 4, 1), (2, 4, 2), (3, 5, 1), (2, 3, 3)])
@@ -459,24 +458,8 @@ class TestSlabs:
             agree(valuation, alphas=listed + listed[::3])
             agree(valuation, alphas=sorted(listed, reverse=True))
 
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_box_slabs_cover_the_box_in_order(self, width):
-        # a skipped direction and a repeated one leave every report on a
-        # valuated matroid unchanged, so the slabs are decoded directly
-        for n, radius in product(range(5), range(4)):
-            side = 2 * radius + 1
-            # a slab bound is at least 1
-            for size in {1, side - 1, side, side + 1, side**2, side**n, side**n + 5} - {0}:
-                digits = []
-                for count, coords in flock._box_slabs(n, radius, width, size):
-                    assert 1 <= count <= size and len(coords) == n
-                    fields = [c.to_bytes(count * width, "little") for c in coords]
-                    digits += [tuple(int.from_bytes(f[d * width:(d + 1) * width], "little")
-                                     for f in fields) for d in range(count)]
-                assert digits == list(product(range(side), repeat=n))
-
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_split_boxes_match_reference(self, monkeypatch, radius):
+    def test_split_boxes_match_reference(self, radius):
         rng = random.Random(420 + radius)
         side = 2 * radius + 1
         violations = 0
@@ -488,19 +471,20 @@ class TestSlabs:
             box = list(product(range(-radius, radius + 1), repeat=n))
             expected = [(v, _reference_sweep(v, box)) for v in (valuation, tampered)]
             expected_list = _reference_sweep(tampered, listed)
-            width = flock._Slabs(tampered, (-radius, radius)).width
-            # bounds of one direction, part of a row, a row and a part,
-            # and several rows; a slab holds the whole rows that fit
+            for v, want in expected:
+                assert check_flock_axioms(v, radius=radius) == want
+            assert check_flock_axioms(tampered, alphas=listed) == expected_list
+            # runs of one direction, part of a row, a row and a part, and
+            # several rows
             for size in (1, 2, side + 2, 2 * side, side * side + 1):
-                _slab_bound(monkeypatch, tampered, width, size)
                 for v, want in expected:
-                    assert check_flock_axioms(v, radius=radius) == want
-                assert check_flock_axioms(tampered, alphas=listed) == expected_list
+                    assert _split_sweep(v, box, size) == want.violations
+                assert _split_sweep(tampered, listed, size) == expected_list.violations
             violations += len(expected[1][1].violations) + len(expected_list.violations)
         assert violations
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_split_sixteen_byte_fields(self, monkeypatch, radius):
+    def test_split_sixteen_byte_fields(self, radius):
         rng = random.Random(430 + radius)
         agree = TestPackedScoresMatchScan().assert_sweeps_agree
         # the minor on columns 0 and 3 is 2, so some value is 1
@@ -510,68 +494,63 @@ class TestSlabs:
         values = _reweighted(base, rng, 3).values
         values[base.matroid.bases[0]] = 2**70
         tampered = Valuation(base.matroid, values)
-        assert flock._Slabs(tampered, (-radius, radius)).width == 16
-        for size in (1, 2, 2 * radius + 3):
-            _slab_bound(monkeypatch, tampered, 16, size)
-            assert agree(scaled, radius=radius).ok
-            assert not agree(tampered, radius=radius).ok
+        box = list(product(range(-radius, radius + 1), repeat=4))
+        for valuation, ok in ((scaled, True), (tampered, False)):
+            want = agree(valuation, radius=radius)
+            assert want.ok == ok
+            for size in (1, 2, 2 * radius + 3):
+                assert _split_sweep(valuation, box, size) == want.violations
 
 
-def _key(family, size):
-    """The slice key of a family of basis numbers."""
-    return sum(1 << k for k in family).to_bytes(size, "little")
-
-
-def _assert_verdicts(n, masks, keys, failing):
-    """failing, the verdict of _failing_slices on keys, against the
-    exchange pass and the probe of every (basis, u in, v out) run on
-    each slice's masks; returns the outcomes seen."""
-    outcomes = set()
-    for s, key in enumerate(keys):
-        chosen = int.from_bytes(key, "little")
-        family = [m for k, m in enumerate(masks) if chosen >> k & 1]
+def _slice_verdicts(n, masks, keys):
+    """{key: whether exchange holds} for slice keys, bit k set for each
+    basis masks[k] in the slice, by the exchange pass, checked against
+    the probe of every (basis, u in, v out)."""
+    verdicts = {}
+    for key in keys:
+        family = [m for k, m in enumerate(masks) if key >> k & 1]
         holds = exchange_failure(n, family) is None
         assert holds == (probe_exchange_table(n, family)[1] is None)
-        assert holds == (not failing >> s & 1), (n, family)
-        outcomes.add(holds)
-    return outcomes
+        verdicts[key] = holds
+    return verdicts
 
 
 class TestSliceExchange:
-    """The exchange verdict the sweep reaches for all distinct slices at
-    once, against the exchange pass and the probe run on each slice."""
-
-    def judged(self, monkeypatch, valuation, radius):
-        """The (support, keys, failing) of the one verdict of a sweep."""
-        seen = []
-        decide = flock._failing_slices
-
-        def recorded(support, keys):
-            failing = decide(support, keys)
-            seen.append((support, keys, failing))
-            return failing
-
-        monkeypatch.setattr(flock, "_failing_slices", recorded)
-        check_flock_axioms(valuation, radius=radius)
-        monkeypatch.undo()
-        assert len(seen) == 1
-        return seen[0]
+    """The sweep's verdict on each slice against the exchange pass and
+    the probe run on the slice's masks."""
 
     def test_tampered_boxes(self, monkeypatch):
         boxes = [(v, 3) for v in _tampered_radius_three()]
         for radius in (1, 2):
             boxes += [(v, radius) for v in _sixteen_byte_valuations(radius)[1]]
+        scan = flock._slice
         outcomes = set()
         for valuation, radius in boxes:
-            support, keys, failing = self.judged(monkeypatch, valuation, radius)
-            # the sweep reads the near sets its valuation's matroid keeps
-            assert support is valuation.matroid
-            assert len(keys) == len(set(keys))
-            outcomes |= _assert_verdicts(support.n, support.masks, keys, failing)
+            keys = {}
+
+            def recorded(valuation, alpha):
+                keys[alpha] = got = scan(valuation, alpha)
+                return got
+
+            monkeypatch.setattr(flock, "_slice", recorded)
+            report = check_flock_axioms(valuation, radius=radius)
+            monkeypatch.undo()
+            # a valuation that fails the relations has every direction
+            # scanned once, in order
+            assert list(keys) == list(product(range(-radius, radius + 1),
+                                              repeat=valuation.n))
+            verdicts = _slice_verdicts(valuation.n, valuation.matroid.masks,
+                                       {key for key, _ in keys.values()})
+            assert report.violations == [
+                f"slice at alpha={alpha} is not a matroid (exchange fails)"
+                for alpha, (key, _) in keys.items() if not verdicts[key]]
+            outcomes |= set(verdicts.values())
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("n", range(9))
     def test_seeded_families(self, n):
+        # each family is the slice at 0 of the valuation that is 0 on it
+        # and 1 on the rest of the support
         rng = random.Random(450 + n)
         outcomes = set()
         for rank in range(n + 1):
@@ -583,7 +562,6 @@ class TestSliceExchange:
                     supports.append(column)
             for support in supports:
                 masks = support.masks
-                size = (len(masks) + 7) // 8
                 families = [range(len(masks))]
                 # the support with one basis dropped
                 families += [[k for k in range(len(masks)) if k != drop]
@@ -592,23 +570,36 @@ class TestSliceExchange:
                 families += [[k for k in range(len(masks)) if rng.random() < share]
                              for share in (0.2, 0.5, 0.8) for _ in range(4)]
                 families += [[k] for k in rng.sample(range(len(masks)), min(3, len(masks)))]
-                keys = [_key(family, size) for family in families if family]
-                failing = flock._failing_slices(support, keys)
-                assert failing >> len(keys) == 0
-                outcomes |= _assert_verdicts(n, masks, keys, failing)
+                for family in filter(None, families):
+                    key = sum(1 << k for k in family)
+                    valuation = Valuation(support, {
+                        b: 1 - (key >> k & 1) for k, b in enumerate(support.bases)})
+                    assert flock._slice(valuation, (0,) * n) == (key, 0)
+                    holds = _slice_verdicts(n, masks, [key])[key]
+                    report = check_flock_axioms(valuation, alphas=[(0,) * n])
+                    assert report.ok == holds, (n, family)
+                    outcomes.add(holds)
         assert True in outcomes
         # on three elements or fewer every family of equal-size sets
         # passes exchange
         assert (False in outcomes) == (n >= 4)
 
-    def test_no_slices(self):
-        assert flock._failing_slices(Matroid(3, [{0, 1}, {0, 2}]), []) == 0
+    def test_no_slices(self, monkeypatch):
+        # an empty list scans nothing, even where the relations fail
+        def refuse(*args):
+            raise AssertionError("direction scanned")
+
+        tampered = _tampered_radius_three()[0]
+        assert not flock._plucker_holds(tampered)
+        monkeypatch.setattr(flock, "_slice", refuse)
+        report = check_flock_axioms(tampered, alphas=[])
+        assert report.ok and report.directions == report.checked == 0
 
 
 class TestFamilyBySetBits:
-    """The slice keys, one bit per basis, transposed from the packed
-    marks of a slab, hold the bases of the per-basis scan, and the tops
-    its maxima, at every field width."""
+    """The slice keys, one bit per basis, hold the bases of the per-basis
+    scan, and g its maxima, for values up to top and directions with
+    entries of up to width bytes."""
 
     @pytest.mark.parametrize("top,width", [
         (3, 1), (200, 2), (40_000, 4), (2**40, 8), (2**70, 16)])
@@ -618,19 +609,78 @@ class TestFamilyBySetBits:
         values = {b: rng.randint(0, top) for b in base.values}
         values[base.matroid.bases[0]] = top
         valuation = Valuation(base.matroid, values)
-        slabs = flock._Slabs(valuation, (-1, 1))
-        assert slabs.width == width
         alphas = list(product((-1, 0, 1), repeat=6))
-        coords = [flock._pack([alpha[i] + 1 for alpha in alphas], width) for i in range(6)]
-        tops, keys = slabs.check(len(alphas), coords)
+        bound = 1 << 8 * width
+        alphas += [tuple(rng.randint(-bound, bound) for _ in range(6)) for _ in range(40)]
         bases = valuation.matroid.bases
-        field = (1 << slabs.bits) - 1
-        for d, (alpha, key) in enumerate(zip(alphas, keys)):
-            chosen = int.from_bytes(key, "little")
+        for alpha in alphas:
+            key, value = flock._slice(valuation, alpha)
             family, best = _reference_slice(valuation, alpha)
-            assert {b for k, b in enumerate(bases) if chosen >> k & 1} == family
-            assert chosen >> len(bases) == 0
-            assert (tops >> d * slabs.bits & field) - slabs.offset == best
+            assert {b for k, b in enumerate(bases) if key >> k & 1} == family
+            assert key >> len(bases) == 0
+            assert value == best
+
+
+def _valuated_exchange_holds(valuation):
+    """The valuated exchange axiom by the pair scan: for every two bases
+    b1, b2 and u in b1 - b2, some v in b2 - b1 makes b1 - u + v and
+    b2 - v + u bases with w(b1) + w(b2) >= w(b1 - u + v) + w(b2 - v + u)."""
+    w = valuation.values
+    return all(
+        any(b1 - {u} | {v} in w and b2 - {v} | {u} in w
+            and w[b1] + w[b2] >= w[b1 - {u} | {v}] + w[b2 - {v} | {u}]
+            for v in b2 - b1)
+        for b1 in w for b2 in w for u in b1 - b2)
+
+
+def _seeded_certificate_cases():
+    """300 valuations on the bases of 1-4 x d-7 matrices with entries in
+    [-3, 3] over p in {2, 3, 5}: a third as computed, a third with one
+    value moved by 1 or 2, and a third reweighted in [0, 3]."""
+    rng = random.Random(480)
+    cases = []
+    for i in range(300):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        valuation = linear_valuated_matroid(IntMatrix(rows), rng.choice((2, 3, 5)))
+        values = dict(valuation.values)
+        if i % 3 == 1:
+            values[rng.choice(valuation.matroid.bases)] += rng.choice((-2, -1, 1, 2))
+        elif i % 3 == 2:
+            values = {b: rng.randint(0, 3) for b in values}
+        cases.append(Valuation(valuation.matroid, values))
+    return cases
+
+
+class TestPluckerCertificate:
+    """The 3-term tropical Plucker relations against valuated exchange,
+    and the sweeps they certify without scoring a direction."""
+
+    def test_matches_brute_force_exchange(self):
+        outcomes = []
+        for valuation in _seeded_certificate_cases():
+            holds = flock._plucker_holds(valuation)
+            assert holds == _valuated_exchange_holds(valuation), valuation.values
+            outcomes.append(holds)
+        assert True in outcomes and False in outcomes
+
+    def test_certified_boxes_score_no_direction(self, nonfano_valuation, monkeypatch):
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "golden", "inputs", "seeded-4x12-matrix.json")
+        problem = load_problem(path)
+        seeded = linear_valuated_matroid(problem.matrix, problem.p)
+
+        def refuse(*args):
+            raise AssertionError("direction scanned")
+
+        monkeypatch.setattr(flock, "_slice", refuse)
+        # the default box of the 4x12 golden input, and radius 2 on non-Fano
+        for valuation, radius, count in ((seeded, None, 531_441),
+                                         (nonfano_valuation, 2, 78_125)):
+            report = check_flock_axioms(valuation, radius=radius)
+            assert report.ok
+            assert report.directions == report.checked == count
 
 
 class TestDerivedIdentities:

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,8 +9,8 @@ import pytest
 
 from algval import algmat
 from algval.algmat import CircuitRecord, EliminationOracle, Matroid, bases, circuits
-from algval.ffpoly import INF, CircuitVector, parse_polynomial
-from algval.groebner import Ideal
+from algval.ffpoly import INF, CircuitVector, Polynomial, parse_polynomial
+from algval.groebner import Ideal, eliminate
 from algval.toric import IntMatrix, linear_valuated_matroid
 from algval.valmat import (
     AxiomReport,
@@ -495,6 +497,23 @@ class TestMinor:
             assert got.matroid == expected.matroid
 
 
+    def test_ideal_deletion_equals_elimination_ideal(self):
+        # independent construction: M \ D is the valuation of
+        # I n F_p[x_{E-D}], up to the global shift, by the elimination
+        # route run on that ideal; every single and pair D
+        deletions = 0
+        for ideal in _deletion_ideals():
+            valuation = _ideal_route(ideal)
+            n = ideal.n
+            for deleted in [(e,) for e in range(n)] + list(combinations(range(n), 2)):
+                keep = [e for e in range(n) if e not in deleted]
+                expected = _ideal_route(_restricted(ideal, keep))
+                got = minor(valuation, delete=deleted)
+                assert got.matroid == expected.matroid, (ideal, deleted)
+                assert got.values == expected.values, (ideal, deleted)
+                deletions += 1
+        assert deletions == 175
+
     def test_matches_greedy_completion(self, nonfano):
         # deletion and duality against the greedy completion on the
         # ideal-route non-Fano valuation and 300 seeded valuations with
@@ -543,6 +562,45 @@ class TestMinor:
         # near sets, so only the trusted minor runs the pass
         assert cocircuits(got) == cocircuits(expected)
         assert passes == [len(got.matroid.bases)]
+
+
+def _ideal_route(ideal):
+    """The valuation of a prime ideal by the elimination route."""
+    oracle = EliminationOracle(ideal)
+    matroid = bases(ideal, oracle=oracle)
+    return valuation_from_circuits(
+        matroid, valuated_circuits(circuits(ideal, oracle=oracle)))
+
+
+def _restricted(ideal, keep):
+    """I n F_p[x_keep], its generators rewritten over the kept variables."""
+    names = [ideal.vars[i] for i in keep]
+    gens = [Polynomial(ideal.field, names,
+                       {tuple(e[i] for i in keep): c for e, c in f.terms.items()})
+            for f in eliminate(ideal, keep)]
+    return Ideal(ideal.field, names, gens)
+
+
+def _deletion_ideals():
+    """Both golden ideals and six seeded monomial graph ideals
+    x_{3+j} - x^a_j, a_j in [0, 3]^3, over p in {2, 3}.  Graph ideals
+    with a linear term added eliminate for minutes, so none is here."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+    ideals = []
+    for name in ("p3-ideal", "nonfano-ideal"):
+        with open(os.path.join(golden, f"{name}.json"), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        ideals.append(Ideal.from_strings(raw["p"], raw["vars"], raw["generators"]))
+    rng = random.Random(490)
+    for _ in range(6):
+        p = rng.choice((2, 3))
+        gens = []
+        for j in range(3):
+            a = [rng.randint(0, 3) for _ in range(3)]
+            monomial = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(a) if e)
+            gens.append(f"x{4 + j} - {monomial or 1}")
+        ideals.append(Ideal.from_strings(p, [f"x{i}" for i in range(1, 7)], gens))
+    return ideals
 
 
 def _minor_outcome(construct, valuation, delete, contract):
