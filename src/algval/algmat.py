@@ -12,9 +12,11 @@ near set of B - u is the fundamental cocircuit of u in B.  The exchange
 check builds the near sets with the bases that meet them, so exchange
 at (B, u) is one dict lookup, and the matroid keeps them.  The far set
 of an (r+1)-set S holds the elements whose removal leaves a basis; the
-far set of B + v is the fundamental circuit of (B, v).  Rank and
-hyperplanes come from a third table, built on the first rank query:
-one byte per subset that is 1 when the subset lies in some basis.
+far set of B + v is the fundamental circuit of (B, v).  Rank reads
+one int per element, the bases holding it, which the exchange check
+also builds; a set X + e is independent exactly when some basis holds
+X and e.  Hyperplanes are closures of the sets B - u, read off the
+basis masks alone.
 Elimination is by far the dominant cost, so the oracle decides a set
 before eliminating it where a certificate does: an input
 generator on the set proves it dependent, and the leading monomials of
@@ -46,17 +48,10 @@ def _mask(elements) -> int:
     return sum(1 << e for e in frozenset(elements))
 
 
-def _neighbourhoods(n, masks):
-    """The near sets of the (r-1)-sets of bases on {0..n-1}, given as
-    ints with bit e set for element e, and the exchange failure.  One
-    pass over every (basis b, u in b) with R = b - u sets bit u of
-    near[R], so near[R] ends up as every v with R + v a basis, and ORs
-    holding[u], the bases holding u, into reach[R], which ends up as
-    the bases that meet near[R].  The fundamental cocircuit of u in b
-    is near[b - u], so exchange holds at (b1, u) exactly when
-    reach[b1 - u] is every basis.  Returns (near, None), or (near, (k1,
-    k2, u)) for the first b1 and u in it, in order, that fail, and the
-    first basis b2 outside reach[b1 - u]."""
+def _holding(n, masks):
+    """The members of a family of sets on {0..n-1} that hold each
+    element: one int per element e, with bit k set when masks[k] holds
+    e."""
     holding = [0] * n
     k = 1
     for m in masks:
@@ -65,6 +60,21 @@ def _neighbourhoods(n, masks):
             holding[b.bit_length() - 1] |= k
             m ^= b
         k <<= 1
+    return holding
+
+
+def _neighbourhoods(n, masks):
+    """The near sets of the (r-1)-sets of bases on {0..n-1}, given as
+    ints with bit e set for element e, the exchange failure and the
+    bases' _holding.  One pass over every (basis b, u in b) with R = b -
+    u sets bit u of near[R], so near[R] ends up as every v with R + v a
+    basis, and ORs holding[u], the bases holding u, into reach[R], which
+    ends up as the bases that meet near[R].  The fundamental cocircuit
+    of u in b is near[b - u], so exchange holds at (b1, u) exactly when
+    reach[b1 - u] is every basis.  Returns (near, None, holding), or
+    (near, (k1, k2, u), holding) for the first b1 and u in it, in order,
+    that fail, and the first basis b2 outside reach[b1 - u]."""
+    holding = _holding(n, masks)
     near, reach = {}, {}
     for m in masks:
         x = m
@@ -76,13 +86,13 @@ def _neighbourhoods(n, masks):
             reach[rest] = reach.get(rest, 0) | holding[b.bit_length() - 1]
     everyone = (1 << len(masks)) - 1
     if min(reach.values(), default=everyone) == everyone:
-        return near, None
+        return near, None, holding
     # some reach misses a basis: find the first (b1, u) in order
     for k1, m in enumerate(masks):
         for u in range(n):
             if m >> u & 1 and (ok := reach[m ^ 1 << u]) != everyone:
                 # the lowest clear bit of ok is the first b2
-                return near, (k1, (~ok & ok + 1).bit_length() - 1, u)
+                return near, (k1, (~ok & ok + 1).bit_length() - 1, u), holding
 
 
 def exchange_failure(n, masks):
@@ -94,11 +104,11 @@ class Matroid:
     """Matroid on ground set {0..n-1} given by its bases; the
     basis-exchange axiom is verified on construction.  masks[k] is the
     k-th basis as an int with bit e set for element e; the near sets
-    that the check produces are kept, and the far sets and the
-    independent-set table are built on first use."""
+    and the bases' _holding that the check produces are kept, and the
+    far sets are built on first use."""
 
     __slots__ = ("n", "bases", "rank", "masks", "_index", "_near", "_far",
-                 "_independent")
+                 "_holding")
 
     def __init__(self, n, bases):
         cleaned = sorted({frozenset(b) for b in bases}, key=sorted)
@@ -112,24 +122,25 @@ class Matroid:
             if not b <= ground:
                 raise ValueError(f"basis {sorted(b)} outside ground set of size {n}")
         masks = tuple(map(_mask, cleaned))
-        near, failure = _neighbourhoods(n, masks)
+        near, failure, holding = _neighbourhoods(n, masks)
         if failure is not None:
             b1, b2, u = cleaned[failure[0]], cleaned[failure[1]], failure[2]
             raise ValueError(
                 f"basis exchange fails for {[e + 1 for e in sorted(b1)]}, "
                 f"{[e + 1 for e in sorted(b2)]} at {u + 1}"
             )
-        self._adopt(n, tuple(cleaned), masks, near)
+        self._adopt(n, tuple(cleaned), masks, near, holding)
 
     @classmethod
     def trusted(cls, n, bases, masks=None):
         """Sorted, distinct bases that pass exchange by construction, as a
-        dual's or a deletion's: no check runs; the near sets come on use."""
+        dual's or a deletion's: no check runs; the near sets and the
+        bases' _holding come on use."""
         out = cls.__new__(cls)
-        out._adopt(n, tuple(bases), masks, None)
+        out._adopt(n, tuple(bases), masks, None, None)
         return out
 
-    def _adopt(self, n, bases, masks, near):
+    def _adopt(self, n, bases, masks, near, holding):
         self.n = n
         self.bases = bases
         self.rank = len(bases[0])
@@ -137,7 +148,7 @@ class Matroid:
         self._index = {m: k for k, m in enumerate(masks)}
         self._near = near
         self._far = None
-        self._independent = None
+        self._holding = holding
 
     def near(self) -> dict:
         """near[R] for each (r-1)-set R inside a basis, as masks: every v
@@ -170,38 +181,23 @@ class Matroid:
     def _elements(self, mask) -> frozenset:
         return frozenset(e for e in range(self.n) if mask >> e & 1)
 
-    def independent_sets(self) -> bytes:
-        """Byte s is 1 when the set with mask s is independent, built on
-        first use.  The bases are marked, one byte per set in one int,
-        and the marks are closed downward by one shift per element e,
-        which copies the mark of each set holding e to the same set
-        without e."""
-        if self._independent is None:
-            size = 1 << self.n
-            marks = bytearray(size)
-            for m in self.masks:
-                marks[m] = 1
-            table = int.from_bytes(marks, "little")
-            for e in range(self.n):
-                half = 1 << e
-                holding = (bytes(half) + b"\1" * half) * (size >> e + 1)
-                table |= (table & int.from_bytes(holding, "little")) >> 8 * half
-            self._independent = table.to_bytes(size, "little")
-        return self._independent
-
     def rank_of(self, subset) -> int:
         return self.rank_of_mask(_mask(subset))
 
     def rank_of_mask(self, s) -> int:
         """The rank of the set with mask s: a greedy walk over its
-        elements keeps each one that leaves the kept set independent."""
-        independent, kept = self.independent_sets(), 0
+        elements keeps each e that some basis holding the kept set also
+        holds, and reach narrows to those bases."""
+        if self._holding is None:
+            self._holding = _holding(self.n, self.masks)
+        reach, kept = (1 << len(self.masks)) - 1, 0
         while s:
             b = s & -s
             s ^= b
-            if independent[kept | b]:
-                kept |= b
-        return kept.bit_count()
+            if together := reach & self._holding[b.bit_length() - 1]:
+                reach = together
+                kept += 1
+        return kept
 
     def circuits(self):
         """Minimal dependent sets, ascending by size then
@@ -236,17 +232,16 @@ class Matroid:
     def hyperplanes(self):
         """Maximal subsets of rank one less than the matroid, sorted: the
         closures of the independent (r-1)-sets B - u, each of which adds
-        every element e with B - u + e dependent."""
+        every element e with B - u + e not a basis."""
         if self.rank < 1:
             raise ValueError("hyperplanes need rank at least 1")
-        independent = self.independent_sets()
-        bits = [1 << e for e in range(self.n)]
+        index, bits = self._index, [1 << e for e in range(self.n)]
         below, flats = set(), set()
         for m in self.masks:
             for b in bits:
                 if m & b and (r := m ^ b) not in below:
                     below.add(r)
-                    flats.add(r | sum(e for e in bits if not independent[r | e]))
+                    flats.add(r | sum(e for e in bits if r | e not in index))
         return sorted(map(self._elements, flats), key=sorted)
 
     def dual(self) -> "Matroid":
@@ -477,7 +472,8 @@ def circuits(ideal: Ideal, oracle=None):
         f = principal_generator(gens)
         if all(e % p == 0 for expo in f.terms for e in expo):
             raise NotPrincipalError(
-                f"circuit polynomial {f} is a {p}-th power: the ideal is not prime"
+                f"circuit polynomial {f} is a p-th power (p = {p}): "
+                f"the ideal is not prime"
             )
         found.append(CircuitRecord(s, f))
     return found

@@ -14,8 +14,9 @@ exactly when B - u + v is not a basis.  One walk over the bases in
 their sorted order gives each neighbor without a value its value from
 the identity and checks the identity at every other one.  Duality,
 cocircuits, minors, and executable checks of the circuit axioms live
-here as well; the checks read entry tuples and support masks, and rank
-sets through the matroid's independent-set table.  A minor is a
+here as well; the checks read entry tuples and support masks, rank
+sets through the bases that hold each element, and find the supports
+inside a set through the supports that hold each element.  A minor is a
 deletion, which completes every basis by one fixed subset of the
 deleted set, followed by a contraction, which is a deletion in the
 dual.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 
-from algval.algmat import Matroid, _mask
+from algval.algmat import Matroid, _holding, _mask
 from algval.ffpoly import INF, CircuitVector, circuit_vector
 
 
@@ -264,11 +265,24 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
         if not c.support:
             report.violations.append("axiom 1: empty support")
     report.checked += len(masks) ** 2
-    where = {}
-    for k, m in enumerate(masks):
-        where.setdefault(m, []).append(k)
+    # the supports inside a set are those that hold no element outside it
+    holding = _holding(max(masks, default=0).bit_length(), masks)
+    everyone = (1 << len(masks)) - 1
+
+    def members(mask):
+        inside = everyone
+        for e, h in enumerate(holding):
+            if not mask >> e & 1:
+                inside &= ~h
+        found = []
+        while inside:
+            b = inside & -inside
+            found.append(b.bit_length() - 1)
+            inside ^= b
+        return found
+
     nested = sorted((a, b) for b, mb in enumerate(masks)
-                    for a in _members(mb, where, masks) if masks[a] != mb)
+                    for a in members(mb) if masks[a] != mb)
     for a, b in nested:
         report.violations.append(
             f"axiom 1: support {sorted(supports[a])} strictly inside "
@@ -327,7 +341,7 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
                 inside = union ^ 1 << u
                 if (candidates := inside_of.get(inside)) is None:
                     candidates = inside_of[inside] = [
-                        negated[k] for k in _members(inside, where, masks)]
+                        negated[k] for k in members(inside)]
                 for minus in candidates:
                     gap = list(map(add, floor, minus))
                     if min(map(gap.__getitem__, apart)) == max(gap):
@@ -342,20 +356,6 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
             f"{sorted(supports[i])}, {sorted(supports[j])} with u={u}, v={v}"
         )
     return report
-
-
-def _members(mask, where, masks):
-    """The indices of the masks inside mask: its submasks looked up in
-    where, which maps each mask to its indices, or one scan of masks when
-    that is shorter."""
-    if 1 << mask.bit_count() > len(masks):
-        return [k for k, m in enumerate(masks) if not m & ~mask]
-    found, s = [], mask
-    while True:
-        found += where.get(s, ())
-        if not s:
-            return found
-        s = s - 1 & mask
 
 
 @lru_cache(maxsize=1 << 12)

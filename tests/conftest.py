@@ -85,7 +85,7 @@ def column_rank(matrix, subset):
 
 def basis_rank(matroid, subset):
     """Rank of a subset as the largest |subset & B| over the basis masks,
-    without the matroid's independent-set table."""
+    without the bitsets the matroid keeps."""
     s = sum(1 << e for e in subset)
     return max((m & s).bit_count() for m in matroid.masks)
 

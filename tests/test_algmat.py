@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -385,8 +386,8 @@ class TestExchangeTable:
     def test_failure_triple_of_the_check(self):
         assert algmat._neighbourhoods(4, [0b0011, 0b1100]) == (
             {0b0010: 0b0001, 0b0001: 0b0010, 0b1000: 0b0100, 0b0100: 0b1000},
-            (0, 1, 0))
-        assert algmat._neighbourhoods(2, [0]) == ({}, None)
+            (0, 1, 0), [0b01, 0b01, 0b10, 0b10])
+        assert algmat._neighbourhoods(2, [0]) == ({}, None, [0, 0])
         assert exchange_failure(4, [0b0011, 0b1100]) == (0, 1, 0)
 
 
@@ -399,7 +400,7 @@ class TestNeighbourhoodsMatchProbe:
     @staticmethod
     def same_as_probe(n, masks):
         rows, failure = probe_exchange_table(n, masks)
-        near, got = algmat._neighbourhoods(n, masks)
+        near, got, _ = algmat._neighbourhoods(n, masks)
         assert got == failure
         assert exchange_failure(n, masks) == failure
         if failure is None:
@@ -878,14 +879,51 @@ class TestIndependentSetTable:
             coloops += any(all(e in b for b in m.bases) for e in range(m.n))
         assert {0, 1, 2, 3, 4} <= ranks and loops > 20 and coloops > 20
 
-    def test_built_once_and_kept_by_trusted_matroids(self):
+    def test_built_once_and_kept_by_trusted_matroids(self, monkeypatch):
+        # the bases holding each element: a checked matroid keeps the
+        # exchange check's, a trusted one builds its own on the first
+        # rank query and keeps it
+        built = []
+        holding = algmat._holding
+        monkeypatch.setattr(algmat, "_holding",
+                            lambda n, masks: built.append(n) or holding(n, masks))
         m = Matroid(4, [{0, 1}, {0, 2}, {1, 2}])
-        assert m.independent_sets() is m.independent_sets()
+        table = m._holding
+        assert built == [4] and m.rank_of({0, 3}) == 1 and m._holding is table
         dual = m.dual()
-        assert dual._independent is None and dual.rank_of({2, 3}) == 2
-        assert list(m.independent_sets()) == [
-            int(basis_rank(m, [e for e in range(4) if s >> e & 1]) == bin(s).count("1"))
-            for s in range(16)]
+        assert dual._holding is None and built == [4]
+        assert dual.rank_of({2, 3}) == 2 and built == [4, 4]
+        table = dual._holding
+        assert dual.rank_of({0, 1, 2}) == 1 and dual._holding is table
+        assert built == [4, 4]
+        for matroid in (m, dual):
+            assert matroid._holding == [
+                sum(1 << k for k, b in enumerate(matroid.bases) if e in b)
+                for e in range(4)]
+
+    def test_wide_ground_set_needs_no_subset_table(self):
+        # a seeded 2x24 matrix (random.Random(2024), entries in [-3, 4],
+        # p = 2): a table of one byte per subset would take 16 MB, and
+        # rank and hyperplanes must stay under 1 MB together
+        rng = random.Random(2024)
+        rows = tuple(tuple(rng.randint(-3, 4) for _ in range(24)) for _ in range(2))
+        m = linear_valuated_matroid(IntMatrix(rows), 2).matroid
+        subsets = [frozenset(e for e in range(24) if rng.random() < k / 10)
+                   for k in range(11) for _ in range(20)]
+        tracemalloc.start()
+        try:
+            ranks = [m.rank_of(s) for s in subsets]
+            planes = m.hyperplanes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert ranks == [basis_rank(m, s) for s in subsets]
+        # every hyperplane is the closure of an independent (r-1)-set
+        closures = {frozenset(e for e in range(24) if basis_rank(m, set(r) | {e}) < m.rank)
+                    for r in combinations(range(24), m.rank - 1)
+                    if basis_rank(m, r) == m.rank - 1}
+        assert m.rank == 2 and planes == sorted(closures, key=sorted)
 
 
 class TestMatroidRankFunction:

@@ -23,6 +23,7 @@ from algval.cli import (
     verify_document,
 )
 from algval.flock import FlockReport
+from algval.valmat import Valuation
 
 from conftest import NONFANO_A, NONFANO_GENERATORS, NONFANO_VARS
 from test_golden import ALPHA, GOLDEN, INPUTS
@@ -294,6 +295,34 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli_module, "check_flock_axioms", broken)
         assert run(["verify", matrix_file, "--box", "1"]) == 2
+
+    def assert_duality_fails(self, capsys, matrix_file, message):
+        assert run(["verify", matrix_file, "--box", "0", "--format", "text"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "ok false"
+        assert f"    {message}" in out
+        assert [line for line in out if "FAIL" in line] == ["  duality: FAIL (2 checks)"]
+
+    def test_cocircuit_dropped_fails_duality(self, capsys, matrix_file, monkeypatch):
+        # the cocircuit supports are held to the complements of the
+        # hyperplanes, which come from the basis masks alone
+        cocircuits = cli.cocircuits
+        monkeypatch.setattr(cli, "cocircuits", lambda v: cocircuits(v)[1:])
+        self.assert_duality_fails(capsys, matrix_file,
+                                  "cocircuit supports differ from hyperplane complements")
+
+    def test_double_dual_moved_fails_duality(self, capsys, matrix_file, monkeypatch):
+        dual = cli.dual
+
+        def moved(valuation):
+            d = dual(valuation)
+            values = dict(d.values)
+            values[d.matroid.bases[-1]] += 1
+            return Valuation(d.matroid, values, labels=d.labels)
+
+        monkeypatch.setattr(cli, "dual", moved)
+        self.assert_duality_fails(capsys, matrix_file,
+                                  "double dual differs from the valuation")
 
 
     def test_negative_box_is_input_error(self, capsys, matrix_file):
