@@ -10,13 +10,14 @@ elimination.  A Matroid rests on two mask-keyed dicts.  The near set
 of an (r-1)-set R holds the elements that complete R to a basis; the
 near set of B - u is the fundamental cocircuit of u in B.  The exchange
 check builds the near sets with the bases that meet them, so exchange
-at (B, u) is one dict lookup, and the matroid keeps them.  The far set
-of an (r+1)-set S holds the elements whose removal leaves a basis; the
-far set of B + v is the fundamental circuit of (B, v).  Rank reads
-one int per element, the bases holding it, which the exchange check
-also builds; a set X + e is independent exactly when some basis holds
-X and e.  Hyperplanes are closures of the sets B - u, read off the
-basis masks alone.
+at (B, u) is one dict lookup, and the matroid keeps them; a dual or a
+deletion passes exchange by construction and builds them alone.  The
+far set of an (r+1)-set S holds the elements whose removal leaves a
+basis; the far set of B + v is the fundamental circuit of (B, v).  Rank
+reads one int per element, the bases holding it, which the exchange
+check also builds; a set X + e is independent exactly when some basis
+holds X and e.  Hyperplanes are closures of the sets B - u, read off
+the basis masks alone.
 Elimination is by far the dominant cost, so the oracle decides a set
 before eliminating it where a certificate does: an input
 generator on the set proves it dependent, and the leading monomials of
@@ -95,6 +96,20 @@ def _neighbourhoods(n, masks):
                 return near, (k1, (~ok & ok + 1).bit_length() - 1, u), holding
 
 
+def _near_sets(masks):
+    """The near sets of a family that passes exchange, as
+    _neighbourhoods builds them but without its check: bit u of
+    near[b - u] for every basis b and u in b."""
+    near = {}
+    for m in masks:
+        x = m
+        while x:
+            b = x & -x
+            x ^= b
+            near[m ^ b] = near.get(m ^ b, 0) | b
+    return near
+
+
 def exchange_failure(n, masks):
     """The (k1, k2, u) failure of _neighbourhoods, or None."""
     return _neighbourhoods(n, masks)[1]
@@ -154,9 +169,9 @@ class Matroid:
         """near[R] for each (r-1)-set R inside a basis, as masks: every v
         with R + v a basis.  The fundamental cocircuit of u in basis B is
         near[B - u].  The exchange check leaves it; a trusted matroid
-        builds it on first use."""
+        builds it on first use, without the check."""
         if self._near is None:
-            self._near = _neighbourhoods(self.n, self.masks)[0]
+            self._near = _near_sets(self.masks)
         return self._near
 
     def far(self) -> dict:

@@ -14,19 +14,20 @@ exactly when B - u + v is not a basis.  One walk over the bases in
 their sorted order gives each neighbor without a value its value from
 the identity and checks the identity at every other one.  Duality,
 cocircuits, minors, and executable checks of the circuit axioms live
-here as well; the checks read entry tuples and support masks, rank
-sets through the bases that hold each element, and find the supports
-inside a set through the supports that hold each element.  A minor is a
-deletion, which completes every basis by one fixed subset of the
-deleted set, followed by a contraction, which is a deletion in the
-dual.
+here as well; the checks read support masks, rank sets through the
+bases that hold each element, and find the supports inside a set
+through the supports that hold each element.  Axiom 4 packs each
+vector into one int, a field per element, so a floor or a gap vector
+is a few int operations; orthogonality sums a circuit and a cocircuit
+only where their supports meet.  A minor is a deletion, which
+completes every basis by one fixed subset of the deleted set, followed
+by a contraction, which is a deletion in the dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
 
 from algval.algmat import Matroid, _holding, _mask
 from algval.ffpoly import INF, CircuitVector, circuit_vector
@@ -314,12 +315,24 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
     # c[v] - d[v] itself, so d serves v exactly when that gap is largest.
     # The pair taken the other way round shifts the floor and every gap
     # by -lam, so one floor per unordered pair and u serves both.  INF
-    # reads as a finite sentinel: big in the floor's operands, so the
-    # floor is at most big, and 2 * big in d, so gaps off d's support
-    # stay below every gap on it.
-    big = _sentinel(vectors)
-    finite = [_finite(c, big) for c in vectors]
-    negated = [tuple(-x for x in _finite(c, 2 * big)) for c in vectors]
+    # reads as a finite sentinel: big = 4 * top + 1, top the largest
+    # absolute finite entry, in the floor's operands, so the floor is at
+    # most big, and 2 * big in d, so gaps off d's support stay below
+    # every gap on it.  Each vector is packed into one int, a w-bit
+    # field per element whose top (guard) bit stays clear, as
+    # groebner._Ring packs monomials: the operands offset by 3 * top, so
+    # c' + lam stays at least 0, and d negated and offset by 2 * big, so
+    # each gap field is gap + 3 * top + 2 * big, at least 0 and below
+    # 4 * big.  The floor is then one fieldwise min and a gap vector one
+    # add; d serves every v when no gap field exceeds the one at the
+    # first v and every v's field equals it.
+    top = max((abs(e) for c in vectors for e in c.entries if e != INF), default=0)
+    big = 4 * top + 1
+    w = (4 * big).bit_length() + 1
+    field, ones = (1 << w) - 1, sum(1 << w * x for x in range(matroid.n))
+    guard = ones << w - 1
+    packed = [_packed(c, big, 3 * top, 1, w) for c in vectors]
+    negated = [_packed(c, 2 * big, 2 * big, -1, w) for c in vectors]
     limit = matroid.rank + 2
     inside_of, found = {}, []
     for i, mi in enumerate(masks):
@@ -334,20 +347,28 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
             report.checked += len(shared) * len(apart)
             if not apart:
                 continue
-            c, cp = vectors[i].entries, vectors[j].entries
+            c, cp, a = vectors[i].entries, vectors[j].entries, packed[i]
+            first, separating = w * apart[0], sum(field << w * v for v in apart)
             for u in shared:
-                lam = c[u] - cp[u]
-                floor = list(map(min, finite[i], map(lam.__add__, finite[j])))
+                # ge marks the guard bit of each field where a >= b, and
+                # ge - (ge >> w - 1) selects b's value bits there
+                b = packed[j] + (c[u] - cp[u]) * ones
+                ge = ((a | guard) - b) & guard
+                floor = a ^ (a ^ b) & ge - (ge >> w - 1)
                 inside = union ^ 1 << u
                 if (candidates := inside_of.get(inside)) is None:
                     candidates = inside_of[inside] = [
                         negated[k] for k in members(inside)]
                 for minus in candidates:
-                    gap = list(map(add, floor, minus))
-                    if min(map(gap.__getitem__, apart)) == max(gap):
-                        break  # d serves every v
+                    gap = floor + minus
+                    at = (gap >> first & field) * ones
+                    if (at ^ gap) & separating:
+                        continue  # some v's gap differs from the first v's
+                    if (at | guard) - gap & guard == guard:
+                        break  # and none exceeds it: d serves every v
                 else:
-                    gaps = [list(map(add, floor, minus)) for minus in candidates]
+                    gaps = [[gap >> w * x & field for x in range(matroid.n)]
+                            for gap in (floor + minus for minus in candidates)]
                     found += [(i, j, u, v) if mi >> v & 1 else (j, i, u, v)
                               for v in apart if all(g[v] < max(g) for g in gaps)]
     for i, j, u, v in sorted(found):
@@ -408,21 +429,18 @@ def _exchange_walk(matroid: Matroid, by_support, values) -> AxiomReport:
 
 def check_orthogonality(circuit_vectors, cocircuit_vectors) -> AxiomReport:
     """For every circuit/cocircuit pair with intersecting supports, the
-    minimum of the entrywise sum must be attained at least twice.  INF
-    reads as the sentinel big, so a sum with an infinite term exceeds
-    every finite sum, and the minimum is finite: some index lies in both
-    supports."""
+    minimum of the entrywise sum must be attained at least twice.  The
+    sums are taken where the supports meet: every other sum has an
+    infinite term, so it is neither the minimum nor ties it."""
     report = AxiomReport()
-    circuit_vectors = list(circuit_vectors)
-    cocircuit_vectors = list(cocircuit_vectors)
-    big = _sentinel(circuit_vectors + cocircuit_vectors)
-    cocircs = [(_mask(d.support), _finite(d, big), d) for d in cocircuit_vectors]
+    cocircs = [(_mask(d.support), d) for d in cocircuit_vectors]
     for c in circuit_vectors:
-        mask, entries = _mask(c.support), _finite(c, big)
-        meets = [(f, d) for m, f, d in cocircs if mask & m]
+        mask, entries = _mask(c.support), c.entries
+        meets = [(mask & m, d) for m, d in cocircs if mask & m]
         report.checked += len(meets)
-        for f, d in meets:
-            sums = list(map(add, entries, f))
+        for meet, d in meets:
+            f = d.entries
+            sums = [entries[e] + f[e] for e in _elements(meet)]
             if sums.count(min(sums)) < 2:
                 report.violations.append(
                     f"minimum of circuit {c} + cocircuit {d} attained once"
@@ -430,12 +448,8 @@ def check_orthogonality(circuit_vectors, cocircuit_vectors) -> AxiomReport:
     return report
 
 
-def _sentinel(vectors) -> int:
-    """A finite stand-in for INF: 4 * top + 1, top the largest absolute
-    finite entry of the vectors."""
-    top = max((abs(e) for c in vectors for e in c.entries if e != INF), default=0)
-    return 4 * top + 1
-
-
-def _finite(vector, big) -> tuple:
-    return tuple(big if e == INF else e for e in vector.entries)
+def _packed(vector, inf, offset, sign, width) -> int:
+    """The entries, INF read as inf, each times sign plus offset, in one
+    width-bit field per element, element 0 lowest."""
+    return sum(offset + sign * (inf if e == INF else e) << width * x
+               for x, e in enumerate(vector.entries))

@@ -362,26 +362,34 @@ class TestExchangeTable:
         assert free.near() == {0b10: 0b01, 0b01: 0b10}
 
     def test_one_pass_per_matroid(self, monkeypatch):
-        passes = []
-        check = algmat._neighbourhoods
+        passes, built = [], []
+        check, near_sets = algmat._neighbourhoods, algmat._near_sets
 
         def counted(n, masks):
             passes.append(len(masks))
             return check(n, masks)
 
+        def counted_near(masks):
+            built.append(len(masks))
+            return near_sets(masks)
+
         monkeypatch.setattr(algmat, "_neighbourhoods", counted)
+        monkeypatch.setattr(algmat, "_near_sets", counted_near)
         valuation = linear_valuated_matroid(IntMatrix(NONFANO_A), 2)
         vcircs = valuated_circuit_family(valuation)
         valuation.matroid.circuits()
         assert valuation_from_circuits(valuation.matroid, vcircs) == valuation
         cocircuits(valuation)
-        assert passes == [len(valuation.matroid.bases)]
-        # a trusted matroid runs no check; its near sets come on first use
+        assert passes == [len(valuation.matroid.bases)] and built == []
+        # a trusted matroid runs no check; its near sets come on first
+        # use, built once without the check, equal to the checked ones
         d = valuation.matroid.dual()
         d.circuits()
-        assert passes == [len(valuation.matroid.bases)]
+        assert built == []
         assert d.near() is d.near()
-        assert passes == [len(valuation.matroid.bases)] * 2
+        assert passes == [len(valuation.matroid.bases)]
+        assert built == [len(d.bases)]
+        assert d.near() == check(d.n, d.masks)[0]
 
     def test_failure_triple_of_the_check(self):
         assert algmat._neighbourhoods(4, [0b0011, 0b1100]) == (
