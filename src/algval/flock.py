@@ -1,14 +1,18 @@
 """Matroid families sliced out of a valuation by integer direction vectors.
 
 For a direction alpha, the slice keeps the bases maximizing
-e_B . alpha - value(B); the maximum itself is g(alpha).  On the bases
-of a matroid, a valuation is a valuated matroid exactly when its 3-term
-tropical Plucker relations hold, and exactly when every slice is a
-matroid (Dress-Wenzel, Valuated matroids, Adv. Math. 1992; Speyer,
+e_B . alpha - value(B); the maximum itself is g(alpha).  These slices
+are the matroids of a Frobenius flock (Bollen-Draisma-Pendavingh,
+Algebraic matroids and Frobenius flocks, Adv. Math. 2018).  On the
+bases of a matroid, a valuation is a valuated matroid exactly when its
+3-term tropical Plucker relations hold, and exactly when every slice is
+a matroid (Dress-Wenzel, Valuated matroids, Adv. Math. 1992; Speyer,
 Tropical linear spaces, 2008, section 2).  So the relations certify
 every slice of every box at once, and a box is swept, one per-basis
 scan per direction, only for a valuation that fails them, to name the
-directions whose slices fail exchange.  The flock identities,
+directions whose slices fail exchange.  Valuation.plucker() evaluates
+the relations once, for this certificate and verify's suite alike.
+The flock identities,
 slice(alpha)/i = slice(alpha + e_i)\\i and slice(alpha) =
 slice(alpha + 1), hold for the argmax families of any weighting of the
 bases, so on slices read off the valuation they can never fail, and
@@ -19,10 +23,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from algval.algmat import Matroid, exchange_failure
-from algval.ffpoly import INF
 from algval.valmat import AxiomReport, Valuation
 
 
@@ -95,32 +98,6 @@ def check_box_radius(n, radius) -> None:
                          "more than a list can index")
 
 
-def _plucker_holds(valuation: Valuation) -> bool:
-    """Whether the 3-term tropical Plucker relations hold: for every
-    (r-2)-set S inside a basis and distinct a, b, c, d outside it, the
-    least of w(Sab) + w(Scd), w(Sac) + w(Sbd) and w(Sad) + w(Sbc), with
-    INF for a non-basis, is attained at least twice.  Below rank 2 there
-    are no relations.  The support must be a matroid: every Matroid(...)
-    checks exchange, and Matroid.trusted builds only duals and
-    deletions, which are matroids by construction."""
-    if valuation.matroid.rank < 2:
-        return True
-    value = valuation.by_mask()
-    inner = set()
-    for m in value:
-        bits = [1 << e for e in range(valuation.n) if m >> e & 1]
-        inner.update(m ^ a ^ b for a, b in combinations(bits, 2))
-    for s in inner:
-        outside = [1 << e for e in range(valuation.n) if not s >> e & 1]
-        w = {a | b: value.get(s | a | b, INF) for a, b in combinations(outside, 2)}
-        for a, b, c, d in combinations(outside, 4):
-            low, second, _ = sorted((w[a | b] + w[c | d], w[a | c] + w[b | d],
-                                     w[a | d] + w[b | c]))
-            if low < second:
-                return False
-    return True
-
-
 def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockReport:
     """Verify, per direction alpha, that the slice's basis family
     satisfies basis exchange: each slice must itself be a matroid.
@@ -156,7 +133,7 @@ def check_flock_axioms(valuation: Valuation, radius=None, alphas=None) -> FlockR
                 raise ValueError(f"direction {alpha} must have length {n}")
         count = len(directions)
     report = FlockReport(checked=count, directions=count)
-    if _plucker_holds(valuation):
+    if valuation.plucker().ok:
         return report
     masks = valuation.matroid.masks
     fails = {}

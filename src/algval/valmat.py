@@ -13,13 +13,11 @@ spanned inside B + {v}; the identity holds with both sides infinite
 exactly when B - u + v is not a basis.  One walk over the bases in
 their sorted order gives each neighbor without a value its value from
 the identity and checks the identity at every other one.  Duality,
-cocircuits, minors, and executable checks of the circuit axioms live
-here as well; the checks read support masks, rank sets through the
-bases that hold each element, and find the supports inside a set
-through the supports that hold each element.  Axiom 4 packs each
-vector into one int, a field per element, so a floor or a gap vector
-is a few int operations; orthogonality sums a circuit and a cocircuit
-only where their supports meet.  A minor is a deletion, which
+cocircuits, minors and executable checks live here as well: verify's
+certificate chain (the 3-term Plucker relations, one canonical vector
+per support, the identity per vector) and the pair checks it implies,
+the circuit axioms and orthogonality, kept for the library and its
+tests.  A minor is a deletion, which
 completes every basis by one fixed subset of the deleted set, followed
 by a contraction, which is a deletion in the dual.
 """
@@ -28,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 from algval.algmat import Matroid, _holding, _mask
 from algval.ffpoly import INF, CircuitVector, circuit_vector
@@ -43,7 +43,7 @@ class Valuation:
     over all bases is 0.  labels maps ground-set positions to original
     element ids (identity except for minors)."""
 
-    __slots__ = ("matroid", "values", "labels", "_masked")
+    __slots__ = ("matroid", "values", "labels", "_masked", "_plucker")
 
     def __init__(self, matroid: Matroid, values, labels=None):
         self.matroid = matroid
@@ -56,6 +56,7 @@ class Valuation:
         self.values = vals
         self.labels = tuple(labels) if labels is not None else tuple(range(matroid.n))
         self._masked = None
+        self._plucker = None
 
     @property
     def n(self):
@@ -69,6 +70,12 @@ class Valuation:
         if self._masked is None:
             self._masked = {m: v for m, (_, v) in zip(self.matroid.masks, self.items())}
         return self._masked
+
+    def plucker(self) -> "AxiomReport":
+        """check_plucker_relations(self), computed on first use."""
+        if self._plucker is None:
+            self._plucker = check_plucker_relations(self)
+        return self._plucker
 
     def items(self):
         """(basis, value) pairs in deterministic order."""
@@ -236,6 +243,60 @@ class AxiomReport:
         return not self.violations
 
 
+def check_plucker_relations(valuation: Valuation) -> AxiomReport:
+    """The 3-term tropical Plucker relations, one check each, every
+    failing one listed: for each (r-2)-set S inside a basis and a < b <
+    c < d outside it, the least of w(Sab) + w(Scd), w(Sac) + w(Sbd) and
+    w(Sad) + w(Sbc), INF off the bases, is attained twice.  On the bases
+    of a matroid they hold exactly when the values form a valuated
+    matroid (Murota, Matrices and Matroids for Systems Analysis, 2000,
+    section 5.2; Dress-Wenzel, Valuated matroids, Adv. Math. 1992).
+    Matroid(...) checks exchange, and Matroid.trusted builds only duals
+    and deletions, so the support is a matroid."""
+    report = AxiomReport()
+    if valuation.matroid.rank < 2:
+        return report
+    value, n = valuation.by_mask(), valuation.n
+    inner = set()
+    for m in value:
+        bits = [1 << e for e in range(n) if m >> e & 1]
+        inner.update(m ^ a ^ b for a, b in combinations(bits, 2))
+    report.checked = len(inner) * comb(n - valuation.matroid.rank + 2, 4)
+    for s in sorted(inner):
+        outside = [1 << e for e in range(n) if not s >> e & 1]
+        w = {a | b: value.get(s | a | b, INF) for a, b in combinations(outside, 2)}
+        for a, b, c, d in combinations(outside, 4):
+            terms = (w[a | b] + w[c | d], w[a | c] + w[b | d], w[a | d] + w[b | c])
+            low, second, _ = sorted(terms)
+            if low < second:
+                report.violations.append(
+                    f"3-term relation at S={sorted(_elements(s))}, "
+                    f"{[e.bit_length() - 1 for e in (a, b, c, d)]}: the least "
+                    f"of {', '.join(map(str, terms))} is attained once")
+    return report
+
+
+def check_supports(vectors, supports) -> AxiomReport:
+    """Whether the vectors lie one on each set in supports, the circuits
+    of a matroid or the complements of its hyperplanes, on no other set,
+    each in canonical form.  One check per vector and per support."""
+    report = AxiomReport(checked=len(vectors) + len(supports))
+    expected, seen = set(supports), set()
+    for c in vectors:
+        if c.support in seen:
+            report.violations.append(
+                f"a second vector {c} on support {sorted(c.support)}")
+        elif c.support not in expected:
+            report.violations.append(
+                f"{c} lies on {sorted(c.support)}, outside the expected supports")
+        elif not c.is_canonical:
+            report.violations.append(f"{c} is not canonical")
+        seen.add(c.support)
+    report.violations += [f"no vector on support {s}"
+                          for s in sorted(map(sorted, expected - seen))]
+    return report
+
+
 def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
     """Exhaustively verify the four circuit axioms of a valuated matroid
     on canonical representatives.
@@ -311,28 +372,11 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
     # would sit below an infinite floor; on a valuated matroid that set
     # holds exactly one circuit, and many pairs share it.  d, shifted to
     # match c at v, dominates the floor exactly when c[v] - d[v] is at
-    # least d's bound, its largest gap floor[x] - d[x]; the gap at v is
-    # c[v] - d[v] itself, so d serves v exactly when that gap is largest.
-    # The pair taken the other way round shifts the floor and every gap
-    # by -lam, so one floor per unordered pair and u serves both.  INF
-    # reads as a finite sentinel: big = 4 * top + 1, top the largest
-    # absolute finite entry, in the floor's operands, so the floor is at
-    # most big, and 2 * big in d, so gaps off d's support stay below
-    # every gap on it.  Each vector is packed into one int, a w-bit
-    # field per element whose top (guard) bit stays clear, as
-    # groebner._Ring packs monomials: the operands offset by 3 * top, so
-    # c' + lam stays at least 0, and d negated and offset by 2 * big, so
-    # each gap field is gap + 3 * top + 2 * big, at least 0 and below
-    # 4 * big.  The floor is then one fieldwise min and a gap vector one
-    # add; d serves every v when no gap field exceeds the one at the
-    # first v and every v's field equals it.
-    top = max((abs(e) for c in vectors for e in c.entries if e != INF), default=0)
-    big = 4 * top + 1
-    w = (4 * big).bit_length() + 1
-    field, ones = (1 << w) - 1, sum(1 << w * x for x in range(matroid.n))
-    guard = ones << w - 1
-    packed = [_packed(c, big, 3 * top, 1, w) for c in vectors]
-    negated = [_packed(c, 2 * big, 2 * big, -1, w) for c in vectors]
+    # least d's largest gap floor[x] - d[x] over its support; the gap at
+    # v is c[v] - d[v] itself, so d serves v exactly when v lies in d's
+    # support and its gap is largest there.  The pair taken the other
+    # way round shifts the floor and every gap by -lam, so one floor per
+    # unordered pair and u serves both.
     limit = matroid.rank + 2
     inside_of, found = {}, []
     for i, mi in enumerate(masks):
@@ -345,32 +389,21 @@ def check_circuit_axioms(vcircuits, matroid: Matroid) -> AxiomReport:
                 continue
             shared, apart = _elements(mi & masks[j]), _elements(mi ^ masks[j])
             report.checked += len(shared) * len(apart)
-            if not apart:
-                continue
-            c, cp, a = vectors[i].entries, vectors[j].entries, packed[i]
-            first, separating = w * apart[0], sum(field << w * v for v in apart)
+            c, cp = vectors[i].entries, vectors[j].entries
             for u in shared:
-                # ge marks the guard bit of each field where a >= b, and
-                # ge - (ge >> w - 1) selects b's value bits there
-                b = packed[j] + (c[u] - cp[u]) * ones
-                ge = ((a | guard) - b) & guard
-                floor = a ^ (a ^ b) & ge - (ge >> w - 1)
+                lam = c[u] - cp[u]
                 inside = union ^ 1 << u
                 if (candidates := inside_of.get(inside)) is None:
                     candidates = inside_of[inside] = [
-                        negated[k] for k in members(inside)]
-                for minus in candidates:
-                    gap = floor + minus
-                    at = (gap >> first & field) * ones
-                    if (at ^ gap) & separating:
-                        continue  # some v's gap differs from the first v's
-                    if (at | guard) - gap & guard == guard:
-                        break  # and none exceeds it: d serves every v
-                else:
-                    gaps = [[gap >> w * x & field for x in range(matroid.n)]
-                            for gap in (floor + minus for minus in candidates)]
-                    found += [(i, j, u, v) if mi >> v & 1 else (j, i, u, v)
-                              for v in apart if all(g[v] < max(g) for g in gaps)]
+                        (_elements(masks[k]), vectors[k].entries)
+                        for k in members(inside) if masks[k]]
+                served = set()
+                for elements, d in candidates:
+                    gaps = [min(c[x], cp[x] + lam) - d[x] for x in elements]
+                    most = max(gaps)
+                    served.update(x for x, gap in zip(elements, gaps) if gap == most)
+                found += [(i, j, u, v) if mi >> v & 1 else (j, i, u, v)
+                          for v in apart if v not in served]
     for i, j, u, v in sorted(found):
         report.violations.append(
             f"axiom 4: no eliminating circuit for supports "
@@ -446,10 +479,3 @@ def check_orthogonality(circuit_vectors, cocircuit_vectors) -> AxiomReport:
                     f"minimum of circuit {c} + cocircuit {d} attained once"
                 )
     return report
-
-
-def _packed(vector, inf, offset, sign, width) -> int:
-    """The entries, INF read as inf, each times sign plus offset, in one
-    width-bit field per element, element 0 lowest."""
-    return sum(offset + sign * (inf if e == INF else e) << width * x
-               for x, e in enumerate(vector.entries))

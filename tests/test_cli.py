@@ -22,8 +22,15 @@ from algval.cli import (
     valuation_document,
     verify_document,
 )
+from algval.ffpoly import CircuitVector
 from algval.flock import FlockReport
-from algval.valmat import Valuation
+from algval.toric import IntMatrix
+from algval.valmat import (
+    Valuation,
+    check_circuit_axioms,
+    check_exchange_consistency,
+    check_orthogonality,
+)
 
 from conftest import NONFANO_A, NONFANO_GENERATORS, NONFANO_VARS
 from test_golden import ALPHA, GOLDEN, INPUTS
@@ -254,10 +261,11 @@ class TestVerifyCommand:
         assert doc["ok"] is True
         names = [s["name"] for s in doc["suites"]]
         assert names == [
-            "circuit-axioms",
+            "plucker-3term",
+            "circuit-supports",
             "exchange-identity",
             "duality",
-            "orthogonality",
+            "cocircuit-exchange",
             "flock-axioms",
         ]
         assert all(not s["violations"] for s in doc["suites"])
@@ -270,22 +278,44 @@ class TestVerifyCommand:
     def test_exchange_suite_checks_once_on_both_routes(
             self, capsys, ideal_file, matrix_file, monkeypatch):
         # the elimination route's walk values the bases; verify checks
-        # the identity again on the same circuits, as on a matrix input
+        # the identity again on the same circuits, as on a matrix input,
+        # and once on the cocircuits against the dual's values
         check = cli.check_exchange_consistency
         calls = []
         monkeypatch.setattr(cli, "check_exchange_consistency",
                             lambda *args: calls.append(args) or check(*args))
         for path in (ideal_file, matrix_file):
             pipe = build_pipeline(load_problem(path))
+            dual_values = cli.dual(pipe.valuation)
+            cocircs = cli.cocircuits(pipe.valuation)
             expected = check(pipe.valuation, pipe.vcircuits)
+            co_expected = check(dual_values, cocircs)
             calls.clear()
             suites = {s["name"]: s for s in verify_document(pipe, box_radius=0)["suites"]}
-            assert calls == [(pipe.valuation, pipe.vcircuits)]
-            # 29 non-Fano bases, 4 outside elements each, rank 3
+            assert calls == [(pipe.valuation, pipe.vcircuits), (dual_values, cocircs)]
+            # 29 non-Fano bases, 4 outside elements each, rank 3, and on
+            # the dual 3 outside elements each, rank 4
             assert expected.checked == 29 * 4 * 3
+            assert co_expected.checked == 29 * 3 * 4
             assert suites["exchange-identity"] == {
                 "name": "exchange-identity", "checked": expected.checked,
                 "violations": expected.violations}
+            assert suites["cocircuit-exchange"] == {
+                "name": "cocircuit-exchange", "checked": co_expected.checked,
+                "violations": co_expected.violations}
+
+    def test_plucker_relations_evaluated_once(self, capsys, matrix_file, monkeypatch):
+        # plucker-3term and the flock certificate share one report
+        import algval.valmat as valmat
+
+        check, calls = valmat.check_plucker_relations, []
+        monkeypatch.setattr(valmat, "check_plucker_relations",
+                            lambda v: calls.append(v) or check(v))
+        code, doc = run_json(capsys, "verify", matrix_file, "--box", "1")
+        assert code == 0 and len(calls) == 1
+        # C(7, 1) sets S of one element, C(6, 4) relations each
+        assert doc["suites"][0] == {"name": "plucker-3term", "checked": 7 * 15,
+                                    "violations": []}
 
     def test_failure_exits_two(self, capsys, matrix_file, monkeypatch):
         import algval.cli as cli_module
@@ -296,20 +326,30 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli_module, "check_flock_axioms", broken)
         assert run(["verify", matrix_file, "--box", "1"]) == 2
 
-    def assert_duality_fails(self, capsys, matrix_file, message):
+    def assert_duality_fails(self, capsys, matrix_file, messages, checked, co_checked):
+        # the cocircuits are checked against the dual's values, so a
+        # fault on the cocircuit side fails that identity as well
         assert run(["verify", matrix_file, "--box", "0", "--format", "text"]) == 2
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "ok false"
-        assert f"    {message}" in out
-        assert [line for line in out if "FAIL" in line] == ["  duality: FAIL (2 checks)"]
+        assert all(f"    {message}" in out for message in messages)
+        assert [line for line in out if "FAIL" in line] == [
+            f"  duality: FAIL ({checked} checks)",
+            f"  cocircuit-exchange: FAIL ({co_checked} checks)"]
 
     def test_cocircuit_dropped_fails_duality(self, capsys, matrix_file, monkeypatch):
         # the cocircuit supports are held to the complements of the
-        # hyperplanes, which come from the basis masks alone
+        # hyperplanes, which come from the basis masks alone: one check
+        # per cocircuit (8 left of 9) and per hyperplane (9), and the
+        # double dual; the identity has no vector for the 5 (basis,
+        # element) pairs of the dual whose circuit was dropped, 4 checks
+        # each
         cocircuits = cli.cocircuits
+        dropped = sorted(cocircuits(build_pipeline(load_problem(matrix_file)).valuation)[0].support)
         monkeypatch.setattr(cli, "cocircuits", lambda v: cocircuits(v)[1:])
-        self.assert_duality_fails(capsys, matrix_file,
-                                  "cocircuit supports differ from hyperplane complements")
+        self.assert_duality_fails(
+            capsys, matrix_file, [f"no vector on support {dropped}",
+                                  f"no valuated circuit on support {dropped}"], 18, 348 - 5 * 4)
 
     def test_double_dual_moved_fails_duality(self, capsys, matrix_file, monkeypatch):
         dual = cli.dual
@@ -322,7 +362,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli, "dual", moved)
         self.assert_duality_fails(capsys, matrix_file,
-                                  "double dual differs from the valuation")
+                                  ["double dual differs from the valuation"], 19, 348)
 
 
     def test_negative_box_is_input_error(self, capsys, matrix_file):
@@ -339,8 +379,8 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("verify ran before refusing the box")
 
-        monkeypatch.setattr(cli, "check_circuit_axioms", refuse)
-        monkeypatch.setattr("algval.flock._plucker_holds", refuse)
+        monkeypatch.setattr(cli, "check_supports", refuse)
+        monkeypatch.setattr(Valuation, "plucker", refuse)
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         path = os.path.join(golden, "inputs", "nonfano-matrix.json")
         assert run(["verify", path, "--box", "100000"]) == 1
@@ -408,6 +448,206 @@ class TestVerifyCommand:
                   encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
         assert code == 0
+
+
+def _raised(vector, at):
+    """The vector with its entry at position at raised by 1."""
+    entries = list(vector.entries)
+    entries[at] += 1
+    return CircuitVector(entries)
+
+
+class TestTamperedVerify:
+    """One value, circuit or cocircuit moved inside the CLI: verify exits
+    2, and the suites that fail are exactly the ones that can see the
+    change.  Each tamper is seen by one suite alone, so verify without
+    that suite would exit 0."""
+
+    @staticmethod
+    def failing(capsys, tmp_path, rows, p=2):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"kind": "matrix", "p": p, "rows": len(rows),
+                                    "cols": len(rows[0]), "entries": rows}))
+        code, doc = run_json(capsys, "verify", str(path), "--box", "0")
+        assert code == 2 and doc["ok"] is False
+        return {s["name"]: s["violations"] for s in doc["suites"] if s["violations"]}
+
+    def test_moved_value_fails_plucker(self, capsys, tmp_path, monkeypatch):
+        # U(2,4) with the value of {0, 1} lowered by 1: on rank 2 every
+        # circuit is a triangle, whose identities agree whatever the
+        # values, and the slice at 0 is that one basis, a matroid; only
+        # the relation on {0, 1, 2, 3} sees the move
+        linear = cli.linear_valuated_matroid
+
+        def moved(matrix, p):
+            valuation = linear(matrix, p)
+            values = dict(valuation.values)
+            values[frozenset({0, 1})] -= 1
+            return Valuation(valuation.matroid, values)
+
+        monkeypatch.setattr(cli, "linear_valuated_matroid", moved)
+        assert self.failing(capsys, tmp_path, [[1, 0, 1, 1], [0, 1, 1, 2]]) == {
+            "plucker-3term": ["3-term relation at S=[], [0, 1, 2, 3]: the least "
+                              "of 1, 2, 3 is attained once"]}
+
+    def test_moved_circuit_entry_fails_exchange(self, capsys, tmp_path, monkeypatch):
+        # the largest entry of the first non-Fano circuit raised: still
+        # canonical and on its support, so only the identity sees it
+        family = cli.valuated_circuit_family
+
+        def moved(valuation):
+            first, *rest = family(valuation)
+            return [_raised(first, max(first.support, key=first.entries.__getitem__))] + rest
+
+        monkeypatch.setattr(cli, "valuated_circuit_family", moved)
+        failing = self.failing(capsys, tmp_path, [list(r) for r in NONFANO_A])
+        assert list(failing) == ["exchange-identity"]
+        assert all(v.startswith("exchange identity fails at basis ")
+                   for v in failing["exchange-identity"])
+
+    def test_moved_cocircuit_entry_fails_cocircuit_exchange(
+            self, capsys, tmp_path, monkeypatch):
+        cocircuits = cli.cocircuits
+
+        def moved(valuation):
+            first, *rest = cocircuits(valuation)
+            return [_raised(first, max(first.support, key=first.entries.__getitem__))] + rest
+
+        monkeypatch.setattr(cli, "cocircuits", moved)
+        failing = self.failing(capsys, tmp_path, [list(r) for r in NONFANO_A])
+        assert list(failing) == ["cocircuit-exchange"]
+        assert all(v.startswith("exchange identity fails at basis ")
+                   for v in failing["cocircuit-exchange"])
+
+    def test_moved_loop_fails_circuit_supports(self, capsys, tmp_path, monkeypatch):
+        # a loop's circuit has one entry, which no exchange reads; raised,
+        # it is no longer canonical
+        family = cli.valuated_circuit_family
+        monkeypatch.setattr(cli, "valuated_circuit_family", lambda v: [
+            _raised(c, 1) if c.support == {1} else c for c in family(v)])
+        assert self.failing(capsys, tmp_path, [[1, 0, 2, -1], [0, 0, 1, 3]], p=3) == {
+            "circuit-supports": ["(inf, 1, inf, inf) is not canonical"]}
+
+    def test_moved_coloop_fails_duality(self, capsys, tmp_path, monkeypatch):
+        # the cocircuit of a coloop, 0 here, meets no circuit and no
+        # exchange of the dual reads it; raised, it is no longer canonical
+        cocircuits = cli.cocircuits
+        monkeypatch.setattr(cli, "cocircuits", lambda v: [
+            _raised(d, 0) if d.support == {0} else d for d in cocircuits(v)])
+        assert self.failing(capsys, tmp_path, [[1, 0, 0], [0, 1, 1]]) == {
+            "duality": ["(1, inf, inf) is not canonical"]}
+
+
+def _chain_cases():
+    """300 seeded matrices, 2-4 x 4-9 with entries in [-3, 4] over
+    p in {2, 3, 5}, chosen for the structures they hold, not for the
+    verdicts: one in six has a zero column (a loop), one in six a row
+    that is 0 off one column (a coloop), one in six rank 1, one in six is
+    4 x 4 (rank n when nonsingular), and every 25th is zero (rank 0)."""
+    rng = random.Random(3600)
+    for i in range(300):
+        d, n = rng.randint(2, 4), rng.randint(4, 9)
+        rows = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(d)]
+        kind = i % 6
+        if i % 25 == 0:
+            rows = [[0] * n for _ in range(d)]
+        elif kind == 1:
+            e = rng.randrange(n)
+            for row in rows:
+                row[e] = 0
+        elif kind == 2:
+            e = rng.randrange(n)
+            rows[0] = [rng.choice((1, 2, 3)) if x == e else 0 for x in range(n)]
+        elif kind == 3:
+            rows = [[k * x for x in rows[0]] for k in range(1, d + 1)]
+        elif kind == 4:
+            rows = [[rng.randint(-3, 4) for _ in range(4)] for _ in range(4)]
+        yield rows, rng.choice((2, 3, 5)), rng
+
+
+def _moved(family, rng):
+    """The family with one entry of one vector moved by 1 or 2 either
+    way, and the moved vector; the family as it is when it is empty."""
+    if not family:
+        return family, None
+    k = rng.randrange(len(family))
+    entries = list(family[k].entries)
+    entries[rng.choice(sorted(family[k].support))] += rng.choice((-2, -1, 1, 2))
+    moved = CircuitVector(entries)
+    return family[:k] + [moved] + family[k + 1:], moved
+
+
+def _pair_suite_verdict(valuation, circs, cocircs):
+    """Whether the suites verify printed before the certificate chain
+    pass, flock-axioms left out: the circuit axioms, the exchange
+    identity, duality (the double dual and the set of cocircuit supports
+    against the hyperplane complements) and orthogonality."""
+    matroid, ground = valuation.matroid, frozenset(range(valuation.n))
+    duality = cli.dual(cli.dual(valuation)) == valuation
+    if matroid.rank >= 1:
+        duality = duality and (
+            {d.support for d in cocircs} == {ground - h for h in matroid.hyperplanes()})
+    return (check_circuit_axioms(circs, matroid).ok
+            and check_exchange_consistency(valuation, circs).ok
+            and duality and check_orthogonality(circs, cocircs).ok)
+
+
+class TestChainMatchesPairSuites:
+    def test_same_verdict_as_the_pair_suites(self, monkeypatch):
+        # five variants per matrix: as computed, one circuit entry moved,
+        # one cocircuit entry moved, both, and one basis value moved; the
+        # chain's verdict, flock-axioms left out, equals the pair suites'
+        # on every case but one kind: a coloop's cocircuit, one entry,
+        # meets no circuit, and the pair suites compared only the supports
+        # of cocircuits, so they passed it moved and no longer canonical;
+        # the chain fails it in duality
+        seen, outcomes, mismatches, blind = set(), set(), 0, 0
+        for rows, p, rng in _chain_cases():
+            valuation = cli.linear_valuated_matroid(IntMatrix(rows), p)
+            m = valuation.matroid
+            seen.add(("rank", 0 if m.rank == 0 else 1 if m.rank == 1
+                      else "n" if m.rank == m.n else "other"))
+            seen.update(("loop",) for c in cli.valuated_circuit_family(valuation)
+                        if len(c.support) == 1)
+            seen.update(("coloop",) for d in cli.cocircuits(valuation) if len(d.support) == 1)
+            values = dict(valuation.values)
+            values[rng.choice(m.bases)] += rng.choice((-2, -1, 1, 2))
+            bumped = Valuation(m, values)
+            circs, cocircs = (cli.valuated_circuit_family(valuation),
+                              cli.cocircuits(valuation))
+            moved_circs, _ = _moved(circs, rng)
+            moved_cocircs, moved = _moved(cocircs, rng)
+            variants = [
+                ("none", valuation, circs, cocircs),
+                ("circuit", valuation, moved_circs, cocircs),
+                ("cocircuit", valuation, circs, moved_cocircs),
+                ("both", valuation, moved_circs, moved_cocircs),
+                ("value", bumped, cli.valuated_circuit_family(bumped),
+                 cli.cocircuits(bumped)),
+            ]
+            for name, val, cs, ds in variants:
+                monkeypatch.setattr(cli, "cocircuits", lambda v, ds=ds: ds)
+                doc = verify_document(cli.Pipeline(None, "", val, cs), box_radius=0)
+                monkeypatch.undo()
+                suites = {s["name"]: s["violations"] for s in doc["suites"]}
+                chain = not any(v for k, v in suites.items() if k != "flock-axioms")
+                old = _pair_suite_verdict(val, cs, ds)
+                outcomes.add((name, chain))
+                if chain != old:
+                    # the only kind of difference: a moved coloop cocircuit,
+                    # alone or with a circuit move where there is no circuit
+                    assert name in ("cocircuit", "both") and old
+                    assert len(moved.support) == 1
+                    assert name == "cocircuit" or moved_circs == circs
+                    assert {k for k, v in suites.items() if v} == {"duality"}
+                    blind += 1
+                assert doc["ok"] == (chain and not suites["flock-axioms"])
+                mismatches += chain != old
+        assert seen >= {("rank", 0), ("rank", 1), ("rank", "n"), ("rank", "other"),
+                        ("loop",), ("coloop",)}
+        assert {(name, ok) for name in ("circuit", "cocircuit", "both", "value")
+                for ok in (True, False)} - {("circuit", True), ("both", True)} <= outcomes
+        assert mismatches == blind and blind > 0
 
 
 class TestSeeded4x12Golden:

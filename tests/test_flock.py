@@ -15,7 +15,8 @@ from algval.algmat import (
 )
 from algval.cli import load_problem
 from algval.toric import IntMatrix, linear_valuated_matroid
-from algval.valmat import Valuation
+from algval.ffpoly import INF
+from algval.valmat import Valuation, check_plucker_relations
 from algval import flock
 from algval.flock import (
     FlockReport,
@@ -127,7 +128,7 @@ class TestFlockAxioms:
         def refuse(*args, **kwargs):
             raise AssertionError("certificate run")
 
-        monkeypatch.setattr(flock, "_plucker_holds", refuse)
+        monkeypatch.setattr(Valuation, "plucker", refuse)
         radius = 0
         while (2 * radius + 3) ** 7 <= sys.maxsize:
             radius += 1
@@ -143,7 +144,7 @@ class TestFlockAxioms:
         def refuse(*args, **kwargs):
             raise AssertionError("certificate run")
 
-        monkeypatch.setattr(flock, "_plucker_holds", refuse)
+        monkeypatch.setattr(Valuation, "plucker", refuse)
         for radius, alphas in [(1, [(0,) * 7]), (0, []), (100000, [ALPHA_MINUS])]:
             with pytest.raises(ValueError, match="not both"):
                 check_flock_axioms(nonfano_valuation, radius=radius, alphas=alphas)
@@ -590,7 +591,7 @@ class TestSliceExchange:
             raise AssertionError("direction scanned")
 
         tampered = _tampered_radius_three()[0]
-        assert not flock._plucker_holds(tampered)
+        assert not tampered.plucker().ok
         monkeypatch.setattr(flock, "_slice", refuse)
         report = check_flock_axioms(tampered, alphas=[])
         assert report.ok and report.directions == report.checked == 0
@@ -653,6 +654,28 @@ def _seeded_certificate_cases():
     return cases
 
 
+def _reference_plucker_report(valuation):
+    """(checked, violations) of the 3-term relations by enumeration over
+    frozensets: every (r-2)-set inside a basis, ascending by mask, and
+    every four elements outside it, ascending."""
+    w, r = valuation.values, valuation.matroid.rank
+    if r < 2:
+        return 0, []
+    inner = {frozenset(s) for b in w for s in combinations(sorted(b), r - 2)}
+    checked, violations = 0, []
+    for s in sorted(inner, key=lambda s: sum(1 << e for e in s)):
+        outside = [e for e in range(valuation.n) if e not in s]
+        for a, b, c, d in combinations(outside, 4):
+            checked += 1
+            terms = [w.get(s | {x, y}, INF) + w.get(s | {z, t}, INF)
+                     for x, y, z, t in ((a, b, c, d), (a, c, b, d), (a, d, b, c))]
+            if sorted(terms)[0] < sorted(terms)[1]:
+                violations.append(
+                    f"3-term relation at S={sorted(s)}, {[a, b, c, d]}: the least "
+                    f"of {terms[0]}, {terms[1]}, {terms[2]} is attained once")
+    return checked, violations
+
+
 class TestPluckerCertificate:
     """The 3-term tropical Plucker relations against valuated exchange,
     and the sweeps they certify without scoring a direction."""
@@ -660,10 +683,30 @@ class TestPluckerCertificate:
     def test_matches_brute_force_exchange(self):
         outcomes = []
         for valuation in _seeded_certificate_cases():
-            holds = flock._plucker_holds(valuation)
+            holds = check_plucker_relations(valuation).ok
             assert holds == _valuated_exchange_holds(valuation), valuation.values
             outcomes.append(holds)
         assert True in outcomes and False in outcomes
+
+    def test_report_lists_every_failing_relation(self):
+        failing = 0
+        for valuation in _seeded_certificate_cases()[:120]:
+            got = check_plucker_relations(valuation)
+            expected = _reference_plucker_report(valuation)
+            assert (got.checked, got.violations) == expected
+            failing += len(got.violations)
+        assert failing > 0
+
+    def test_evaluated_once_per_valuation(self, monkeypatch):
+        # the flock certificate reads the memo that verify's
+        # plucker-3term suite fills
+        calls = []
+        monkeypatch.setattr("algval.valmat.check_plucker_relations",
+                            lambda v: calls.append(v) or check_plucker_relations(v))
+        valuation = linear_valuated_matroid(IntMatrix(NONFANO_A), 2)
+        report = valuation.plucker()
+        assert check_flock_axioms(valuation, radius=1).ok
+        assert valuation.plucker() is report and calls == [valuation]
 
     def test_certified_boxes_score_no_direction(self, nonfano_valuation, monkeypatch):
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -1,5 +1,6 @@
-"""Byte-for-byte CLI outputs on four fixed inputs, and cross-check on
-four matrices with some column sum not positive.
+"""Byte-for-byte CLI outputs on four fixed inputs, cross-check on four
+matrices with some column sum not positive, and verify in JSON on larger
+boxes and seeded matrices.
 
 Each case runs one subcommand in one format and compares its stdout
 bytes and exit code against a file recorded under ``golden/``.  The
@@ -55,6 +56,24 @@ CASES = [
 ] + [(name, "cross-check", (), fmt) for name in EDGE_INPUTS for fmt in ("json", "text")]
 
 
+# verify in JSON beyond CASES: radius 2 and 3 boxes, the default box of
+# the seeded 4x12 matrix, and --box 0 on seeded matrices up to 6x16
+# (perfbench.workloads.random_matrix(random.Random(816), 6, 16, -3, 4),
+# p = 2); the radius is in the name, and plain "verify" takes the
+# default box
+VERIFY_CASES = ("nonfano-matrix.verify-box2", "p3-matrix.verify-box3",
+                "seeded-4x12-matrix.verify", "seeded-4x12-matrix.verify-box0",
+                "seeded-5x14-matrix.verify-box0", "seeded-2x26-matrix.verify-box0",
+                "seeded-6x16-matrix.verify-box0", "seeded-12x14-matrix.verify-box0")
+
+
+def _verify_case(case):
+    """(name, command, extra, fmt) of a VERIFY_CASES entry."""
+    name, command = case.split(".")
+    radius = command.removeprefix("verify-box")
+    return name, "verify", () if radius == "verify" else ("--box", radius), "json"
+
+
 def _case_id(name, command, fmt):
     return f"{name}.{command}.{fmt}"
 
@@ -99,6 +118,14 @@ def test_output_matches_golden(name, command, extra, fmt, cache_dirs, exit_codes
     assert code == exit_codes[case]
 
 
+@pytest.mark.parametrize("case", VERIFY_CASES)
+def test_verify_matches_golden(case):
+    code, out = capture(*_verify_case(case))
+    with open(os.path.join(GOLDEN, "out", f"{case}.json"), "rb") as fh:
+        assert out == fh.read()
+    assert code == 0
+
+
 def _verify_goldens():
     return sorted(f for f in os.listdir(os.path.join(GOLDEN, "out")) if ".verify" in f)
 
@@ -141,6 +168,9 @@ def record():
             fh.write(out)
     with open(os.path.join(GOLDEN, "exit_codes.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(codes, indent=2) + "\n")
+    for case in VERIFY_CASES:
+        with open(os.path.join(GOLDEN, "out", f"{case}.json"), "wb") as fh:
+            fh.write(capture(*_verify_case(case))[1])
 
 
 if __name__ == "__main__":
